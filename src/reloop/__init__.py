@@ -10,6 +10,7 @@ from .checkpoint import (
     BadMagicError,
     CheckpointError,
     FormatVersionError,
+    NonFiniteCheckpointError,
     SchemaDigestError,
     TruncatedCheckpointError,
     load_checkpoint,
@@ -31,6 +32,7 @@ from .features import (
 from .loop import (
     LoopConfig,
     LoopState,
+    NotAScoreLogError,
     ScoreLog,
     infer_scores,
     run_continual,
@@ -76,6 +78,8 @@ __all__ = [
     "LossInputError",
     "MetricsReport",
     "ModelConfig",
+    "NonFiniteCheckpointError",
+    "NotAScoreLogError",
     "OptimizerState",
     "Params",
     "SchemaDigestError",

@@ -58,6 +58,10 @@ class SchemaDigestError(CheckpointError):
     """Checkpoint was built for a different feature schema."""
 
 
+class NonFiniteCheckpointError(CheckpointError):
+    """Parameters hold NaN or inf; typically a diverged training run."""
+
+
 class _Reader:
     def __init__(self, buf: bytes):
         self.buf = buf
@@ -86,8 +90,18 @@ def _blob(a: np.ndarray) -> bytes:
 
 
 def save_checkpoint(params: Params, path: str | Path) -> None:
-    """Serialize parameters; writes are atomic via a temp file rename."""
+    """Serialize parameters; writes are atomic via a temp file rename.
+
+    Raises:
+        NonFiniteCheckpointError: a parameter is NaN or inf; nothing is written.
+    """
     path = Path(path)
+    block = params.nonfinite_block()
+    if block is not None:
+        raise NonFiniteCheckpointError(
+            f"refusing to write {path}: parameter block {block} is not finite "
+            "(did training diverge?)"
+        )
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<B", _KIND_CODE[params.kind]))
     parts.append(struct.pack("<Q", params.schema_digest))

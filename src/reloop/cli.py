@@ -38,6 +38,7 @@ from .features import (
 )
 from .loop import (
     LoopConfig,
+    NotAScoreLogError,
     ScoreLog,
     infer_scores,
     mean_next_window_metrics,
@@ -510,7 +511,7 @@ def _cmd_eval(res: dict) -> None:
     if by_files:
         try:
             scores = ScoreLog.load(res["scores"]).scores
-        except DataError:
+        except NotAScoreLogError:
             scores = _read_column(res["scores"], ("score", "y_last"))
         labels = _read_column(res["labels"], ("label",))
         if labels.shape != scores.shape:

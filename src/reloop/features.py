@@ -243,7 +243,7 @@ class Dataset:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (len(self),):
             raise DataError("prior scores must align one-to-one with rows")
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
             raise DataError("prior scores must lie in [0, 1]")
         clipped = np.clip(scores, PROB_CLIP, 1.0 - PROB_CLIP)
         return Dataset(

@@ -61,6 +61,10 @@ class LoopConfig:
             raise ValueError("holdout_fraction must lie in (0, 1)")
 
 
+class NotAScoreLogError(DataError):
+    """File lacks the ``row_id,y_last`` score-log header."""
+
+
 @dataclass
 class ScoreLog:
     """Predicted probabilities keyed by row_id, clipped into (0, 1)."""
@@ -76,16 +80,34 @@ class ScoreLog:
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreLog":
-        rids, scores = [], []
+        """Read a score log; a malformed row raises DataError naming its line."""
+        first_line: dict[int, int] = {}  # row_id -> line, in file order
+        scores = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["row_id", "y_last"]:
-                raise DataError(f"{path}: not a score log (header {header!r})")
+                raise NotAScoreLogError(f"{path}: not a score log (header {header!r})")
             for cells in reader:
-                rids.append(int(cells[0]))
-                scores.append(float(cells[1]))
-        return cls(np.array(rids, dtype=np.int64), np.array(scores, dtype=np.float64))
+                where = f"{path}:{reader.line_num}"
+                if len(cells) != 2:
+                    raise DataError(
+                        f"{where}: expected 2 cells (row_id,y_last), got {len(cells)}"
+                    )
+                try:
+                    rid, score = int(cells[0]), float(cells[1])
+                except ValueError:
+                    raise DataError(f"{where}: cannot parse row {cells!r}") from None
+                if not 0.0 <= score <= 1.0:
+                    raise DataError(
+                        f"{where}: y_last must lie in [0, 1], got {cells[1]!r}"
+                    )
+                if rid in first_line:
+                    raise DataError(f"{where}: row_id {rid} repeats line {first_line[rid]}")
+                first_line[rid] = reader.line_num
+                scores.append(score)
+        rids = np.array(list(first_line), dtype=np.int64)
+        return cls(rids, np.array(scores, dtype=np.float64))
 
     def aligned_to(self, dataset: Dataset) -> np.ndarray:
         """Scores reordered to match the dataset's rows, by row_id."""

@@ -10,9 +10,11 @@ y_hat = sigmoid(z), and exposes exact hand-derived gradients:
   dcn     cross stack x_{l+1} = x0 (w_l . x_l) + b_l + x_l alongside a relu
           stack, head over concat(x_L, deep out), plus b
 
-All arithmetic is float64. forward/backward never mutate parameters;
-gradients for embedding and linear rows an instance never touched are zero,
-and the touched-row set is reported for lazy sparse optimizer updates.
+All arithmetic is float64. forward/backward never mutate parameters.
+Table gradients are compact: the batch's sorted unique feature rows come
+with one linear entry and one embedding row per feature, so a step's cost
+and memory follow the rows the batch touches, not the size of the table.
+Rows outside that set have zero gradient and are never materialised.
 """
 
 from __future__ import annotations
@@ -114,10 +116,21 @@ class Params:
             z.head[:] = 0.0
         return z
 
+    def nonfinite_block(self) -> str | None:
+        """Name of the first block holding a NaN or inf, None if all finite."""
+        blocks = [("bias", self.bias), ("linear", self.linear), ("emb", self.emb)]
+        for i, (w, b) in enumerate(self.mlp):
+            blocks += [(f"mlp[{i}].W", w), (f"mlp[{i}].b", b)]
+        for i, (w, b) in enumerate(self.cross):
+            blocks += [(f"cross[{i}].w", w), (f"cross[{i}].b", b)]
+        blocks.append(("head", self.head))
+        for name, a in blocks:
+            if a is not None and not np.all(np.isfinite(a)):
+                return name
+        return None
+
     def all_finite(self) -> bool:
-        arrays = [a for a in (self.linear, self.emb, self.head) if a is not None]
-        arrays += [a for pair in self.mlp + self.cross for a in pair]
-        return np.isfinite(self.bias) and all(np.all(np.isfinite(a)) for a in arrays)
+        return self.nonfinite_block() is None
 
     @property
     def mlp_widths(self) -> tuple[int, ...]:
@@ -126,7 +139,13 @@ class Params:
 
 @dataclass
 class Grads:
-    """Gradients shaped like Params, plus the touched table rows."""
+    """Gradients for Params; table blocks are compact over ``rows``.
+
+    ``rows`` holds the sorted unique feature rows of the batch. ``linear[j]``
+    and ``emb[j]`` are the gradients of table row ``rows[j]``, so they have
+    shapes (len(rows),) and (len(rows), K). Dense blocks (bias, mlp, cross,
+    head) are shaped like their parameters.
+    """
 
     bias: float
     linear: np.ndarray | None
@@ -134,7 +153,12 @@ class Grads:
     mlp: list[tuple[np.ndarray, np.ndarray]]
     cross: list[tuple[np.ndarray, np.ndarray]]
     head: np.ndarray | None
-    touched: np.ndarray  # sorted unique feature rows with nonzero table grads
+    rows: np.ndarray
+
+    @property
+    def touched(self) -> np.ndarray:
+        """Alias of ``rows``, still read by ``bench/tracer.py``."""
+        return self.rows
 
 
 @dataclass
@@ -316,26 +340,31 @@ def _mlp_backward(
 def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
     """Parameter gradients for sum_b dl_dz[b] * z_b, exact chain rule.
 
-    Callers wanting a batch mean fold the 1/B factor into dl_dz. Embedding
-    and linear rows absent from the batch get zero gradient and are excluded
-    from ``touched``.
+    Callers wanting a batch mean fold the 1/B factor into dl_dz. Table
+    gradients come back compact over the batch's unique rows (see ``Grads``).
+    Each row's contributions are summed in batch order, one cell after the
+    other, so the sums equal an ``np.add.at`` into a zeroed table bitwise.
     """
     dl = np.asarray(dl_dz, dtype=np.float64)
     if dl.shape != trace.z.shape:
         raise DimensionError("dl_dz must align with the traced batch")
     idx, val = trace.indices, trace.values
+    rows, inv = np.unique(idx.ravel(), return_inverse=True)
+    n_rows = rows.shape[0]
     grads = Grads(
         bias=float(dl.sum()),
-        linear=None if params.linear is None else np.zeros_like(params.linear),
-        emb=None if params.emb is None else np.zeros_like(params.emb),
+        linear=None,
+        emb=None,
         mlp=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.mlp],
         cross=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.cross],
         head=None if params.head is None else np.zeros_like(params.head),
-        touched=np.unique(idx),
+        rows=rows,
     )
 
     if params.linear is not None:
-        np.add.at(grads.linear, idx.ravel(), (dl[:, None] * val).ravel())
+        grads.linear = np.bincount(
+            inv, weights=(dl[:, None] * val).ravel(), minlength=n_rows
+        )
 
     if params.emb is not None:
         e = trace.emb_scaled
@@ -373,9 +402,11 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
                 g_out = dl[:, None]
                 dx0 = _mlp_backward(params, trace, g_out, grads)
             de += dx0.reshape(e.shape)
-        np.add.at(
-            grads.emb, idx.ravel(), (de * val[:, :, None]).reshape(-1, k)
-        )
+        # flat bin of (row j, column c) is j * k + c
+        cells = inv[:, None] * k + np.arange(k)
+        grads.emb = np.bincount(
+            cells.ravel(), weights=(de * val[:, :, None]).ravel(), minlength=n_rows * k
+        ).reshape(n_rows, k)
 
     return grads
 

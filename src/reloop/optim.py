@@ -1,9 +1,11 @@
 """Parameter updates (SGD, Adam) and the deterministic mini-batch trainer.
 
-Embedding and linear tables get lazy sparse Adam: first/second moments of
-rows a batch never touched are neither decayed nor bias-corrected away, the
-standard treatment for large sparse tables. Dense blocks (bias, perceptron
-and cross layers, head) update densely every step.
+Embedding and linear tables get per-row sparse updates: the model hands
+back compact gradients over the batch's unique rows (``Grads.rows``), and
+SGD and lazy Adam touch only those rows of the parameters and moments.
+Moments of rows a batch never touched are neither decayed nor
+bias-corrected away, the standard treatment for large sparse tables. Dense
+blocks (bias, perceptron and cross layers, head) update densely every step.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch),
 and per-batch gradients are reduced in batch index order, so training is
@@ -89,10 +91,12 @@ def _adam_dense(state, theta, g, m, v, c1, c2):
 
 
 def _adam_rows(state, theta, g, m, v, rows, c1, c2):
-    gr = g[rows]
-    m[rows] = state.beta1 * m[rows] + (1.0 - state.beta1) * gr
-    v[rows] = state.beta2 * v[rows] + (1.0 - state.beta2) * (gr * gr)
-    theta[rows] -= state.lr * (m[rows] / c1) / (np.sqrt(v[rows] / c2) + state.eps)
+    """Lazy Adam on table rows ``rows``; ``g`` is compact, one entry per row."""
+    mr = state.beta1 * m[rows] + (1.0 - state.beta1) * g
+    vr = state.beta2 * v[rows] + (1.0 - state.beta2) * (g * g)
+    m[rows] = mr
+    v[rows] = vr
+    theta[rows] -= state.lr * (mr / c1) / (np.sqrt(vr / c2) + state.eps)
 
 
 def apply_update(
@@ -106,11 +110,11 @@ def apply_update(
     state.step_count += 1
     if state.kind == "sgd":
         params.bias -= state.lr * grads.bias
-        rows = grads.touched
+        rows = grads.rows
         if params.linear is not None:
-            params.linear[rows] -= state.lr * grads.linear[rows]
+            params.linear[rows] -= state.lr * grads.linear
         if params.emb is not None:
-            params.emb[rows] -= state.lr * grads.emb[rows]
+            params.emb[rows] -= state.lr * grads.emb
         for (w, b), (gw, gb) in zip(params.mlp, grads.mlp):
             w -= state.lr * gw
             b -= state.lr * gb
@@ -131,7 +135,7 @@ def apply_update(
     v.bias = state.beta2 * v.bias + (1.0 - state.beta2) * grads.bias**2
     params.bias -= state.lr * (m.bias / c1) / (np.sqrt(v.bias / c2) + state.eps)
 
-    rows = grads.touched
+    rows = grads.rows
     if params.linear is not None:
         _adam_rows(state, params.linear, grads.linear, m.linear, v.linear, rows, c1, c2)
     if params.emb is not None:

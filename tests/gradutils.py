@@ -46,12 +46,23 @@ def set_params_from_vector(p: Params, vec: np.ndarray) -> None:
     assert i == vec.size
 
 
-def grads_to_vector(g: Grads) -> np.ndarray:
+def dense_table(compact: np.ndarray, rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Scatter a compact table gradient into zeros shaped like ``table``."""
+    out = np.zeros_like(table)
+    out[rows] = compact
+    return out
+
+
+def grads_to_vector(g: Grads, p: Params) -> np.ndarray:
+    """Flatten grads in params_to_vector order, table rows scattered dense.
+
+    ``p`` supplies the table sizes that compact gradients do not carry.
+    """
     blocks = [np.array([g.bias])]
     if g.linear is not None:
-        blocks.append(g.linear.ravel())
+        blocks.append(dense_table(g.linear, g.rows, p.linear).ravel())
     if g.emb is not None:
-        blocks.append(g.emb.ravel())
+        blocks.append(dense_table(g.emb, g.rows, p.emb).ravel())
     for w, b in g.mlp:
         blocks += [w.ravel(), b.ravel()]
     for w, b in g.cross:

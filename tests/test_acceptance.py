@@ -121,7 +121,7 @@ def test_ac2_gradient_fidelity():
                 if abs(z) > 8.0:
                     continue  # saturated sigmoid starves central differences
                 dl_dz = loss_grad_z(loss_cfg, y, prob, t)
-                analytic = grads_to_vector(backward(params, trace, dl_dz))
+                analytic = grads_to_vector(backward(params, trace, dl_dz), params)
                 base = params_to_vector(params)
                 fd = np.empty_like(base)
                 for j in range(base.size):

@@ -10,6 +10,7 @@ from reloop.checkpoint import (
     MAGIC,
     BadMagicError,
     FormatVersionError,
+    NonFiniteCheckpointError,
     SchemaDigestError,
     TruncatedCheckpointError,
     check_schema,
@@ -57,6 +58,34 @@ class TestRoundTrip:
         save_checkpoint(p, tmp_path / "a.ckpt")
         save_checkpoint(p, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_refused_and_nothing_written(self, tmp_path, schema, kind):
+        p = randomized(schema, kind)
+        block, arr = ("linear", p.linear) if p.linear is not None else ("emb", p.emb)
+        arr.flat[1] = np.nan
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(NonFiniteCheckpointError, match=rf"block {block} "):
+            save_checkpoint(p, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_names_dense_block(self, tmp_path, schema):
+        p = randomized(schema, "dcn")
+        p.cross[1][0][0] = -np.inf
+        with pytest.raises(NonFiniteCheckpointError, match=r"cross\[1\]\.w"):
+            save_checkpoint(p, tmp_path / "m.ckpt")
+
+    def test_existing_file_kept(self, tmp_path, schema):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(randomized(schema, "fm"), path)
+        before = path.read_bytes()
+        p = randomized(schema, "fm")
+        p.bias = float("nan")
+        with pytest.raises(NonFiniteCheckpointError, match="block bias "):
+            save_checkpoint(p, path)
+        assert path.read_bytes() == before
 
 
 class TestCorruption:

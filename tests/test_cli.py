@@ -97,6 +97,36 @@ class TestTrain:
         assert (outs[0] / "model.ckpt").read_bytes() == (outs[1] / "model.ckpt").read_bytes()
         assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0.5\n1\n", ":3: expected 2 cells"),
+            ("0,0.5\n1,0.5,7\n", ":3: expected 2 cells"),
+            ("0,0.5\n1,high\n", ":3: cannot parse"),
+            ("0,0.5\n1,0.25\n0,0.75\n", ":4: row_id 0 repeats line 2"),
+        ],
+    )
+    def test_malformed_prior_scores_exit_one(self, data_dir, tmp_path, capsys, rows, message):
+        prior = tmp_path / "prior.csv"
+        prior.write_text("row_id,y_last\n" + rows)
+        code = run("train", "--data", data_dir / "single" / "window_000.csv",
+                   "--model", "lr", "--loss", "reloop", "--prior-scores", prior,
+                   "--buckets", 12, "--out", tmp_path / "x")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{prior}{message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x" / "model.ckpt").exists()
+
+    def test_diverged_training_writes_no_checkpoint(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run("train", "--data", data_dir / "single" / "window_000.csv",
+                   "--model", "fm", "--embed-dim", 3, "--optimizer", "sgd",
+                   "--lr", "1e200", "--epochs", 2, "--buckets", 12, "--out", out)
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
+        assert list(out.glob("*.ckpt*")) == []
+
     def test_alpha_out_of_range(self, data_dir, tmp_path):
         assert run("train", "--data", data_dir / "single" / "window_000.csv",
                    "--loss", "reloop", "--alpha", "1.2",
@@ -186,6 +216,16 @@ class TestEval:
         scores.write_text("0.9\n0.8\n")
         assert run("eval", "--scores", scores, "--labels", labels) == 1
         assert "AUC undefined" in capsys.readouterr().err
+
+    def test_malformed_score_log_exit_one(self, tmp_path, capsys):
+        labels = tmp_path / "labels.txt"
+        scores = tmp_path / "scores.csv"
+        labels.write_text("1\n0\n")
+        scores.write_text("row_id,y_last\n0,0.9\n1\n")
+        assert run("eval", "--scores", scores, "--labels", labels) == 1
+        err = capsys.readouterr().err
+        assert f"{scores}:3: expected 2 cells" in err
+        assert "Traceback" not in err
 
     def test_needs_a_source(self):
         assert run("eval") == 2

@@ -188,6 +188,8 @@ class TestDataset:
         with pytest.raises(DataError):
             tiny_dataset.with_y_last(np.full(n, 1.5))
         with pytest.raises(DataError):
+            tiny_dataset.with_y_last(np.full(n, np.nan))
+        with pytest.raises(DataError):
             tiny_dataset.with_y_last(np.zeros(n - 1))
 
     def test_row_view(self, tiny_dataset):

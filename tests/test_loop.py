@@ -15,6 +15,7 @@ from reloop.features import (
 )
 from reloop.loop import (
     LoopConfig,
+    NotAScoreLogError,
     ScoreLog,
     infer_scores,
     mean_next_window_metrics,
@@ -86,6 +87,30 @@ class TestInferScores:
         assert np.max(np.abs(back.scores - log.scores)) <= 1e-9
         aligned = back.aligned_to(tiny_dataset)
         assert np.max(np.abs(aligned - log.scores)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("5\n", r":2: expected 2 cells .*got 1"),
+            ("\n", r":2: expected 2 cells .*got 0"),
+            ("5,0.5,1\n", r":2: expected 2 cells .*got 3"),
+            ("x,0.5\n", r":2: cannot parse"),
+            ("5,nan\n", r":2: y_last must lie in \[0, 1\]"),
+            ("5,1.5\n", r":2: y_last must lie in \[0, 1\]"),
+            ("5,0.5\n6,0.1\n5,0.2\n", r":4: row_id 5 repeats line 2"),
+        ],
+    )
+    def test_score_log_malformed_rows(self, tmp_path, body, message):
+        path = tmp_path / "scores.csv"
+        path.write_text("row_id,y_last\n" + body)
+        with pytest.raises(DataError, match=message):
+            ScoreLog.load(path)
+
+    def test_score_log_bad_header(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text("score\n0.5\n")
+        with pytest.raises(NotAScoreLogError):
+            ScoreLog.load(path)
 
     def test_aligned_to_missing_row(self, tiny_dataset):
         log = ScoreLog(np.array([999_999]), np.array([0.5]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradutils import (
+    dense_table,
     grads_to_vector,
     params_to_vector,
     relative_errors,
@@ -183,7 +184,7 @@ class TestBackward:
             inst = random_instance(schema, np.random.default_rng(8))
             _, _, tr = forward(p, inst)
             g = backward(p, tr, 0.0)
-            assert np.all(grads_to_vector(g) == 0.0)
+            assert np.all(grads_to_vector(g, p) == 0.0)
 
     def test_lr_gradient_is_value(self, schema):
         p = init_params(schema, ModelConfig("lr"), seed=0)
@@ -191,18 +192,21 @@ class TestBackward:
         _, _, tr = forward(p, inst)
         g = backward(p, tr, 1.0)
         assert g.bias == 1.0
-        assert np.all(g.linear[inst.indices] == 1.0)
+        assert np.array_equal(g.rows, np.unique(inst.indices))
+        assert np.all(dense_table(g.linear, g.rows, p.linear)[inst.indices] == 1.0)
 
     def test_untouched_rows_zero_and_touched_reported(self, schema):
         p = randomized_params(schema, ModelConfig("fm", embed_dim=3), seed=9)
         inst = random_instance(schema, np.random.default_rng(2))
         _, _, tr = forward(p, inst)
         g = backward(p, tr, 0.7)
-        assert set(g.touched) == set(inst.indices)
+        assert np.array_equal(g.rows, np.unique(inst.indices))
+        assert g.linear.shape == (len(g.rows),)
+        assert g.emb.shape == (len(g.rows), 3)
         mask = np.ones(p.n_features, dtype=bool)
         mask[inst.indices] = False
-        assert np.all(g.emb[mask] == 0.0)
-        assert np.all(g.linear[mask] == 0.0)
+        assert np.all(dense_table(g.emb, g.rows, p.emb)[mask] == 0.0)
+        assert np.all(dense_table(g.linear, g.rows, p.linear)[mask] == 0.0)
 
     def test_batch_grads_sum_per_instance_grads(self, schema):
         p = randomized_params(schema, ModelConfig("dcn", embed_dim=3, mlp_widths=(5,)), seed=10)
@@ -212,12 +216,67 @@ class TestBackward:
         idx = np.stack([i.indices for i in insts])
         val = np.ones_like(idx, dtype=float)
         _, _, tr = forward_batch(p, idx, val)
-        batch = grads_to_vector(backward_batch(p, tr, dl))
+        batch = grads_to_vector(backward_batch(p, tr, dl), p)
         single = np.zeros_like(batch)
         for inst, d in zip(insts, dl):
             _, _, t1 = forward(p, inst)
-            single += grads_to_vector(backward(p, t1, float(d)))
+            single += grads_to_vector(backward(p, t1, float(d)), p)
         assert np.allclose(batch, single, atol=1e-12)
+
+
+def _split_tables(p, idx):
+    """Copy of p where cell (b, f) owns table row b * F + f, holding p's row idx[b, f].
+
+    Forward activations are bitwise those of p, and every row is touched
+    once, so the split model's compact table gradients are the per-cell
+    contributions before any reduction.
+    """
+    q = p.copy()
+    q.n_features = idx.size
+    if p.linear is not None:
+        q.linear = p.linear[idx].ravel()
+    if p.emb is not None:
+        q.emb = p.emb[idx].reshape(idx.size, -1)
+    return q, np.arange(idx.size, dtype=np.int64).reshape(idx.shape)
+
+
+class TestCompactGrads:
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_bitwise_equal_to_add_at_reference(self, schema, kind):
+        """Repeated rows sum in batch order, exactly like np.add.at into zeros."""
+        cfg = ModelConfig(kind, embed_dim=3, mlp_widths=(5, 4), n_cross_layers=2)
+        p = randomized_params(schema, cfg, seed=40)
+        rng = np.random.default_rng(41)
+        b = 48
+        # a pool of 5 rows shared by every field: rows repeat within an
+        # instance and across instances
+        idx = rng.choice(np.array([0, 3, 7, 8, 20]), size=(b, schema.n_fields))
+        assert any(len(set(r)) < len(r) for r in idx)
+        val = rng.uniform(0.5, 2.0, size=idx.shape)
+        dl = rng.normal(size=b)
+        _, _, tr = forward_batch(p, idx, val)
+        g = backward_batch(p, tr, dl)
+        assert np.array_equal(g.rows, np.unique(idx))
+
+        q, q_idx = _split_tables(p, idx)
+        _, _, q_tr = forward_batch(q, q_idx, val)
+        cells = backward_batch(q, q_tr, dl)
+        assert np.array_equal(q_tr.z, tr.z)
+        if p.linear is not None:
+            ref = np.zeros_like(p.linear)
+            np.add.at(ref, idx.ravel(), (dl[:, None] * val).ravel())
+            assert np.array_equal(dense_table(g.linear, g.rows, p.linear), ref)
+        if p.emb is not None:
+            ref = np.zeros_like(p.emb)
+            np.add.at(ref, idx.ravel(), cells.emb)
+            assert np.array_equal(dense_table(g.emb, g.rows, p.emb), ref)
+        q_dense = [a for pair in cells.mlp + cells.cross for a in pair]
+        dense = [a for pair in g.mlp + g.cross for a in pair]
+        if g.head is not None:
+            q_dense.append(cells.head)
+            dense.append(g.head)
+        assert g.bias == cells.bias
+        assert all(np.array_equal(x, y) for x, y in zip(dense, q_dense))
 
 
 class TestFiniteDifference:
@@ -236,7 +295,7 @@ class TestFiniteDifference:
             z, prob, tr = forward(p, inst)
             if abs(prob - t) <= 1e-3 or abs(z) > 8.0:
                 continue
-            an = grads_to_vector(backward(p, tr, loss_grad_z(loss_cfg, y, prob, t)))
+            an = grads_to_vector(backward(p, tr, loss_grad_z(loss_cfg, y, prob, t)), p)
             base = params_to_vector(p)
             fd = np.empty_like(base)
             for j in range(base.size):

@@ -18,21 +18,17 @@ from reloop.optim import (
 
 
 def lr_grads(params, bias=0.0, table=None):
-    g = Grads(
+    """Compact LR grads: ``table`` maps feature row -> linear gradient."""
+    rows = np.array(sorted(table or {}), dtype=np.int64)
+    return Grads(
         bias=bias,
-        linear=np.zeros_like(params.linear),
+        linear=np.array([table[r] for r in rows], dtype=np.float64),
         emb=None,
         mlp=[],
         cross=[],
         head=None,
-        touched=np.array([], dtype=np.int64),
+        rows=rows,
     )
-    if table:
-        rows = np.array(sorted(table), dtype=np.int64)
-        for r, v in table.items():
-            g.linear[r] = v
-        g.touched = rows
-    return g
 
 
 @pytest.fixture
@@ -48,6 +44,12 @@ class TestSgd:
         apply_update(state, lr_params, lr_grads(lr_params, bias=2.0))
         assert lr_params.bias == pytest.approx(0.8, abs=1e-15)
         assert state.step_count == 1
+
+    def test_table_rows_only(self, lr_params):
+        lr_params.linear[:] = 1.0
+        state = OptimizerState(kind="sgd", lr=0.1)
+        apply_update(state, lr_params, lr_grads(lr_params, table={1: 2.0, 3: -1.0}))
+        assert lr_params.linear.tolist() == [1.0, 1.0 - 0.1 * 2.0, 1.0, 1.0 + 0.1]
 
 
 class TestAdam:
