@@ -7,17 +7,15 @@ and ``rerun`` replays a manifest into a fresh directory byte-for-byte.
 
 Configuration precedence: command-line flags override ``--config`` file
 entries (plain ``key = value`` lines, ``#`` comments), which override
-built-in defaults. ``RELOOP_THREADS`` caps worker parallelism; the current
-implementation executes sequentially regardless of its value, so every
-setting yields identical bytes and 1 is simply the documented reference mode.
+built-in defaults.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import glob as globmod
 import json
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -41,31 +39,21 @@ from .loop import (
     NotAScoreLogError,
     ScoreLog,
     infer_scores,
-    mean_next_window_metrics,
+    mean_report_metrics,
     run_continual,
     run_static_prior,
+    sweep_alpha_continual,
+    sweep_alpha_static,
     write_loop_report,
 )
 from .losses import LossConfig, LossInputError, emit_loss_curves, write_loss_curves
 from .metrics import METRICS_CSV_HEADER, evaluate
 from .models import ModelConfig, init_params, predict_batch
-from .optim import TrainConfig, train_epochs
+from .optim import DivergenceError, TrainConfig, train_epochs
 
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, values out of range, missing inputs."""
-
-
-def worker_count() -> int:
-    """Worker cap from RELOOP_THREADS (default: all cores)."""
-    raw = os.environ.get("RELOOP_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"RELOOP_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 def _parse_bool(s) -> bool:
@@ -286,7 +274,6 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
         },
         "config_digest": digest,
         "seed": resolved.get("seed"),
-        "reloop_threads": os.environ.get("RELOOP_THREADS"),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -306,8 +293,8 @@ def _out_dir(res: dict) -> Path:
 
 
 def _schema_from_csv(path: str, buckets: int, numerical: list[str]) -> FeatureSchema:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = next(csv.reader(fh), [])
     if not header or header[0] != "label":
         raise DataError(f"{path}: first header column must be 'label'")
     names = header[1:]
@@ -421,14 +408,19 @@ def _split_811(data):
     )
 
 
-def _run_loop(res: dict, loss: LossConfig, checkpoint_dir):
+def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
+    """Validate the loop flags and ingest the data once, with one schema.
+
+    Returns the loop config and its data: the (train, valid, test) split in
+    static mode, the ordered windows in continual mode.
+    """
     model_cfg = _model_config(res)
     train_cfg = _train_config(res, loss)
     if res["mode"] == "static":
         _require(res.get("data"), "static mode requires --data")
         _require(0.0 < res["prior_fraction"] < 1.0, "--prior-fraction must lie in (0, 1)")
         schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
-        train, valid, test = _split_811(ingest_csv(res["data"], schema))
+        splits = _split_811(ingest_csv(res["data"], schema))
         cfg = LoopConfig(
             mode="static_prior",
             model=model_cfg,
@@ -436,7 +428,7 @@ def _run_loop(res: dict, loss: LossConfig, checkpoint_dir):
             prior_fraction=res["prior_fraction"],
             checkpoint_dir=checkpoint_dir,
         )
-        return run_static_prior(cfg, train, valid, test)
+        return cfg, splits
     _require(res.get("windows"), "continual mode requires --windows GLOB")
     paths = sorted(globmod.glob(res["windows"]))
     _require(len(paths) >= 2, f"--windows {res['windows']!r} must match >= 2 files")
@@ -451,20 +443,16 @@ def _run_loop(res: dict, loss: LossConfig, checkpoint_dir):
         holdout_fraction=res["holdout_fraction"],
         checkpoint_dir=checkpoint_dir,
     )
-    return run_continual(cfg, windows)
-
-
-def _headline(res: dict, state) -> tuple[float, float]:
-    if res["mode"] == "static":
-        row = next(r for r in state.reports if r.phase == "current")
-        return row.report.auc, row.report.logloss
-    return mean_next_window_metrics(state)
+    return cfg, windows
 
 
 def _cmd_loop(res: dict) -> None:
     out = _out_dir(res)
-    loss = _loss_config(res)
-    state = _run_loop(res, loss, checkpoint_dir=out / "checkpoints")
+    cfg, data = _loop_setup(res, _loss_config(res), checkpoint_dir=out / "checkpoints")
+    if cfg.mode == "static_prior":
+        state = run_static_prior(cfg, *data)
+    else:
+        state = run_continual(cfg, data)
     out.mkdir(parents=True, exist_ok=True)
     write_loop_report(state, out / "loop_report.csv")
 
@@ -476,26 +464,51 @@ def _cmd_sweep_alpha(res: dict) -> None:
     _require(
         all(0.0 <= a <= 1.0 for a in alphas), "--alphas values must lie in [0, 1]"
     )
+    # Headline per alpha: the static ``current`` test row, or the continual
+    # run's mean over its report rows. The phases alpha does not reach run once.
+    cfg, data = _loop_setup(res, LossConfig(), checkpoint_dir=None)
+    if cfg.mode == "static_prior":
+        train, _, test = data
+        heads = [(r.auc, r.logloss) for r in sweep_alpha_static(cfg, train, test, alphas)]
+    else:
+        heads = [mean_report_metrics(s) for s in sweep_alpha_continual(cfg, data, alphas)]
     lines = ["alpha,auc,logloss"]
-    for alpha in alphas:
-        loss = LossConfig(kind="reloop", alpha=alpha)
-        state = _run_loop(res, loss, checkpoint_dir=None)
-        auc_v, ll_v = _headline(res, state)
+    for alpha, (auc_v, ll_v) in zip(alphas, heads):
         lines.append(f"{alpha:g},{auc_v:.6f},{ll_v:.6f}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "alpha_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_column(path: str, accepted_headers: tuple[str, ...]) -> np.ndarray:
+def _score_cell(cell: str, where: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise DataError(f"{where}: cannot parse score {cell!r}") from None
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise DataError(f"{where}: score must be a finite value in [0, 1], got {cell!r}")
+    return value
+
+
+def _label_cell(cell: str, where: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        value = None
+    if value not in (0.0, 1.0):
+        raise DataError(f"{where}: label must be 0 or 1, got {cell!r}")
+    return value
+
+
+def _read_column(path: str, accepted_headers: tuple[str, ...], parse) -> np.ndarray:
+    """One value per non-blank line, after an optional header; ``parse(cell,
+    where)`` checks each value and raises DataError naming ``<file>:<line>``."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for i, line in enumerate(fh):
+        for lineno, line in enumerate(fh, start=1):
             cell = line.strip()
-            if not cell:
+            if not cell or (lineno == 1 and cell in accepted_headers):
                 continue
-            if i == 0 and cell in accepted_headers:
-                continue
-            values.append(float(cell))
+            values.append(parse(cell, f"{path}:{lineno}"))
     if not values:
         raise DataError(f"{path}: no values found")
     return np.array(values, dtype=np.float64)
@@ -512,8 +525,8 @@ def _cmd_eval(res: dict) -> None:
         try:
             scores = ScoreLog.load(res["scores"]).scores
         except NotAScoreLogError:
-            scores = _read_column(res["scores"], ("score", "y_last"))
-        labels = _read_column(res["labels"], ("label",))
+            scores = _read_column(res["scores"], ("score", "y_last"), _score_cell)
+        labels = _read_column(res["labels"], ("label",), _label_cell)
         if labels.shape != scores.shape:
             raise DataError("labels and scores differ in length")
     else:
@@ -592,7 +605,6 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        worker_count()  # validate RELOOP_THREADS early
         if ns.command == "rerun":
             res = _resolve("rerun", ns)
             _cmd_rerun(res)
@@ -603,7 +615,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, LossInputError, CheckpointError, ValueError, OSError) as exc:
+    except (DataError, LossInputError, CheckpointError, DivergenceError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

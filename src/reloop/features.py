@@ -250,14 +250,6 @@ class Dataset:
             self.schema, self.labels, self.indices, self.values, self.row_ids, clipped
         )
 
-    def require_y_last(self, context: str) -> None:
-        if self.y_last is None:
-            rid = int(self.row_ids[0]) if len(self) else -1
-            raise DataError(
-                f"{context} requires a prior score (y_last) on every row; "
-                f"none attached (first row_id {rid})"
-            )
-
 
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Read a labelled CSV into a Dataset.

@@ -19,6 +19,11 @@ Two protocols are implemented:
 
 Every y_last is produced by the immediately preceding version only, and
 provenance records in LoopState make that auditable.
+
+The alpha sweeps (``sweep_alpha_static``, ``sweep_alpha_continual``) run the
+same phase functions as the two protocols, but run the phases that no alpha
+reaches once: the static prior and its scores, and continual version 1 with
+its report row and its scores on window 2.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .features import PROB_CLIP, DataError, Dataset
 from .losses import LossConfig
 from .metrics import MetricsReport, evaluate
 from .models import ModelConfig, Params, init_params, predict_batch
-from .optim import TrainConfig, train_epochs
+from .optim import DivergenceError, TrainConfig, train_epochs
 from .rng import derive_seed
 
 LOOP_REPORT_HEADER = "version,window,phase,loss_kind,alpha,auc,logloss"
@@ -189,7 +194,11 @@ def _train_phase(
     phase: str | int,
     start: Params | None = None,
 ) -> Params:
-    """Train one version; fresh init unless a warm-start parent is given."""
+    """Train one version; fresh init unless a warm-start parent is given.
+
+    The init and shuffle seeds derive from the phase alone, so a phase trains
+    to the same bytes whichever other phases run beside it.
+    """
     if start is None:
         params = init_params(
             dataset.schema, cfg.model, derive_seed(cfg.train.seed, "init", phase)
@@ -199,8 +208,34 @@ def _train_phase(
     train_cfg = replace(
         cfg.train, loss=loss, seed=derive_seed(cfg.train.seed, "train", phase)
     )
-    params, _ = train_epochs(params, dataset, train_cfg)
+    try:
+        params, _ = train_epochs(params, dataset, train_cfg)
+    except DivergenceError as exc:
+        name = phase if isinstance(phase, str) else f"v{phase:03d}"
+        raise DivergenceError(f"{name}: {exc}") from None
     return params
+
+
+def _ce(cfg: LoopConfig) -> LossConfig:
+    """Cross-entropy for the alpha-independent phases (prior, baseline, v1)."""
+    return LossConfig("ce", clip_eps=cfg.train.loss.clip_eps)
+
+
+def _reloop_cfgs(cfg: LoopConfig, alphas) -> list[LoopConfig]:
+    """One config per blend weight, differing from ``cfg`` only in its loss."""
+    return [
+        replace(cfg, train=replace(cfg.train, loss=LossConfig(
+            "reloop", alpha=a, clip_eps=cfg.train.loss.clip_eps)))
+        for a in alphas
+    ]
+
+
+def _alpha_of(loss: LossConfig) -> float:
+    return loss.alpha if loss.kind == "reloop" else 0.0
+
+
+def _evaluate_on(params: Params, split: Dataset) -> MetricsReport:
+    return evaluate(split.labels, predict_batch(params, split))
 
 
 def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
@@ -211,6 +246,42 @@ def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
     path = ckpt_dir / name
     save_checkpoint(params, path)
     return str(path)
+
+
+@dataclass
+class _StaticPrior:
+    """The alpha-independent phase of the static protocol."""
+
+    params: Params
+    row_ids: np.ndarray  # the leading training rows the prior saw
+    log: ScoreLog  # the prior's scores on the whole training split
+    scored_train: Dataset  # the training split carrying those scores as y_last
+
+
+def _check_static(cfg: LoopConfig, train_set: Dataset, test_set: Dataset) -> None:
+    if cfg.mode != "static_prior":
+        raise ValueError("config mode is not static_prior")
+    for name, ds in (("train", train_set), ("test", test_set)):
+        if ds is None or len(ds) == 0:
+            raise DataError(f"static prior protocol: empty {name} split")
+
+
+def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
+    """Train the prior on the first round(prior_fraction * n) rows, then score
+    the whole training split with it."""
+    n = len(train_set)
+    n_prior = int(round(cfg.prior_fraction * n))
+    if n_prior < 1 or n_prior > n:
+        raise DataError("prior_fraction leaves no rows for the prior model")
+    prior_split = train_set.head(n_prior)
+    prior = _train_phase(cfg, prior_split, _ce(cfg), "prior")
+    log = infer_scores(prior, train_set)
+    return _StaticPrior(prior, prior_split.row_ids.copy(), log,
+                        train_set.with_y_last(log.scores))
+
+
+def _train_current(cfg: LoopConfig, prior: _StaticPrior) -> Params:
+    return _train_phase(cfg, prior.scored_train, cfg.train.loss, "current")
 
 
 def run_static_prior(
@@ -227,28 +298,13 @@ def run_static_prior(
     initialization. Reports prior/baseline/current on the test split (and on
     the validation split when given, as *_valid phases).
     """
-    if cfg.mode != "static_prior":
-        raise ValueError("config mode is not static_prior")
-    for name, ds in (("train", train_set), ("test", test_set)):
-        if ds is None or len(ds) == 0:
-            raise DataError(f"static prior protocol: empty {name} split")
+    _check_static(cfg, train_set, test_set)
+    prior = _train_prior(cfg, train_set)
+    baseline = _train_phase(cfg, train_set, _ce(cfg), "current")
+    current = _train_current(cfg, prior)
 
-    n = len(train_set)
-    n_prior = int(round(cfg.prior_fraction * n))
-    if n_prior < 1 or n_prior > n:
-        raise DataError("prior_fraction leaves no rows for the prior model")
-    prior_split = train_set.head(n_prior)
-
-    ce = LossConfig("ce", clip_eps=cfg.train.loss.clip_eps)
-    prior = _train_phase(cfg, prior_split, ce, "prior")
-    prior_log = infer_scores(prior, train_set)
-    scored_train = train_set.with_y_last(prior_log.scores)
-
-    baseline = _train_phase(cfg, train_set, ce, "current")
-    current = _train_phase(cfg, scored_train, cfg.train.loss, "current")
-
-    state = LoopState(mode="static_prior", prior_row_ids=prior_split.row_ids.copy())
-    state.score_logs[(0, 0)] = prior_log
+    state = LoopState(mode="static_prior", prior_row_ids=prior.row_ids)
+    state.score_logs[(0, 0)] = prior.log
     state.versions.append(
         VersionRecord(
             version=0,
@@ -256,9 +312,9 @@ def run_static_prior(
             loss_kind="ce",
             alpha=0.0,
             y_last_source=None,
-            n_train_rows=n_prior,
+            n_train_rows=len(prior.row_ids),
             n_with_y_last=0,
-            checkpoint_path=_save(cfg, prior, "prior.ckpt"),
+            checkpoint_path=_save(cfg, prior.params, "prior.ckpt"),
         )
     )
     state.versions.append(
@@ -266,10 +322,10 @@ def run_static_prior(
             version=1,
             trained_window=1,
             loss_kind=cfg.train.loss.kind,
-            alpha=cfg.train.loss.alpha if cfg.train.loss.kind == "reloop" else 0.0,
+            alpha=_alpha_of(cfg.train.loss),
             y_last_source=0,
-            n_train_rows=n,
-            n_with_y_last=len(scored_train) if scored_train.y_last is not None else 0,
+            n_train_rows=len(train_set),
+            n_with_y_last=len(train_set),
             checkpoint_path=_save(cfg, current, "current.ckpt"),
         )
     )
@@ -279,20 +335,129 @@ def run_static_prior(
     if valid_set is not None and len(valid_set) > 0:
         evals.append(("valid", valid_set))
     cur_loss = cfg.train.loss
-    cur_alpha = cur_loss.alpha if cur_loss.kind == "reloop" else 0.0
     models = [
-        (0, "prior", "ce", 0.0, prior),
+        (0, "prior", "ce", 0.0, prior.params),
         (1, "baseline", "ce", 0.0, baseline),
-        (1, "current", cur_loss.kind, cur_alpha, current),
+        (1, "current", cur_loss.kind, _alpha_of(cur_loss), current),
     ]
     for split_name, split in evals:
         for version, phase, loss_kind, alpha, model in models:
             name = phase if split_name == "test" else f"{phase}_valid"
-            scores = predict_batch(model, split)
             state.reports.append(
-                ReportRow(version, 0, name, loss_kind, alpha,
-                          evaluate(split.labels, scores))
+                ReportRow(version, 0, name, loss_kind, alpha, _evaluate_on(model, split))
             )
+    return state
+
+
+def sweep_alpha_static(
+    cfg: LoopConfig, train_set: Dataset, test_set: Dataset, alphas
+) -> list[MetricsReport]:
+    """The ``current`` test-split report of ``run_static_prior`` per alpha.
+
+    Each report equals the one a reloop run at that alpha writes: the prior
+    trains and scores once, and the baseline, which no alpha changes, is not
+    trained. ``cfg.train.loss`` supplies only ``clip_eps``.
+    """
+    _check_static(cfg, train_set, test_set)
+    prior = _train_prior(cfg, train_set)
+    return [
+        _evaluate_on(_train_current(c, prior), test_set)
+        for c in _reloop_cfgs(cfg, alphas)
+    ]
+
+
+def _check_continual(cfg: LoopConfig, windows: list[Dataset]) -> None:
+    if cfg.mode != "continual":
+        raise ValueError("config mode is not continual")
+    if len(windows) < 2:
+        raise DataError("continual mode needs at least 2 windows")
+    for w, ds in enumerate(windows, start=1):
+        if len(ds) == 0:
+            raise DataError(f"continual mode: window {w} is empty")
+    _holdout_rows(cfg, windows[-1])
+
+
+def _holdout_rows(cfg: LoopConfig, window: Dataset) -> int:
+    n_tail = max(int(round(cfg.holdout_fraction * len(window))), 1)
+    if n_tail >= len(window):
+        raise DataError("final window too small for its holdout tail")
+    return n_tail
+
+
+def _log_scores(
+    cfg: LoopConfig, prev: Params, windows: list[Dataset], t: int, state: LoopState
+) -> None:
+    """Version t-1 scores window t (simulated online inference) for its successor."""
+    log = infer_scores(prev, windows[t - 1])
+    state.score_logs[(t - 1, t)] = log
+    if cfg.checkpoint_dir is not None:
+        log_dir = Path(cfg.checkpoint_dir)
+        log_dir.mkdir(parents=True, exist_ok=True)
+        log.save(log_dir / f"scores_v{t - 1:03d}_w{t:03d}.csv")
+
+
+def _continual_version(
+    cfg: LoopConfig,
+    windows: list[Dataset],
+    t: int,
+    prev: Params | None,
+    state: LoopState,
+) -> Params:
+    """Train, record and evaluate version t.
+
+    Version 1 trains with cross-entropy from a fresh init. Version t > 1 trains
+    with the configured loss against the scores version t-1 gives window t,
+    warm-started from it if so configured. Those scores are logged here
+    unless ``state`` already holds them, as a sweep's shared first phase does.
+    """
+    window = windows[t - 1]
+    if t == len(windows):
+        n_tail = _holdout_rows(cfg, window)
+        n_train, eval_part = len(window) - n_tail, window.tail(n_tail)
+        eval_window, eval_phase = t, "holdout_tail"
+    else:
+        n_train, eval_part = len(window), windows[t]
+        eval_window, eval_phase = t + 1, "next_window"
+
+    if t == 1:
+        loss, y_source = _ce(cfg), None
+    else:
+        loss, y_source = cfg.train.loss, t - 1
+        # Scored here, not at the end of version t-1: the caller has released
+        # version t-2 by now, so only one table-sized predecessor is live.
+        if (t - 1, t) not in state.score_logs:
+            _log_scores(cfg, prev, windows, t, state)
+        window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
+    train_part = window.head(n_train)
+
+    warm = cfg.warm_start and prev is not None
+    params = _train_phase(cfg, train_part, loss, t, start=prev if warm else None)
+    state.versions.append(
+        VersionRecord(
+            version=t,
+            trained_window=t,
+            loss_kind=loss.kind,
+            alpha=_alpha_of(loss),
+            y_last_source=y_source,
+            n_train_rows=n_train,
+            n_with_y_last=n_train if train_part.y_last is not None else 0,
+            warm_started=warm,
+            checkpoint_path=_save(cfg, params, f"v{t:03d}.ckpt"),
+        )
+    )
+    state.reports.append(
+        ReportRow(t, eval_window, eval_phase, loss.kind, _alpha_of(loss),
+                  _evaluate_on(params, eval_part))
+    )
+    return params
+
+
+def _continual_versions(
+    cfg: LoopConfig, windows: list[Dataset], state: LoopState, prev: Params | None
+) -> LoopState:
+    """Run the versions after the last one ``state`` holds, through the final window."""
+    for t in range(len(state.versions) + 1, len(windows) + 1):
+        prev = _continual_version(cfg, windows, t, prev, state)
     return state
 
 
@@ -303,75 +468,36 @@ def run_continual(cfg: LoopConfig, windows: list[Dataset]) -> LoopState:
     (phase ``next_window``, or ``holdout_tail`` for the final version), and
     the score logs each version produced for its successor.
     """
-    if cfg.mode != "continual":
-        raise ValueError("config mode is not continual")
-    if len(windows) < 2:
-        raise DataError("continual mode needs at least 2 windows")
-    for w, ds in enumerate(windows, start=1):
-        if len(ds) == 0:
-            raise DataError(f"continual mode: window {w} is empty")
-
-    t_final = len(windows)
-    state = LoopState(mode="continual")
-    prev: Params | None = None
-
-    for t in range(1, t_final + 1):
-        window = windows[t - 1]
-        is_final = t == t_final
-        if is_final:
-            n_tail = max(int(round(cfg.holdout_fraction * len(window))), 1)
-            if n_tail >= len(window):
-                raise DataError("final window too small for its holdout tail")
-            train_part, eval_part = window.head(len(window) - n_tail), window.tail(n_tail)
-            eval_window, eval_phase = t, "holdout_tail"
-        else:
-            train_part, eval_part = window, windows[t]
-            eval_window, eval_phase = t + 1, "next_window"
-
-        if t == 1:
-            loss = LossConfig("ce", clip_eps=cfg.train.loss.clip_eps)
-            y_source = None
-        else:
-            loss = cfg.train.loss
-            y_source = t - 1
-            log = infer_scores(prev, window)
-            state.score_logs[(t - 1, t)] = log
-            if cfg.checkpoint_dir is not None:
-                log_dir = Path(cfg.checkpoint_dir)
-                log_dir.mkdir(parents=True, exist_ok=True)
-                log.save(log_dir / f"scores_v{t - 1:03d}_w{t:03d}.csv")
-            window = window.with_y_last(log.scores)
-            train_part = window.head(len(train_part))
-
-        params = _train_phase(
-            cfg, train_part, loss, t,
-            start=prev if (cfg.warm_start and prev is not None) else None,
-        )
-        state.versions.append(
-            VersionRecord(
-                version=t,
-                trained_window=t,
-                loss_kind=loss.kind,
-                alpha=loss.alpha if loss.kind == "reloop" else 0.0,
-                y_last_source=y_source,
-                n_train_rows=len(train_part),
-                n_with_y_last=len(train_part) if train_part.y_last is not None else 0,
-                warm_started=cfg.warm_start and prev is not None,
-                checkpoint_path=_save(cfg, params, f"v{t:03d}.ckpt"),
-            )
-        )
-        scores = predict_batch(params, eval_part)
-        state.reports.append(
-            ReportRow(t, eval_window, eval_phase, loss.kind,
-                      loss.alpha if loss.kind == "reloop" else 0.0,
-                      evaluate(eval_part.labels, scores))
-        )
-        prev = params
-    return state
+    _check_continual(cfg, windows)
+    return _continual_versions(cfg, windows, LoopState(mode="continual"), None)
 
 
-def mean_next_window_metrics(state: LoopState) -> tuple[float, float]:
-    """Headline (mean AUC, mean logloss) over a continual run's versions."""
+def sweep_alpha_continual(cfg: LoopConfig, windows: list[Dataset], alphas) -> list[LoopState]:
+    """``run_continual`` at every alpha of the reloop loss.
+
+    Version 1, its report row and its score log on window 2 do not depend on
+    alpha, so they are computed once; versions 2..T run once per alpha.
+    ``cfg.train.loss`` supplies only ``clip_eps``.
+    """
+    _check_continual(cfg, windows)
+    first = LoopState(mode="continual")
+    v1 = _continual_version(cfg, windows, 1, None, first)
+    _log_scores(cfg, v1, windows, 2, first)
+    return [
+        _continual_versions(c, windows, replace(
+            first, versions=list(first.versions), reports=list(first.reports),
+            score_logs=dict(first.score_logs)), v1)
+        for c in _reloop_cfgs(cfg, alphas)
+    ]
+
+
+def mean_report_metrics(state: LoopState) -> tuple[float, float]:
+    """(mean AUC, mean logloss) over every report row of a run.
+
+    In a continual run this averages each version's ``next_window`` row and
+    the final version's ``holdout_tail`` row alike; it is the headline of a
+    continual ``sweep-alpha``.
+    """
     aucs = [r.report.auc for r in state.reports]
     lls = [r.report.logloss for r in state.reports]
     return float(np.mean(aucs)), float(np.mean(lls))

@@ -28,6 +28,10 @@ OPTIMIZER_KINDS = ("sgd", "adam")
 _SHUFFLE_STREAM = 7
 
 
+class DivergenceError(RuntimeError):
+    """Training diverged: an epoch's mean loss is not finite."""
+
+
 @dataclass
 class TrainConfig:
     """Mini-batch training settings; defaults suit desk-scale CTR runs."""
@@ -171,6 +175,8 @@ def train_epochs(
 
     Raises:
         LossInputError: reloop/kd configured but rows lack y_last.
+        DivergenceError: an epoch's mean loss is not finite; checked once per
+            epoch, after its last step.
     """
     n = len(dataset)
     if n == 0:
@@ -202,5 +208,11 @@ def train_epochs(
             dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / sel.shape[0]
             grads = backward_batch(params, trace, dl_dz)
             apply_update(state, params, grads)
-        log.append(total / n)
+        mean = total / n
+        if not np.isfinite(mean):
+            raise DivergenceError(
+                f"training diverged: epoch {epoch + 1} of {cfg.epochs} has mean "
+                f"loss {mean}, which is not finite"
+            )
+        log.append(mean)
     return params, log

@@ -31,7 +31,7 @@ from reloop.cli import main
 from reloop.features import EncodedInstance, FeatureSchema, FieldSpec
 from reloop.loop import (
     LoopConfig,
-    mean_next_window_metrics,
+    mean_report_metrics,
     run_continual,
     run_static_prior,
 )
@@ -212,7 +212,7 @@ def continual_arm_results(continual_windows):
                 warm_start=False,
             )
             state = run_continual(cfg, continual_windows)
-            per_seed.append(mean_next_window_metrics(state)[0])
+            per_seed.append(mean_report_metrics(state)[0])
             states.append(state)
         results[kind] = (per_seed, states)
     return results

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reloop.cli
+import reloop.loop
 from reloop.cli import main
 from reloop.features import SyntheticSpec, generate_synthetic_csv
-from reloop.loop import ScoreLog
+from reloop.loop import ScoreLog, mean_report_metrics
 
 
 def run(*argv):
@@ -26,6 +28,14 @@ def data_dir(tmp_path_factory):
                            n_rows=1500, seed=22)
     generate_synthetic_csv(single, root / "single")
     return root
+
+
+@pytest.fixture(scope="module")
+def three_windows(tmp_path_factory):
+    """Three small drifting windows, so a continual run has a version 3."""
+    spec = SyntheticSpec(n_fields=4, buckets_per_field=12, latent_dim=3,
+                         n_rows=600, seed=23, n_windows=3, drift_rate=0.2)
+    return generate_synthetic_csv(spec, tmp_path_factory.mktemp("three"))
 
 
 def tree_bytes(root: Path, skip=("manifest.json",)):
@@ -127,6 +137,12 @@ class TestTrain:
         assert "not finite" in capsys.readouterr().err
         assert list(out.glob("*.ckpt*")) == []
 
+    def test_quoted_header_field_with_comma(self, tmp_path):
+        data = tmp_path / "quoted.csv"
+        data.write_text('label,"f,1",f2\n1,a,x\n0,b,y\n1,a,y\n0,b,x\n')
+        assert run("train", "--data", data, "--model", "lr", "--epochs", 1,
+                   "--buckets", 8, "--out", tmp_path / "o") == 0
+
     def test_alpha_out_of_range(self, data_dir, tmp_path):
         assert run("train", "--data", data_dir / "single" / "window_000.csv",
                    "--loss", "reloop", "--alpha", "1.2",
@@ -197,6 +213,81 @@ class TestSweepAlpha:
                    "--data", data_dir / "single" / "window_000.csv",
                    "--out", tmp_path / "x") == 2
 
+    @staticmethod
+    def inputs(data_dir, three_windows, mode, warm="false"):
+        return ["--mode", mode, "--data", data_dir / "single" / "window_000.csv",
+                "--windows", three_windows[0].parent / "window_*.csv",
+                "--warm-start", warm, "--model", "fm", "--embed-dim", 3,
+                "--epochs", 2, "--buckets", 12, "--seed", 4]
+
+    @pytest.mark.parametrize("mode, warm", [
+        ("static", "false"), ("continual", "false"), ("continual", "true"),
+    ])
+    def test_rows_equal_separate_loop_headlines(
+        self, data_dir, three_windows, tmp_path, monkeypatch, mode, warm
+    ):
+        args = self.inputs(data_dir, three_windows, mode, warm)
+        assert run("sweep-alpha", *args, "--alphas", "0,0.3,1",
+                   "--out", tmp_path / "sweep") == 0
+        states = []
+        for name in ("run_static_prior", "run_continual"):
+            def keep(*a, _real=getattr(reloop.cli, name)):
+                states.append(_real(*a))
+                return states[-1]
+            monkeypatch.setattr(reloop.cli, name, keep)
+        expected = ["alpha,auc,logloss"]
+        for alpha in ("0", "0.3", "1"):
+            assert run("loop", *args, "--loss", "reloop", "--alpha", alpha,
+                       "--out", tmp_path / f"loop{alpha}") == 0
+            state = states[-1]
+            if mode == "static":
+                report = next(r.report for r in state.reports if r.phase == "current")
+                auc, ll = report.auc, report.logloss
+            else:
+                auc, ll = mean_report_metrics(state)
+            expected.append(f"{alpha},{auc:.6f},{ll:.6f}")
+        assert (tmp_path / "sweep" / "alpha_sweep.csv").read_text().splitlines() == expected
+
+    @pytest.mark.parametrize("mode", ["static", "continual"])
+    def test_alpha_independent_phases_run_once(
+        self, data_dir, three_windows, tmp_path, monkeypatch, mode
+    ):
+        trained, ingested = [], []
+        real_train, real_ingest = reloop.loop.train_epochs, reloop.cli.ingest_csv
+
+        def train(params, dataset, cfg):
+            trained.append(len(dataset))
+            return real_train(params, dataset, cfg)
+
+        def ingest(path, schema):
+            ingested.append(Path(path))
+            return real_ingest(path, schema)
+
+        monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        monkeypatch.setattr(reloop.cli, "ingest_csv", ingest)
+        k = 3
+        assert run("sweep-alpha", *self.inputs(data_dir, three_windows, mode),
+                   "--alphas", "0,0.5,1", "--out", tmp_path / "x") == 0
+        if mode == "static":
+            assert len(trained) == 1 + k
+            assert ingested == [data_dir / "single" / "window_000.csv"]
+        else:
+            assert len(trained) == 1 + k * (len(three_windows) - 1)
+            assert ingested == sorted(three_windows)
+
+    @pytest.mark.parametrize("mode, phase", [("static", "prior"), ("continual", "v001")])
+    def test_diverged_sweep_exits_one(
+        self, data_dir, three_windows, tmp_path, capsys, mode, phase
+    ):
+        out = tmp_path / "x"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("sweep-alpha", *self.inputs(data_dir, three_windows, mode),
+                       "--alphas", "0,0.5", "--optimizer", "sgd", "--lr", "1e200",
+                       "--out", out)
+        assert code == 1
+        assert f"error: {phase}: training diverged: epoch 1 of 2" in capsys.readouterr().err
+        assert not (out / "alpha_sweep.csv").exists()
+
 
 class TestEval:
     def test_perfect_scores(self, tmp_path, capsys):
@@ -225,6 +316,21 @@ class TestEval:
         assert run("eval", "--scores", scores, "--labels", labels) == 1
         err = capsys.readouterr().err
         assert f"{scores}:3: expected 2 cells" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scores, labels, bad, message", [
+        ("score\n0.9\nnan\n", "1\n0\n", "scores", ":3: score must be a finite value"),
+        ("0.9\nhigh\n", "1\n0\n", "scores", ":2: cannot parse score"),
+        ("0.9\n1.7\n", "1\n0\n", "scores", ":2: score must be a finite value in [0, 1]"),
+        ("0.9\n0.1\n", "label\n1\n2\n", "labels", ":3: label must be 0 or 1"),
+    ], ids=["nan-score", "unparsable-score", "score-above-one", "label-two"])
+    def test_bad_plain_column_exit_one(self, tmp_path, capsys, scores, labels, bad, message):
+        files = {"scores": tmp_path / "scores.txt", "labels": tmp_path / "labels.txt"}
+        files["scores"].write_text(scores)
+        files["labels"].write_text(labels)
+        assert run("eval", "--scores", files["scores"], "--labels", files["labels"]) == 1
+        err = capsys.readouterr().err
+        assert f"{files[bad]}{message}" in err
         assert "Traceback" not in err
 
     def test_needs_a_source(self):

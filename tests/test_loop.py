@@ -18,9 +18,11 @@ from reloop.loop import (
     NotAScoreLogError,
     ScoreLog,
     infer_scores,
-    mean_next_window_metrics,
+    mean_report_metrics,
     run_continual,
     run_static_prior,
+    sweep_alpha_continual,
+    sweep_alpha_static,
     write_loop_report,
 )
 from reloop.losses import LossConfig
@@ -264,6 +266,31 @@ class TestContinual:
             assert np.array_equal(a.score_logs[key].scores, b.score_logs[key].scores)
 
 
+class TestAlphaSweep:
+    def test_static_reports_equal_separate_runs(self):
+        train, valid, test = splits()
+        alphas = (0.0, 0.5)
+        reports = sweep_alpha_static(
+            loop_config("static_prior", LossConfig()), train, test, alphas)
+        for alpha, report in zip(alphas, reports):
+            cfg = loop_config("static_prior", LossConfig("reloop", alpha=alpha))
+            ref = run_static_prior(cfg, train, valid, test)
+            assert report == next(r.report for r in ref.reports if r.phase == "current")
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_continual_states_equal_separate_runs(self, warm):
+        windows = small_windows(3)
+        alphas = (0.0, 0.5)
+        states = sweep_alpha_continual(
+            loop_config("continual", LossConfig(), warm_start=warm), windows, alphas)
+        for alpha, state in zip(alphas, states):
+            cfg = loop_config("continual", LossConfig("reloop", alpha=alpha), warm_start=warm)
+            ref = run_continual(cfg, windows)
+            assert state.report_rows() == ref.report_rows()
+            assert state.versions == ref.versions
+            assert mean_report_metrics(state) == mean_report_metrics(ref)
+
+
 class TestStaticDirectional:
     def test_reloop_mean_auc_tracks_ce_baseline_without_drift(self):
         """Over 10 seeds on drift-free data, the hinged blend never trails
@@ -306,6 +333,6 @@ class TestReportFile:
     def test_mean_metrics(self):
         windows = small_windows(3)
         state = run_continual(loop_config("continual", LossConfig("ce")), windows)
-        auc_m, ll_m = mean_next_window_metrics(state)
+        auc_m, ll_m = mean_report_metrics(state)
         assert auc_m == pytest.approx(np.mean([r.report.auc for r in state.reports]))
         assert ll_m == pytest.approx(np.mean([r.report.logloss for r in state.reports]))

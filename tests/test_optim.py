@@ -9,6 +9,7 @@ from reloop.losses import LossConfig, LossInputError
 from reloop.metrics import logloss
 from reloop.models import Grads, ModelConfig, init_params, predict_batch
 from reloop.optim import (
+    DivergenceError,
     OptimizerState,
     TrainConfig,
     apply_update,
@@ -167,6 +168,13 @@ class TestTrainEpochs:
         p = init_params(tiny_dataset.schema, ModelConfig("dcn", embed_dim=3, mlp_widths=(5,)), seed=4)
         p, _ = train_epochs(p, tiny_dataset, TrainConfig(epochs=3, seed=4, lr=0.05))
         assert p.all_finite()
+
+    def test_non_finite_epoch_loss_raises(self, tiny_dataset):
+        p = init_params(tiny_dataset.schema, ModelConfig("fm", embed_dim=3), seed=0)
+        cfg = TrainConfig(epochs=3, seed=0, optimizer="sgd", lr=1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 1 of 3 .* not finite"):
+                train_epochs(p, tiny_dataset, cfg)
 
     def test_training_improves_on_planted_signal(self, tiny_dataset):
         p = init_params(tiny_dataset.schema, ModelConfig("lr"), seed=0)
