@@ -40,9 +40,10 @@ from .loop import (
     ScoreLog,
     infer_scores,
     mean_report_metrics,
+    reloop_losses,
     run_continual,
+    run_continual_arms,
     run_static_prior,
-    sweep_alpha_continual,
     sweep_alpha_static,
     write_loop_report,
 )
@@ -471,7 +472,8 @@ def _cmd_sweep_alpha(res: dict) -> None:
         train, _, test = data
         heads = [(r.auc, r.logloss) for r in sweep_alpha_static(cfg, train, test, alphas)]
     else:
-        heads = [mean_report_metrics(s) for s in sweep_alpha_continual(cfg, data, alphas)]
+        states = run_continual_arms(cfg, data, reloop_losses(cfg, alphas))
+        heads = [mean_report_metrics(s) for s in states]
     lines = ["alpha,auc,logloss"]
     for alpha, (auc_v, ll_v) in zip(alphas, heads):
         lines.append(f"{alpha:g},{auc_v:.6f},{ll_v:.6f}")

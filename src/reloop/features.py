@@ -15,28 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .rng import philox
+from .rng import fnv1a64, philox  # fnv1a64 is re-exported here
 
 MISSING_TOKEN = "__MISSING__"
 PROB_CLIP = 1e-7
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
 
 _KINDS = ("categorical", "numerical")
 
 
 class DataError(ValueError):
     """Malformed input data or schema violation."""
-
-
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a digest."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
 
 
 def canonical_token(raw: str | int | float) -> str:

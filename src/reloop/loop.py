@@ -11,19 +11,20 @@ Two protocols are implemented:
   continual     Windows arrive in order. Version 1 trains on window 1 with
                 cross-entropy; each later version t+1 trains on window t+1
                 with the configured loss, its y_last produced by version t
-                scoring that window first (simulated online inference).
-                Version t is evaluated prequentially on window t+1; the final
-                version holds out the tail of the last window and is
-                evaluated there. Versions may warm-start from their
-                predecessor or re-initialize.
+                scoring that window (simulated online inference). That one
+                prediction pass of version t over window t+1 is also its
+                prequential evaluation. The final version holds out the tail
+                of the last window and is evaluated there. Versions may
+                warm-start from their predecessor or re-initialize.
 
 Every y_last is produced by the immediately preceding version only, and
 provenance records in LoopState make that auditable.
 
-The alpha sweeps (``sweep_alpha_static``, ``sweep_alpha_continual``) run the
-same phase functions as the two protocols, but run the phases that no alpha
-reaches once: the static prior and its scores, and continual version 1 with
-its report row and its scores on window 2.
+``sweep_alpha_static`` and ``run_continual_arms`` run the same phase
+functions as the two protocols for several losses, but run the phases no
+loss reaches once: the static prior and its scores, and continual version 1
+with its report row and its scores on window 2. The continual alpha sweep is
+``run_continual_arms`` over ``reloop_losses``.
 """
 
 from __future__ import annotations
@@ -175,6 +176,18 @@ def write_loop_report(state: LoopState, path: str | Path) -> None:
     Path(path).write_text("\n".join(state.report_rows()) + "\n", encoding="utf-8")
 
 
+def _predict_scored(params: Params, dataset: Dataset) -> tuple[np.ndarray, ScoreLog]:
+    """One prediction pass: every row's probability and the score log of them.
+
+    The params' schema digest must match the dataset's schema. The log's
+    scores are clipped into (0, 1) so downstream losses stay finite; the
+    returned probabilities are not.
+    """
+    check_schema(params, dataset.schema)
+    p = predict_batch(params, dataset)
+    return p, ScoreLog(dataset.row_ids.copy(), np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
+
+
 def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
     """Score every row of a dataset with a checkpoint (path or Params).
 
@@ -182,9 +195,7 @@ def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
     are clipped into (0, 1) before logging so downstream losses stay finite.
     """
     params = checkpoint if isinstance(checkpoint, Params) else load_checkpoint(checkpoint)
-    check_schema(params, dataset.schema)
-    p = predict_batch(params, dataset)
-    return ScoreLog(dataset.row_ids.copy(), np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
+    return _predict_scored(params, dataset)[1]
 
 
 def _train_phase(
@@ -221,13 +232,13 @@ def _ce(cfg: LoopConfig) -> LossConfig:
     return LossConfig("ce", clip_eps=cfg.train.loss.clip_eps)
 
 
-def _reloop_cfgs(cfg: LoopConfig, alphas) -> list[LoopConfig]:
-    """One config per blend weight, differing from ``cfg`` only in its loss."""
-    return [
-        replace(cfg, train=replace(cfg.train, loss=LossConfig(
-            "reloop", alpha=a, clip_eps=cfg.train.loss.clip_eps)))
-        for a in alphas
-    ]
+def reloop_losses(cfg: LoopConfig, alphas) -> list[LossConfig]:
+    """The reloop loss at each blend weight, with ``cfg``'s ``clip_eps``."""
+    return [LossConfig("reloop", alpha=a, clip_eps=cfg.train.loss.clip_eps) for a in alphas]
+
+
+def _with_loss(cfg: LoopConfig, loss: LossConfig) -> LoopConfig:
+    return replace(cfg, train=replace(cfg.train, loss=loss))
 
 
 def _alpha_of(loss: LossConfig) -> float:
@@ -361,8 +372,8 @@ def sweep_alpha_static(
     _check_static(cfg, train_set, test_set)
     prior = _train_prior(cfg, train_set)
     return [
-        _evaluate_on(_train_current(c, prior), test_set)
-        for c in _reloop_cfgs(cfg, alphas)
+        _evaluate_on(_train_current(_with_loss(cfg, loss), prior), test_set)
+        for loss in reloop_losses(cfg, alphas)
     ]
 
 
@@ -384,16 +395,14 @@ def _holdout_rows(cfg: LoopConfig, window: Dataset) -> int:
     return n_tail
 
 
-def _log_scores(
-    cfg: LoopConfig, prev: Params, windows: list[Dataset], t: int, state: LoopState
-) -> None:
-    """Version t-1 scores window t (simulated online inference) for its successor."""
-    log = infer_scores(prev, windows[t - 1])
-    state.score_logs[(t - 1, t)] = log
+def _log_scores(cfg: LoopConfig, state: LoopState, t: int, log: ScoreLog) -> None:
+    """Keep version t's scores on window t+1 for its successor, and save them
+    beside the checkpoints."""
+    state.score_logs[(t, t + 1)] = log
     if cfg.checkpoint_dir is not None:
         log_dir = Path(cfg.checkpoint_dir)
         log_dir.mkdir(parents=True, exist_ok=True)
-        log.save(log_dir / f"scores_v{t - 1:03d}_w{t:03d}.csv")
+        log.save(log_dir / f"scores_v{t:03d}_w{t + 1:03d}.csv")
 
 
 def _continual_version(
@@ -406,27 +415,25 @@ def _continual_version(
     """Train, record and evaluate version t.
 
     Version 1 trains with cross-entropy from a fresh init. Version t > 1 trains
-    with the configured loss against the scores version t-1 gives window t,
-    warm-started from it if so configured. Those scores are logged here
-    unless ``state`` already holds them, as a sweep's shared first phase does.
+    with the configured loss, warm-started from version t-1 if so configured.
+    Its y_last is the score log version t-1 left in ``state``. Version t's
+    next-window predictions are its successor's y_last: one prediction pass
+    over window t+1 yields its ``next_window`` report (on the raw
+    probabilities) and the score log (on the clipped ones). The final version
+    is evaluated on the held-out tail of its window and logs nothing.
     """
     window = windows[t - 1]
-    if t == len(windows):
+    final = t == len(windows)
+    if final:
         n_tail = _holdout_rows(cfg, window)
-        n_train, eval_part = len(window) - n_tail, window.tail(n_tail)
-        eval_window, eval_phase = t, "holdout_tail"
+        n_train = len(window) - n_tail
     else:
-        n_train, eval_part = len(window), windows[t]
-        eval_window, eval_phase = t + 1, "next_window"
+        n_train = len(window)
 
     if t == 1:
         loss, y_source = _ce(cfg), None
     else:
         loss, y_source = cfg.train.loss, t - 1
-        # Scored here, not at the end of version t-1: the caller has released
-        # version t-2 by now, so only one table-sized predecessor is live.
-        if (t - 1, t) not in state.score_logs:
-            _log_scores(cfg, prev, windows, t, state)
         window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
     train_part = window.head(n_train)
 
@@ -445,9 +452,17 @@ def _continual_version(
             checkpoint_path=_save(cfg, params, f"v{t:03d}.ckpt"),
         )
     )
+    if final:
+        report = _evaluate_on(params, window.tail(n_tail))
+        eval_window, eval_phase = t, "holdout_tail"
+    else:
+        nxt = windows[t]
+        p, log = _predict_scored(params, nxt)
+        report = evaluate(nxt.labels, p)
+        _log_scores(cfg, state, t, log)
+        eval_window, eval_phase = t + 1, "next_window"
     state.reports.append(
-        ReportRow(t, eval_window, eval_phase, loss.kind, _alpha_of(loss),
-                  _evaluate_on(params, eval_part))
+        ReportRow(t, eval_window, eval_phase, loss.kind, _alpha_of(loss), report)
     )
     return params
 
@@ -472,22 +487,28 @@ def run_continual(cfg: LoopConfig, windows: list[Dataset]) -> LoopState:
     return _continual_versions(cfg, windows, LoopState(mode="continual"), None)
 
 
-def sweep_alpha_continual(cfg: LoopConfig, windows: list[Dataset], alphas) -> list[LoopState]:
-    """``run_continual`` at every alpha of the reloop loss.
+def run_continual_arms(
+    cfg: LoopConfig, windows: list[Dataset], losses
+) -> list[LoopState]:
+    """``run_continual`` once per loss; each state equals that of a separate run.
 
-    Version 1, its report row and its score log on window 2 do not depend on
-    alpha, so they are computed once; versions 2..T run once per alpha.
-    ``cfg.train.loss`` supplies only ``clip_eps``.
+    Version 1 trains with cross-entropy whatever the loss, so it, its report
+    row and its score log on window 2 are computed once; versions 2..T run
+    once per loss. Version 1 takes ``clip_eps`` from ``cfg.train.loss``, so
+    every loss must share it. With a ``checkpoint_dir`` every arm writes its
+    files there, and the last arm's remain.
     """
     _check_continual(cfg, windows)
+    clip_eps = cfg.train.loss.clip_eps
+    if any(loss.clip_eps != clip_eps for loss in losses):
+        raise ValueError(f"every arm's loss must have clip_eps {clip_eps:g}, as version 1")
     first = LoopState(mode="continual")
     v1 = _continual_version(cfg, windows, 1, None, first)
-    _log_scores(cfg, v1, windows, 2, first)
     return [
-        _continual_versions(c, windows, replace(
+        _continual_versions(_with_loss(cfg, loss), windows, replace(
             first, versions=list(first.versions), reports=list(first.reports),
             score_logs=dict(first.score_logs)), v1)
-        for c in _reloop_cfgs(cfg, alphas)
+        for loss in losses
     ]
 
 

@@ -100,21 +100,27 @@ class Params:
         )
 
     def zeros_like(self) -> "Params":
-        z = self.copy()
-        z.bias = 0.0
-        if z.linear is not None:
-            z.linear[:] = 0.0
-        if z.emb is not None:
-            z.emb[:] = 0.0
-        for w, b in z.mlp:
-            w[:] = 0.0
-            b[:] = 0.0
-        for w, b in z.cross:
-            w[:] = 0.0
-            b[:] = 0.0
-        if z.head is not None:
-            z.head[:] = 0.0
-        return z
+        """Zeros shaped like these params.
+
+        ``np.zeros`` hands out untouched zero pages, so a table costs memory
+        only where it is later written, as lazy Adam's moments are.
+        """
+
+        def zeros(a):
+            return None if a is None else np.zeros(a.shape, dtype=np.float64)
+
+        return Params(
+            kind=self.kind,
+            n_fields=self.n_fields,
+            n_features=self.n_features,
+            embed_dim=self.embed_dim,
+            schema_digest=self.schema_digest,
+            linear=zeros(self.linear),
+            emb=zeros(self.emb),
+            mlp=[(zeros(w), zeros(b)) for w, b in self.mlp],
+            cross=[(zeros(w), zeros(b)) for w, b in self.cross],
+            head=zeros(self.head),
+        )
 
     def nonfinite_block(self) -> str | None:
         """Name of the first block holding a NaN or inf, None if all finite."""
@@ -279,7 +285,8 @@ def forward_batch(
         z += (params.linear[indices] * values).sum(axis=1)
 
     if params.emb is not None:
-        e = params.emb[indices] * values[:, :, None]  # (B, F, K)
+        e = np.take(params.emb, indices, axis=0)  # (B, F, K); faster than emb[indices]
+        e *= values[:, :, None]
         trace.emb_scaled = e
         if params.kind in ("fm", "deepfm"):
             s = e.sum(axis=1)  # (B, K)
@@ -321,20 +328,20 @@ def forward(
 
 
 def _mlp_backward(
-    params: Params, trace: Trace, g_out: np.ndarray, grads: Grads
-) -> np.ndarray:
-    """Backprop the perceptron branch; returns dL/dx0 (summed over batch dims kept)."""
+    params: Params, trace: Trace, g_out: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Backprop the perceptron branch; returns dL/dx0 and the (W, b) gradients."""
     scalar_ended = params.kind in ("mlp", "deepfm")
     last = len(params.mlp) - 1
+    grads = [None] * len(params.mlp)
     g = g_out
     for i in range(last, -1, -1):
         W, _ = params.mlp[i]
         if not (scalar_ended and i == last):
             g = g * (trace.mlp_preacts[i] > 0.0)
-        grads.mlp[i][0][:] += g.T @ trace.mlp_inputs[i]
-        grads.mlp[i][1][:] += g.sum(axis=0)
+        grads[i] = (g.T @ trace.mlp_inputs[i], g.sum(axis=0))
         g = g @ W
-    return g
+    return g, grads
 
 
 def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
@@ -344,6 +351,9 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
     gradients come back compact over the batch's unique rows (see ``Grads``).
     Each row's contributions are summed in batch order, one cell after the
     other, so the sums equal an ``np.add.at`` into a zeroed table bitwise.
+    Every other block is assigned its value directly, not summed into zeros;
+    that can differ only in the sign of an exact zero, which the row sums and
+    the optimizer's updates absorb.
     """
     dl = np.asarray(dl_dz, dtype=np.float64)
     if dl.shape != trace.z.shape:
@@ -355,9 +365,9 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
         bias=float(dl.sum()),
         linear=None,
         emb=None,
-        mlp=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.mlp],
-        cross=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params.cross],
-        head=None if params.head is None else np.zeros_like(params.head),
+        mlp=[],
+        cross=[],
+        head=None,
         rows=rows,
     )
 
@@ -369,46 +379,65 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
     if params.emb is not None:
         e = trace.emb_scaled
         k = params.embed_dim
-        de = np.zeros_like(e)  # dL/d(emb_scaled)
+        de = None  # dL/d(emb_scaled), (B, F, K)
         if params.kind in ("fm", "deepfm"):
-            de += dl[:, None, None] * (trace.fm_sum[:, None, :] - e)
+            de = trace.fm_sum[:, None, :] - e
+            de *= dl[:, None, None]
         if params.kind in _WITH_MLP:
             if params.kind == "dcn":
-                x0 = trace.x0
-                d = x0.shape[1]
-                g_cross = dl[:, None] * params.head[None, :d]
-                if trace.deep_out is not None:
-                    g_deep = dl[:, None] * params.head[None, d:]
-                    combined = np.concatenate([trace.cross_xs[-1], trace.deep_out], axis=1)
-                else:
-                    g_deep = None
-                    combined = trace.cross_xs[-1]
-                grads.head[:] = combined.T @ dl
-                dx0 = np.zeros_like(x0)
-                g = g_cross
-                for layer in range(len(params.cross) - 1, -1, -1):
-                    w, _ = params.cross[layer]
-                    x_l = trace.cross_xs[layer]
-                    s_l = trace.cross_ss[layer]
-                    grads.cross[layer][1][:] += g.sum(axis=0)
-                    dx0 += g * s_l[:, None]
-                    ds = (g * x0).sum(axis=1)  # (B,)
-                    grads.cross[layer][0][:] += x_l.T @ ds
-                    g = g + ds[:, None] * w[None, :]
-                dx0 += g
-                if g_deep is not None:
-                    dx0 += _mlp_backward(params, trace, g_deep, grads)
+                dx0 = _cross_backward(params, trace, dl, grads)
             else:
-                g_out = dl[:, None]
-                dx0 = _mlp_backward(params, trace, g_out, grads)
-            de += dx0.reshape(e.shape)
+                dx0, grads.mlp = _mlp_backward(params, trace, dl[:, None])
+            de = _accumulate(de, dx0.reshape(e.shape))
+        de *= val[:, :, None]
         # flat bin of (row j, column c) is j * k + c
         cells = inv[:, None] * k + np.arange(k)
         grads.emb = np.bincount(
-            cells.ravel(), weights=(de * val[:, :, None]).ravel(), minlength=n_rows * k
+            cells.ravel(), weights=de.ravel(), minlength=n_rows * k
         ).reshape(n_rows, k)
 
     return grads
+
+
+def _cross_backward(
+    params: Params, trace: Trace, dl: np.ndarray, grads: Grads
+) -> np.ndarray:
+    """Backprop dcn's head, cross stack and deep branch into ``grads``; returns dL/dx0."""
+    x0 = trace.x0
+    d = x0.shape[1]
+    g_cross = dl[:, None] * params.head[None, :d]
+    if trace.deep_out is not None:
+        g_deep = dl[:, None] * params.head[None, d:]
+        combined = np.concatenate([trace.cross_xs[-1], trace.deep_out], axis=1)
+    else:
+        g_deep = None
+        combined = trace.cross_xs[-1]
+    grads.head = combined.T @ dl
+    grads.cross = [None] * len(params.cross)
+    dx0 = None
+    g = g_cross
+    for layer in range(len(params.cross) - 1, -1, -1):
+        w, _ = params.cross[layer]
+        x_l = trace.cross_xs[layer]
+        s_l = trace.cross_ss[layer]
+        gb = g.sum(axis=0)
+        dx0 = _accumulate(dx0, g * s_l[:, None])
+        ds = (g * x0).sum(axis=1)  # (B,)
+        grads.cross[layer] = (x_l.T @ ds, gb)
+        g = g + ds[:, None] * w[None, :]
+    dx0 = _accumulate(dx0, g)
+    if g_deep is not None:
+        dx_deep, grads.mlp = _mlp_backward(params, trace, g_deep)
+        dx0 += dx_deep
+    return dx0
+
+
+def _accumulate(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    """``total + term``, summed in place into ``total``; the first term is kept as is."""
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 def backward(params: Params, trace: Trace, dl_dz: float) -> Grads:

@@ -2,7 +2,8 @@
 
 Every stochastic component (synthetic data, parameter init, epoch shuffles)
 draws from its own stream keyed by (seed, stream tags), so adding draws in
-one place never perturbs another.
+one place never perturbs another. The one FNV-1a digest of the package
+lives here too: stream keys and feature hashing both use it.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a digest."""
+    h = _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * _FNV_PRIME) & _U64
+    return h
+
+
 def _mix(*words: int) -> int:
     """FNV-1a over the little-endian bytes of the given 64-bit words."""
-    h = _FNV_OFFSET
-    for w in words:
-        for byte in int(w & _U64).to_bytes(8, "little"):
-            h = ((h ^ byte) * _FNV_PRIME) & _U64
-    return h
+    return fnv1a64(b"".join(int(w & _U64).to_bytes(8, "little") for w in words))
 
 
 def philox(seed: int, *stream: int) -> np.random.Generator:

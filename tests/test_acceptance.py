@@ -32,7 +32,7 @@ from reloop.features import EncodedInstance, FeatureSchema, FieldSpec
 from reloop.loop import (
     LoopConfig,
     mean_report_metrics,
-    run_continual,
+    run_continual_arms,
     run_static_prior,
 )
 from reloop.losses import (
@@ -197,24 +197,20 @@ def test_ac4_metric_oracles():
 
 @pytest.fixture(scope="module")
 def continual_arm_results(continual_windows):
-    model = ModelConfig("deepfm")
-    results = {}
-    for kind, alpha in (("ce", 0.0), ("reloop", 0.2), ("kd", 0.0)):
-        per_seed = []
-        states = []
-        for seed in range(AC5_SEEDS):
-            cfg = LoopConfig(
-                mode="continual",
-                model=model,
-                train=TrainConfig(
-                    epochs=AC5_EPOCHS, seed=seed, loss=LossConfig(kind, alpha=alpha)
-                ),
-                warm_start=False,
-            )
-            state = run_continual(cfg, continual_windows)
+    arms = (("ce", 0.0), ("reloop", 0.2), ("kd", 0.0))
+    results = {kind: ([], []) for kind, _ in arms}
+    for seed in range(AC5_SEEDS):
+        cfg = LoopConfig(
+            mode="continual",
+            model=ModelConfig("deepfm"),
+            train=TrainConfig(epochs=AC5_EPOCHS, seed=seed),
+            warm_start=False,
+        )
+        losses = [LossConfig(kind, alpha=alpha) for kind, alpha in arms]
+        for (kind, _), state in zip(arms, run_continual_arms(cfg, continual_windows, losses)):
+            per_seed, states = results[kind]
             per_seed.append(mean_report_metrics(state)[0])
             states.append(state)
-        results[kind] = (per_seed, states)
     return results
 
 

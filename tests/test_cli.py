@@ -1,6 +1,9 @@
 """CLI: exit codes, artifacts, config precedence, manifest replay."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +290,25 @@ class TestSweepAlpha:
         assert code == 1
         assert f"error: {phase}: training diverged: epoch 1 of 2" in capsys.readouterr().err
         assert not (out / "alpha_sweep.csv").exists()
+
+
+    def test_diverged_sweep_prints_no_numpy_warnings(self, data_dir, tmp_path):
+        """The overflow on the way to divergence is reported once, as the
+        typed error, not also as numpy RuntimeWarnings."""
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "reloop.cli", "sweep-alpha", "--mode", "static",
+             "--data", str(data_dir / "single" / "window_000.csv"), "--model", "fm",
+             "--embed-dim", "3", "--epochs", "2", "--buckets", "12", "--alphas", "0,0.5",
+             "--optimizer", "sgd", "--lr", "1e200", "--out", str(tmp_path / "x")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert "error: prior: training diverged: epoch 1 of 2" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEval:

@@ -1,7 +1,11 @@
 """Loop driver: protocols, provenance, scoring, and degeneracies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+import reloop.loop
 
 from gradutils import params_to_vector
 from reloop.checkpoint import SchemaDigestError, load_checkpoint
@@ -19,13 +23,15 @@ from reloop.loop import (
     ScoreLog,
     infer_scores,
     mean_report_metrics,
+    reloop_losses,
     run_continual,
+    run_continual_arms,
     run_static_prior,
-    sweep_alpha_continual,
     sweep_alpha_static,
     write_loop_report,
 )
 from reloop.losses import LossConfig
+from reloop.metrics import evaluate
 from reloop.models import ModelConfig, init_params
 from reloop.optim import TrainConfig, train_epochs
 from reloop.rng import derive_seed
@@ -256,6 +262,36 @@ class TestContinual:
         with pytest.raises(DataError, match="2 windows"):
             run_continual(cfg, small_windows(3)[:1])
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_prediction_pass_per_version(self, tmp_path, monkeypatch, warm):
+        """Version t's next-window predictions are its report and its
+        successor's y_last: each logged score equals infer_scores of the saved
+        version t on window t+1, and no rows are predicted twice."""
+        windows = small_windows(4)
+        calls = []
+        real_predict = reloop.loop.predict_batch
+
+        def predict(params, dataset):
+            calls.append(len(dataset))
+            return real_predict(params, dataset)
+
+        monkeypatch.setattr(reloop.loop, "predict_batch", predict)
+        cfg = loop_config("continual", LossConfig("reloop", alpha=0.3),
+                          warm_start=warm, checkpoint_dir=tmp_path)
+        state = run_continual(cfg, windows)
+        n_tail = round(cfg.holdout_fraction * len(windows[-1]))
+        assert calls == [len(w) for w in windows[1:]] + [n_tail]
+        assert sorted(state.score_logs) == [(1, 2), (2, 3), (3, 4)]
+        for (t, nxt), log in state.score_logs.items():
+            ref = infer_scores(tmp_path / f"v{t:03d}.ckpt", windows[nxt - 1])
+            assert log.row_ids.tobytes() == ref.row_ids.tobytes()
+            assert log.scores.tobytes() == ref.scores.tobytes()
+            saved = ScoreLog.load(tmp_path / f"scores_v{t:03d}_w{nxt:03d}.csv")
+            assert np.array_equal(saved.row_ids, ref.row_ids)
+            window = windows[nxt - 1]
+            raw = real_predict(load_checkpoint(tmp_path / f"v{t:03d}.ckpt"), window)
+            assert state.reports[t - 1].report == evaluate(window.labels, raw)
+
     def test_bitwise_reproducible(self):
         windows = small_windows(3)
         cfg = loop_config("continual", LossConfig("reloop", alpha=0.4))
@@ -281,14 +317,35 @@ class TestAlphaSweep:
     def test_continual_states_equal_separate_runs(self, warm):
         windows = small_windows(3)
         alphas = (0.0, 0.5)
-        states = sweep_alpha_continual(
-            loop_config("continual", LossConfig(), warm_start=warm), windows, alphas)
+        cfg = loop_config("continual", LossConfig(), warm_start=warm)
+        states = run_continual_arms(cfg, windows, reloop_losses(cfg, alphas))
         for alpha, state in zip(alphas, states):
             cfg = loop_config("continual", LossConfig("reloop", alpha=alpha), warm_start=warm)
             ref = run_continual(cfg, windows)
             assert state.report_rows() == ref.report_rows()
             assert state.versions == ref.versions
             assert mean_report_metrics(state) == mean_report_metrics(ref)
+
+
+class TestContinualArms:
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_each_arm_equals_a_separate_run(self, tmp_path, warm):
+        windows = small_windows(3)
+        losses = [LossConfig("ce"), LossConfig("reloop", alpha=0.2), LossConfig("kd")]
+        cfg = loop_config("continual", LossConfig(), warm_start=warm)
+        states = run_continual_arms(cfg, windows, losses)
+        assert len(states) == len(losses)
+        for loss, state in zip(losses, states):
+            ref = run_continual(replace(cfg, train=replace(cfg.train, loss=loss)), windows)
+            assert state.report_rows() == ref.report_rows()
+            assert state.versions == ref.versions
+            for key, log in ref.score_logs.items():
+                assert state.score_logs[key].scores.tobytes() == log.scores.tobytes()
+
+    def test_arms_must_share_version_one_clip(self):
+        cfg = loop_config("continual", LossConfig())
+        with pytest.raises(ValueError, match="clip_eps"):
+            run_continual_arms(cfg, small_windows(3), [LossConfig("kd", clip_eps=1e-3)])
 
 
 class TestStaticDirectional:

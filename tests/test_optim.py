@@ -5,9 +5,16 @@ import pytest
 
 from gradutils import params_to_vector
 from reloop.features import Dataset, FeatureSchema, FieldSpec
-from reloop.losses import LossConfig, LossInputError
+from reloop.losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from reloop.metrics import logloss
-from reloop.models import Grads, ModelConfig, init_params, predict_batch
+from reloop.models import (
+    Grads,
+    ModelConfig,
+    backward_batch,
+    forward_batch,
+    init_params,
+    predict_batch,
+)
 from reloop.optim import (
     DivergenceError,
     OptimizerState,
@@ -86,6 +93,107 @@ class TestAdam:
         assert state.m.linear[0] == pytest.approx(0.1, abs=1e-15)
         assert m_before == 0.0
         assert lr_params.linear[2] == 0.0
+
+
+def random_grads(params, rng):
+    """Grads with random dense blocks and compact table rows 1, 4 and 6."""
+    rows = np.array([1, 4, 6], dtype=np.int64)
+    k = params.embed_dim
+    return Grads(
+        bias=float(rng.normal()),
+        linear=None if params.linear is None else rng.normal(size=rows.shape[0]),
+        emb=None if params.emb is None else rng.normal(size=(rows.shape[0], k)),
+        mlp=[(rng.normal(size=w.shape), rng.normal(size=b.shape)) for w, b in params.mlp],
+        cross=[(rng.normal(size=w.shape), rng.normal(size=b.shape))
+               for w, b in params.cross],
+        head=None if params.head is None else rng.normal(size=params.head.shape),
+        rows=rows,
+    )
+
+
+def reference_dense_adam(cfg, theta, grads_seq):
+    """One dense block through the per-block Adam recurrence, step by step."""
+    m, v = np.zeros_like(theta), np.zeros_like(theta)
+    for t, g in enumerate(grads_seq, start=1):
+        c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        theta -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+    return theta, m, v
+
+
+class TestFlatDenseAdam:
+    @pytest.mark.parametrize("kind", ["deepfm", "mlp", "dcn"])
+    def test_bitwise_equal_to_per_block_recurrence(self, small_schema, kind):
+        params = init_params(small_schema, ModelConfig(kind, embed_dim=3, mlp_widths=(5, 4)),
+                             seed=1)
+        before = params.copy()
+        cfg = TrainConfig(optimizer="adam", lr=0.01)
+        state = OptimizerState.for_params(cfg, params)
+        rng = np.random.default_rng(2)
+        seq = [random_grads(params, rng) for _ in range(3)]
+        for g in seq:
+            apply_update(state, params, g)
+        blocks = [("head", lambda p: p.head)] if kind == "dcn" else []
+        for i in range(len(params.mlp)):
+            for j in range(2):
+                blocks.append((f"mlp[{i}][{j}]", lambda p, i=i, j=j: p.mlp[i][j]))
+        for i in range(len(params.cross)):
+            for j in range(2):
+                blocks.append((f"cross[{i}][{j}]", lambda p, i=i, j=j: p.cross[i][j]))
+        assert blocks
+        for name, get in blocks:
+            theta, m, v = reference_dense_adam(
+                cfg, get(before).copy(), [get(g) for g in seq])
+            assert get(params).tobytes() == theta.tobytes(), name
+            assert get(state.m).tobytes() == m.tobytes(), name
+            assert get(state.v).tobytes() == v.tobytes(), name
+
+    def test_moment_blocks_are_views_of_one_flat_array(self, small_schema):
+        params = init_params(small_schema, ModelConfig("dcn", embed_dim=3, mlp_widths=(5,)),
+                             seed=1)
+        state = OptimizerState.for_params(TrainConfig(optimizer="adam"), params)
+        state.m_dense[:] = np.arange(state.m_dense.size)
+        flat = np.concatenate([a.ravel() for pair in state.m.mlp + state.m.cross
+                               for a in pair] + [state.m.head])
+        assert np.array_equal(flat, state.m_dense)
+        assert state.m.emb.shape == params.emb.shape and not state.m.emb.any()
+
+
+def per_batch_train(params, dataset, cfg):
+    """Training as a loop that gathers every mini-batch from the dataset."""
+    state = OptimizerState.for_params(cfg, params)
+    log = []
+    for epoch in range(cfg.epochs):
+        order = epoch_permutation(cfg.seed, epoch, len(dataset))
+        total = 0.0
+        for lo in range(0, len(dataset), cfg.batch_size):
+            sel = order[lo : lo + cfg.batch_size]
+            y = dataset.labels[sel]
+            y_last = None if dataset.y_last is None else dataset.y_last[sel]
+            _, p, trace = forward_batch(params, dataset.indices[sel], dataset.values[sel])
+            total += float(combined_vec(cfg.loss, y, p, y_last).sum())
+            dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / sel.shape[0]
+            apply_update(state, params, backward_batch(params, trace, dl_dz))
+        log.append(total / len(dataset))
+    return params, log
+
+
+class TestContiguousBatches:
+    @pytest.mark.parametrize("loss", ["ce", "reloop"])
+    def test_bitwise_equal_to_per_batch_gathers(self, tiny_dataset, loss):
+        ds = tiny_dataset
+        if loss == "reloop":
+            ds = ds.with_y_last(np.linspace(0.1, 0.9, len(ds)))
+        cfg = TrainConfig(epochs=3, seed=4, batch_size=37, loss=LossConfig(loss, alpha=0.3))
+        model = ModelConfig("deepfm", embed_dim=3, mlp_widths=(5,))
+        runs = []
+        for train in (train_epochs, per_batch_train):
+            p, log = train(init_params(ds.schema, model, seed=2), ds, cfg)
+            runs.append((params_to_vector(p).tobytes(), log))
+        assert runs[0] == runs[1]
 
 
 def separable_dataset(n=400):
