@@ -16,6 +16,7 @@ import argparse
 import csv
 import glob as globmod
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -67,22 +68,21 @@ def _parse_bool(s) -> bool:
     raise argparse.ArgumentTypeError(f"expected true/false, got {s!r}")
 
 
-def _parse_floats(s) -> list[float]:
-    if isinstance(s, (list, tuple)):
-        return [float(x) for x in s]
-    return [float(x) for x in str(s).split(",") if x.strip() != ""]
+def _parse_list(convert):
+    """Parser of a comma-separated (or already split) list of ``convert`` values."""
+
+    def parse(s) -> list:
+        if not isinstance(s, (list, tuple)):
+            s = [x.strip() for x in str(s).split(",") if x.strip() != ""]
+        return [convert(x) for x in s]
+
+    parse.__name__ = f"_parse_{convert.__name__}s"  # argparse names it on rejection
+    return parse
 
 
-def _parse_ints(s) -> list[int]:
-    if isinstance(s, (list, tuple)):
-        return [int(x) for x in s]
-    return [int(x) for x in str(s).split(",") if x.strip() != ""]
-
-
-def _parse_names(s) -> list[str]:
-    if isinstance(s, (list, tuple)):
-        return [str(x) for x in s]
-    return [x.strip() for x in str(s).split(",") if x.strip() != ""]
+def _input_path(s: str) -> str:
+    """An input file or glob, made absolute so that ``rerun`` works from anywhere."""
+    return os.path.abspath(s) if s else s
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class _Opt:
 _MODEL_OPTS = [
     _Opt("model", str, "deepfm", "backbone kind", ("lr", "fm", "mlp", "deepfm", "dcn")),
     _Opt("embed-dim", int, 16, "embedding dimension"),
-    _Opt("mlp-widths", _parse_ints, [64, 32], "comma-separated hidden widths"),
+    _Opt("mlp-widths", _parse_list(int), [64, 32], "comma-separated hidden widths"),
     _Opt("cross-layers", int, 2, "number of cross layers (dcn)"),
 ]
 
@@ -114,7 +114,7 @@ _TRAIN_OPTS = [
 
 _SCHEMA_OPTS = [
     _Opt("buckets", int, 64, "hash buckets per field for ingested CSVs"),
-    _Opt("numerical", _parse_names, [], "comma-separated numerical field names"),
+    _Opt("numerical", _parse_list(str), [], "comma-separated numerical field names"),
 ]
 
 _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
@@ -133,9 +133,9 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     ),
     "train": (
         [
-            _Opt("data", str, None, "training CSV"),
-            _Opt("valid", str, None, "validation CSV (metrics.csv target)"),
-            _Opt("prior-scores", str, None, "score log supplying y_last"),
+            _Opt("data", _input_path, None, "training CSV"),
+            _Opt("valid", _input_path, None, "validation CSV (metrics.csv target)"),
+            _Opt("prior-scores", _input_path, None, "score log supplying y_last"),
             _Opt("out", str, None, "output directory"),
         ]
         + _MODEL_OPTS
@@ -146,8 +146,8 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     "loop": (
         [
             _Opt("mode", str, "static", "loop protocol", ("static", "continual")),
-            _Opt("data", str, None, "dataset CSV (static mode; split 8:1:1)"),
-            _Opt("windows", str, None, "window CSV glob (continual mode)"),
+            _Opt("data", _input_path, None, "dataset CSV (static mode; split 8:1:1)"),
+            _Opt("windows", _input_path, None, "window CSV glob (continual mode)"),
             _Opt("prior-fraction", float, 0.9, "leading fraction the prior trains on"),
             _Opt("holdout-fraction", float, 0.2, "final-window tail held out for eval"),
             _Opt("warm-start", _parse_bool, False, "warm-start each version (true/false)"),
@@ -160,11 +160,11 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     ),
     "sweep-alpha": (
         [
-            _Opt("alphas", _parse_floats, [round(0.1 * i, 1) for i in range(11)],
+            _Opt("alphas", _parse_list(float), [round(0.1 * i, 1) for i in range(11)],
                  "comma-separated blend weights"),
             _Opt("mode", str, "static", "loop protocol", ("static", "continual")),
-            _Opt("data", str, None, "dataset CSV (static mode)"),
-            _Opt("windows", str, None, "window CSV glob (continual mode)"),
+            _Opt("data", _input_path, None, "dataset CSV (static mode)"),
+            _Opt("windows", _input_path, None, "window CSV glob (continual mode)"),
             _Opt("prior-fraction", float, 0.9, "leading fraction the prior trains on"),
             _Opt("holdout-fraction", float, 0.2, "final-window tail held out for eval"),
             _Opt("warm-start", _parse_bool, False, "warm-start each version (true/false)"),
@@ -177,10 +177,11 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     ),
     "eval": (
         [
-            _Opt("scores", str, None, "score file (score log or one score per line)"),
-            _Opt("labels", str, None, "label file (one 0/1 per line)"),
-            _Opt("data", str, None, "dataset CSV to score"),
-            _Opt("checkpoint", str, None, "checkpoint to score --data with"),
+            _Opt("scores", _input_path, None,
+                 "score file (score log or one score per line)"),
+            _Opt("labels", _input_path, None, "label file (one 0/1 per line)"),
+            _Opt("data", _input_path, None, "dataset CSV to score"),
+            _Opt("checkpoint", _input_path, None, "checkpoint to score --data with"),
         ]
         + _SCHEMA_OPTS,
         "report AUC and logloss for scores",
@@ -591,10 +592,15 @@ def _cmd_rerun(res: dict) -> None:
         payload = json.loads(Path(res["manifest"]).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read manifest {res['manifest']}: {exc}") from None
-    command = payload.get("command")
+    command = payload.get("command") if isinstance(payload, dict) else None
     if command not in _HANDLERS:
         raise UsageError(f"manifest names unknown command {command!r}")
-    replay = dict(payload["resolved"])
+    resolved = payload.get("resolved")
+    options = {o.name.replace("-", "_") for o in _COMMANDS[command][0]}
+    if not isinstance(resolved, dict) or set(resolved) != options:
+        raise UsageError(f"manifest 'resolved' must map exactly the {command} "
+                         f"options: {sorted(options)}")
+    replay = dict(resolved)
     replay["out"] = res["out"]
     _dispatch(command, replay, None)
 

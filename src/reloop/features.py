@@ -2,8 +2,10 @@
 
 Raw rows are turned into fixed-arity sparse instances: every field hashes to
 one index inside its own bucket range of a single flat feature space, so the
-models never touch strings. Hashing is 64-bit FNV-1a over ``name=value`` byte
-strings as the sole source of indices; there are no vocabulary files.
+models never touch strings. A field contributes its hashed index alone, with
+no value weight: numericals are bucketed into tokens before hashing. Hashing
+is 64-bit FNV-1a over ``name=value`` byte strings as the sole source of
+indices; there are no vocabulary files.
 """
 
 from __future__ import annotations
@@ -41,19 +43,18 @@ def canonical_token(raw: str | int | float) -> str:
     raise DataError(f"cannot canonicalize raw value of type {type(raw).__name__}")
 
 
-def transform_numerical(v) -> tuple[int, float]:
+def transform_numerical(v) -> int:
     """Discretize a numerical value into a log2 bucket token.
 
     bucket = floor(log2(v + 1)) for v >= 0; negative or missing values clamp
-    to bucket 0. The bucket is then hashed like a categorical token, so the
-    returned value weight is always 1.0.
+    to bucket 0. The bucket is then hashed like a categorical token.
     """
     if v is None:
-        return 0, 1.0
+        return 0
     v = float(v)
     if math.isnan(v) or v < 0.0:
-        return 0, 1.0
-    return int(math.floor(math.log2(v + 1.0))), 1.0
+        return 0
+    return int(math.floor(math.log2(v + 1.0)))
 
 
 @dataclass(frozen=True)
@@ -143,8 +144,7 @@ class FeatureSchema:
                 v = float(cell)
             except ValueError:
                 return self.hash_feature(pos, MISSING_TOKEN)
-            bucket, _ = transform_numerical(v)
-            return self.hash_feature(pos, bucket)
+            return self.hash_feature(pos, transform_numerical(v))
         return self.hash_feature(pos, cell)
 
     def __eq__(self, other):
@@ -156,11 +156,10 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class EncodedInstance:
-    """One hashed sample: label, per-field indices/values, optional prior score."""
+    """One hashed sample: label, per-field indices, optional prior score."""
 
     label: int
     indices: np.ndarray  # (F,) int64, global feature indices
-    values: np.ndarray  # (F,) float64
     row_id: int
     y_last: float | None = None
 
@@ -168,16 +167,15 @@ class EncodedInstance:
 class Dataset:
     """Immutable column-wise store of encoded instances, in ingestion order."""
 
-    __slots__ = ("schema", "labels", "indices", "values", "row_ids", "y_last")
+    __slots__ = ("schema", "labels", "indices", "row_ids", "y_last")
 
-    def __init__(self, schema, labels, indices, values, row_ids, y_last=None):
+    def __init__(self, schema, labels, indices, row_ids, y_last=None):
         labels = np.ascontiguousarray(labels, dtype=np.float64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
-        values = np.ascontiguousarray(values, dtype=np.float64)
         row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
         n = labels.shape[0]
-        if indices.shape != (n, schema.n_fields) or values.shape != indices.shape:
-            raise DataError("indices/values shape does not match schema arity")
+        if indices.shape != (n, schema.n_fields):
+            raise DataError("indices shape does not match schema arity")
         if row_ids.shape != (n,):
             raise DataError("row_ids shape mismatch")
         if y_last is not None:
@@ -185,12 +183,11 @@ class Dataset:
             if y_last.shape != (n,):
                 raise DataError("y_last shape mismatch")
             y_last.flags.writeable = False
-        for arr in (labels, indices, values, row_ids):
+        for arr in (labels, indices, row_ids):
             arr.flags.writeable = False
         self.schema = schema
         self.labels = labels
         self.indices = indices
-        self.values = values
         self.row_ids = row_ids
         self.y_last = y_last
 
@@ -205,7 +202,6 @@ class Dataset:
         return EncodedInstance(
             label=int(self.labels[i]),
             indices=self.indices[i],
-            values=self.values[i],
             row_id=int(self.row_ids[i]),
             y_last=None if self.y_last is None else float(self.y_last[i]),
         )
@@ -215,7 +211,6 @@ class Dataset:
             self.schema,
             self.labels[sel],
             self.indices[sel],
-            self.values[sel],
             self.row_ids[sel],
             None if self.y_last is None else self.y_last[sel],
         )
@@ -234,9 +229,7 @@ class Dataset:
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
             raise DataError("prior scores must lie in [0, 1]")
         clipped = np.clip(scores, PROB_CLIP, 1.0 - PROB_CLIP)
-        return Dataset(
-            self.schema, self.labels, self.indices, self.values, self.row_ids, clipped
-        )
+        return Dataset(self.schema, self.labels, self.indices, self.row_ids, clipped)
 
 
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
@@ -293,11 +286,10 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
     n = len(labels)
     indices = np.array(rows, dtype=np.int64).reshape(n, n_fields)
-    values = np.ones((n, n_fields), dtype=np.float64)
     scores = None
     if y_last is not None:
         scores = np.clip(np.array(y_last, dtype=np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
-    return Dataset(schema, np.array(labels), indices, values, np.arange(n), scores)
+    return Dataset(schema, np.array(labels), indices, np.arange(n), scores)
 
 
 @dataclass(frozen=True)
@@ -427,9 +419,7 @@ def generate_synthetic(spec: SyntheticSpec, return_truth: bool = False):
     """
     windows, truths = [], []
     for schema, _, _, indices, labels, truth in _raw_windows(spec):
-        n = labels.shape[0]
-        values = np.ones_like(indices, dtype=np.float64)
-        windows.append(Dataset(schema, labels, indices, values, np.arange(n)))
+        windows.append(Dataset(schema, labels, indices, np.arange(labels.shape[0])))
         if return_truth:
             truths.append(truth.copy())
     return (windows, truths) if return_truth else windows

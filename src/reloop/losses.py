@@ -56,88 +56,28 @@ def clip_prob(p, eps: float = DEFAULT_CLIP):
     return np.clip(p, eps, 1.0 - eps)
 
 
-def ce_loss(y: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
-    """Binary cross-entropy with probability clipping."""
-    p = min(max(y_hat, clip_eps), 1.0 - clip_eps)
-    return -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
-
-
-def sc_loss(y: float, y_hat: float, y_last: float) -> float:
-    """Self-correction hinge against the previous model's score.
-
-    Zero exactly when the current prediction is at least as good as y_last
-    in the direction of the label; otherwise grows linearly with the gap.
-    """
-    return y * max(y_last - y_hat, 0.0) + (1.0 - y) * max(y_hat - y_last, 0.0)
-
-
-def kd_loss(y_last: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
-    """Distillation cross-entropy against the previous score as soft target."""
-    p = min(max(y_hat, clip_eps), 1.0 - clip_eps)
-    t = min(max(y_last, clip_eps), 1.0 - clip_eps)
-    return -t * np.log(p) - (1.0 - t) * np.log(1.0 - p)
-
-
-def combined_loss(
-    cfg: LossConfig, y: float, y_hat: float, y_last: float | None = None
-) -> float:
-    """Configured per-sample objective; reloop blends sc and ce by alpha."""
-    if cfg.kind == "ce":
-        return ce_loss(y, y_hat, cfg.clip_eps)
-    if y_last is None:
-        raise LossInputError(f"loss kind {cfg.kind!r} requires y_last")
-    if cfg.kind == "kd":
-        return kd_loss(y_last, y_hat, cfg.clip_eps)
-    return cfg.alpha * sc_loss(y, y_hat, y_last) + (1.0 - cfg.alpha) * ce_loss(
-        y, y_hat, cfg.clip_eps
-    )
-
-
-def loss_grad_z(
-    cfg: LossConfig, y: float, y_hat: float, y_last: float | None = None
-) -> float:
-    """Exact dL/dz at y_hat = sigmoid(z).
-
-    ce: y_hat - y. kd: y_hat - y_last. sc: the hinge slope in probability
-    space chained through sigmoid'(z) = y_hat (1 - y_hat); the subgradient at
-    y_hat == y_last is 0, so exact ties are penalty- and gradient-free.
-    """
-    if cfg.kind == "ce":
-        return y_hat - y
-    if y_last is None:
-        raise LossInputError(f"loss kind {cfg.kind!r} requires y_last")
-    if cfg.kind == "kd":
-        return y_hat - y_last
-    if y_last > y_hat:
-        dl_dp = -y
-    elif y_hat > y_last:
-        dl_dp = 1.0 - y
-    else:
-        dl_dp = 0.0
-    sc_grad = dl_dp * y_hat * (1.0 - y_hat)
-    return cfg.alpha * sc_grad + (1.0 - cfg.alpha) * (y_hat - y)
-
-
-# Vectorized forms used by the training loop; same math as the scalar ops.
-
 def ce_vec(y: np.ndarray, p: np.ndarray, clip_eps: float = DEFAULT_CLIP) -> np.ndarray:
+    """Binary cross-entropy with probability clipping."""
     pc = clip_prob(p, clip_eps)
     return -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
 
 
 def sc_vec(y: np.ndarray, p: np.ndarray, y_last: np.ndarray) -> np.ndarray:
+    """Self-correction hinge against the previous model's score."""
     return y * np.maximum(y_last - p, 0.0) + (1.0 - y) * np.maximum(p - y_last, 0.0)
 
 
 def kd_vec(
     y_last: np.ndarray, p: np.ndarray, clip_eps: float = DEFAULT_CLIP
 ) -> np.ndarray:
+    """Distillation cross-entropy against the previous score as soft target."""
     pc = clip_prob(p, clip_eps)
     t = clip_prob(y_last, clip_eps)
     return -t * np.log(pc) - (1.0 - t) * np.log(1.0 - pc)
 
 
 def combined_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
+    """Configured per-sample objective; reloop blends sc and ce by alpha."""
     if cfg.kind == "ce":
         return ce_vec(y, p, cfg.clip_eps)
     if y_last is None:
@@ -150,6 +90,12 @@ def combined_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
 
 
 def grad_z_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
+    """Exact dL/dz at p = sigmoid(z).
+
+    ce: p - y. kd: p - y_last. sc: the hinge slope in probability space
+    chained through sigmoid'(z) = p (1 - p); the subgradient at p == y_last
+    is 0, so exact ties are penalty- and gradient-free.
+    """
     if cfg.kind == "ce":
         return p - y
     if y_last is None:
@@ -158,6 +104,30 @@ def grad_z_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
         return p - y_last
     dl_dp = -y * (y_last > p) + (1.0 - y) * (p > y_last)
     return cfg.alpha * (dl_dp * p * (1.0 - p)) + (1.0 - cfg.alpha) * (p - y)
+
+
+# Scalar forms of the above, for one sample at a time.
+
+def ce_loss(y: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
+    return float(ce_vec(np.float64(y), np.float64(y_hat), clip_eps))
+
+
+def sc_loss(y: float, y_hat: float, y_last: float) -> float:
+    return float(sc_vec(np.float64(y), np.float64(y_hat), np.float64(y_last)))
+
+
+def kd_loss(y_last: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
+    return float(kd_vec(np.float64(y_last), np.float64(y_hat), clip_eps))
+
+
+def combined_loss(cfg: LossConfig, y: float, y_hat: float,
+                  y_last: float | None = None) -> float:
+    return float(combined_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
+
+
+def loss_grad_z(cfg: LossConfig, y: float, y_hat: float,
+                y_last: float | None = None) -> float:
+    return float(grad_z_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
 
 
 def emit_loss_curves(

@@ -1,10 +1,10 @@
 """CTR predictors over sparse hashed features: LR, FM, MLP, DeepFM, DCN.
 
-Every model maps an instance's (indices, values) to a logit z with
+Every model maps an instance's hashed indices i_1..i_F to a logit z with
 y_hat = sigmoid(z), and exposes exact hand-derived gradients:
 
-  lr      z = b + sum_f w[i_f] v_f
-  fm      z = lr + 0.5 sum_k [(sum_f e[i_f,k] v_f)^2 - sum_f e[i_f,k]^2 v_f^2]
+  lr      z = b + sum_f w[i_f]
+  fm      z = lr + 0.5 sum_k [(sum_f e[i_f,k])^2 - sum_f e[i_f,k]^2]
   mlp     z = b + affine(relu stack over concat of field embeddings)
   deepfm  z = fm + mlp branch, embeddings shared between both
   dcn     cross stack x_{l+1} = x0 (w_l . x_l) + b_l + x_l alongside a relu
@@ -172,9 +172,8 @@ class Trace:
     """Cached forward activations, enough for an exact backward pass."""
 
     indices: np.ndarray  # (B, F)
-    values: np.ndarray  # (B, F)
     z: np.ndarray  # (B,)
-    emb_scaled: np.ndarray | None = None  # (B, F, K) embeddings * values
+    emb_rows: np.ndarray | None = None  # (B, F, K) the fields' embedding rows
     fm_sum: np.ndarray | None = None  # (B, K)
     x0: np.ndarray | None = None  # (B, F*K)
     mlp_inputs: list[np.ndarray] = field(default_factory=list)
@@ -241,13 +240,11 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int) -> Params:
     return p
 
 
-def _check_batch(params: Params, indices: np.ndarray, values: np.ndarray) -> None:
+def _check_batch(params: Params, indices: np.ndarray) -> None:
     if indices.ndim != 2 or indices.shape[1] != params.n_fields:
         raise DimensionError(
             f"instance has {indices.shape[-1]} fields, model expects {params.n_fields}"
         )
-    if values.shape != indices.shape:
-        raise DimensionError("indices and values shapes differ")
     if indices.size and (indices.min() < 0 or indices.max() >= params.n_features):
         raise DimensionError(
             f"feature index out of range for a {params.n_features}-feature model"
@@ -271,23 +268,21 @@ def _mlp_forward(params: Params, x0: np.ndarray, trace: Trace) -> np.ndarray:
 
 
 def forward_batch(
-    params: Params, indices: np.ndarray, values: np.ndarray
+    params: Params, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Logits, probabilities and a backward-ready trace for a batch."""
     indices = np.asarray(indices, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    _check_batch(params, indices, values)
+    _check_batch(params, indices)
     n = indices.shape[0]
-    trace = Trace(indices=indices, values=values, z=np.zeros(n))
+    trace = Trace(indices=indices, z=np.zeros(n))
     z = np.full(n, params.bias, dtype=np.float64)
 
     if params.linear is not None:
-        z += (params.linear[indices] * values).sum(axis=1)
+        z += params.linear[indices].sum(axis=1)
 
     if params.emb is not None:
         e = np.take(params.emb, indices, axis=0)  # (B, F, K); faster than emb[indices]
-        e *= values[:, :, None]
-        trace.emb_scaled = e
+        trace.emb_rows = e
         if params.kind in ("fm", "deepfm"):
             s = e.sum(axis=1)  # (B, K)
             trace.fm_sum = s
@@ -317,13 +312,9 @@ def forward_batch(
     return z, sigmoid(z), trace
 
 
-def forward(
-    params: Params, instance: EncodedInstance
-) -> tuple[float, float, Trace]:
+def forward(params: Params, instance: EncodedInstance) -> tuple[float, float, Trace]:
     """Single-instance logit, probability and trace."""
-    z, p, trace = forward_batch(
-        params, instance.indices[None, :], instance.values[None, :]
-    )
+    z, p, trace = forward_batch(params, instance.indices[None, :])
     return float(z[0]), float(p[0]), trace
 
 
@@ -358,7 +349,7 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
     dl = np.asarray(dl_dz, dtype=np.float64)
     if dl.shape != trace.z.shape:
         raise DimensionError("dl_dz must align with the traced batch")
-    idx, val = trace.indices, trace.values
+    idx = trace.indices
     rows, inv = np.unique(idx.ravel(), return_inverse=True)
     n_rows = rows.shape[0]
     grads = Grads(
@@ -373,13 +364,13 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
 
     if params.linear is not None:
         grads.linear = np.bincount(
-            inv, weights=(dl[:, None] * val).ravel(), minlength=n_rows
+            inv, weights=np.repeat(dl, idx.shape[1]), minlength=n_rows
         )
 
     if params.emb is not None:
-        e = trace.emb_scaled
+        e = trace.emb_rows
         k = params.embed_dim
-        de = None  # dL/d(emb_scaled), (B, F, K)
+        de = None  # dL/d(emb_rows), (B, F, K)
         if params.kind in ("fm", "deepfm"):
             de = trace.fm_sum[:, None, :] - e
             de *= dl[:, None, None]
@@ -389,7 +380,6 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
             else:
                 dx0, grads.mlp = _mlp_backward(params, trace, dl[:, None])
             de = _accumulate(de, dx0.reshape(e.shape))
-        de *= val[:, :, None]
         # flat bin of (row j, column c) is j * k + c
         cells = inv[:, None] * k + np.arange(k)
         grads.emb = np.bincount(
@@ -450,6 +440,6 @@ def predict_batch(params: Params, dataset: Dataset, chunk: int = 8192) -> np.nda
     out = np.empty(len(dataset), dtype=np.float64)
     for lo in range(0, len(dataset), chunk):
         hi = min(lo + chunk, len(dataset))
-        _, p, _ = forward_batch(params, dataset.indices[lo:hi], dataset.values[lo:hi])
+        _, p, _ = forward_batch(params, dataset.indices[lo:hi])
         out[lo:hi] = p
     return out

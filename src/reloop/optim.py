@@ -234,7 +234,7 @@ def train_epochs(
 
     state = OptimizerState.for_params(cfg, params)
     # one epoch's rows in shuffle order, gathered once into reused buffers
-    columns = [dataset.indices, dataset.values, dataset.labels]
+    columns = [dataset.indices, dataset.labels]
     if dataset.y_last is not None:
         columns.append(dataset.y_last)
     shuffled = [np.empty_like(c) for c in columns]
@@ -249,14 +249,14 @@ def train_epochs(
                 # order is a permutation, so "clip" never clips; unlike the
                 # default "raise", it lets take write straight into out
                 np.take(c, order, axis=0, out=out, mode="clip")
-            indices, values, labels, *rest = shuffled
+            indices, labels, *rest = shuffled
             y_last_all = rest[0] if rest else None
             total = 0.0
             for lo in range(0, n, cfg.batch_size):
                 hi = min(lo + cfg.batch_size, n)
                 y = labels[lo:hi]
                 y_last = None if y_last_all is None else y_last_all[lo:hi]
-                _, p, trace = forward_batch(params, indices[lo:hi], values[lo:hi])
+                _, p, trace = forward_batch(params, indices[lo:hi])
                 losses = combined_vec(cfg.loss, y, p, y_last)
                 total += float(losses.sum())
                 dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / (hi - lo)

@@ -1,0 +1,107 @@
+"""Run a fixed matrix of CLI runs and hash every output file.
+
+    python tests/bytes_matrix.py [--tiny]
+
+prints ``<n_files> <sha256>``: the number of output files and one sha256
+over their relative paths and bytes, ``manifest.json`` excluded (it holds
+wall-clock). A change that keeps training, inference and every writer
+bitwise the same prints the same line before and after. The hash is not a
+golden value: it depends on the BLAS build, so compare two trees on one
+machine.
+
+The matrix: every model kind x {adam, sgd} x {ce, reloop, kd} x {static,
+continual cold, continual warm} ``loop`` runs; static, continual-cold and
+continual-warm ``sweep-alpha`` at alphas 0,0.3,1 per kind; and per kind one
+``--shuffle false`` static reloop run and one continual sgd kd run at lr
+0.05. The full size trains on 3 windows x 900 rows (6 fields x 128 buckets);
+``--tiny`` keeps the matrix and shrinks the data and the models.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from reloop.cli import main  # noqa: E402
+from reloop.models import MODEL_KINDS  # noqa: E402
+
+_SIZES = {
+    False: dict(rows=900, fields=6, buckets=128, epochs=2, batch=64, embed=4, mlp="8,4"),
+    True: dict(rows=300, fields=3, buckets=16, epochs=1, batch=64, embed=2, mlp="3"),
+}
+
+_MODES = (("static", False), ("continual", False), ("continual", True))
+
+
+def matrix_runs(root: Path, tiny: bool = False) -> list[list[str]]:
+    """The CLI argument lists of the matrix, gen-data first."""
+    s = _SIZES[tiny]
+    data = root / "data"
+    runs = [["gen-data", "--out", str(data), "--rows", str(s["rows"]),
+             "--fields", str(s["fields"]), "--buckets", str(s["buckets"]),
+             "--windows", "3", "--drift", "0.2", "--seed", "7"]]
+    inputs = {"static": ["--data", str(data / "window_000.csv")],
+              "continual": ["--windows", str(data / "window_*.csv")]}
+
+    def run(command, name, mode, warm, *extra):
+        out = root / "runs" / f"{command}-{name}-{mode}-{'warm' if warm else 'cold'}"
+        runs.append([command, "--mode", mode, *inputs[mode],
+                     "--warm-start", str(warm).lower(), "--out", str(out),
+                     "--buckets", str(s["buckets"]), "--epochs", str(s["epochs"]),
+                     "--batch-size", str(s["batch"]), "--embed-dim", str(s["embed"]),
+                     "--mlp-widths", s["mlp"], "--seed", "3", *extra])
+
+    for kind in MODEL_KINDS:
+        for opt in ("adam", "sgd"):
+            for loss in ("ce", "reloop", "kd"):
+                for mode, warm in _MODES:
+                    run("loop", f"{kind}-{opt}-{loss}", mode, warm,
+                        "--model", kind, "--optimizer", opt, "--loss", loss)
+        for mode, warm in _MODES:
+            run("sweep-alpha", kind, mode, warm, "--model", kind, "--alphas", "0,0.3,1")
+        run("loop", f"{kind}-noshuffle", "static", False, "--model", kind,
+            "--loss", "reloop", "--shuffle", "false")
+        run("loop", f"{kind}-sgd-lr", "continual", False, "--model", kind,
+            "--optimizer", "sgd", "--loss", "kd", "--lr", "0.05")
+    return runs
+
+
+def tree_digest(root: Path) -> tuple[int, str]:
+    """(file count, sha256 over relative paths and bytes), manifests excluded."""
+    h = hashlib.sha256()
+    n = 0
+    for p in sorted(root.rglob("*")):
+        if p.is_file() and p.name != "manifest.json":
+            rel = p.relative_to(root).as_posix()
+            h.update(f"{rel}\0{hashlib.sha256(p.read_bytes()).hexdigest()}\n".encode())
+            n += 1
+    return n, h.hexdigest()
+
+
+def run_matrix(root: Path, tiny: bool = False) -> tuple[int, str]:
+    """Run the whole matrix under ``root`` and digest its outputs."""
+    for argv in matrix_runs(root, tiny):
+        code = main(argv)
+        if code != 0:
+            raise RuntimeError(f"reloop {' '.join(argv)} exited {code}")
+    return tree_digest(root)
+
+
+def _main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--tiny", action="store_true", help="small data and models")
+    args = ap.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        n, digest = run_matrix(Path(tmp), args.tiny)
+    print(n, digest)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main())

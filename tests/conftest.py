@@ -81,7 +81,7 @@ def tiny_dataset(small_schema):
     labels = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(np.float64)
     from reloop.features import Dataset
 
-    return Dataset(small_schema, labels, indices, np.ones_like(indices, float), np.arange(n))
+    return Dataset(small_schema, labels, indices, np.arange(n))
 
 
 # One visible pass/fail line per acceptance criterion at the end of the run.

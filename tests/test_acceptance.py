@@ -112,7 +112,7 @@ def test_ac2_gradient_fidelity():
                 idx = np.array(
                     [schema.index_base[f] + rng.integers(0, 4) for f in range(3)]
                 )
-                inst = EncodedInstance(1, idx, np.ones(3), 0)
+                inst = EncodedInstance(1, idx, 0)
                 y = float(rng.integers(0, 2))
                 t = float(rng.uniform(0.05, 0.95))
                 z, prob, trace = forward(params, inst)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -483,7 +484,36 @@ class TestRerun:
         assert run("rerun", "--manifest", a / "manifest.json", "--out", b) == 0
         assert tree_bytes(a) == tree_bytes(b)
 
+    def test_replay_from_another_directory(self, data_dir, tmp_path, monkeypatch):
+        """Relative input paths are recorded absolute, so the replay finds them."""
+        a, b = tmp_path / "a", tmp_path / "b"
+        (a / "data").mkdir(parents=True)
+        b.mkdir()
+        for w in ("window_000.csv", "window_001.csv"):
+            shutil.copy(data_dir / "windows" / w, a / "data" / w)
+        monkeypatch.chdir(a)
+        assert run("train", "--data", "data/window_000.csv", "--valid", "data/window_001.csv",
+                   "--model", "fm", "--embed-dim", 3, "--epochs", 1, "--buckets", 12,
+                   "--out", "run") == 0
+        assert run("loop", "--mode", "continual", "--windows", "data/window_*.csv",
+                   "--model", "lr", "--epochs", 1, "--buckets", 12, "--out", "loop") == 0
+        monkeypatch.chdir(b)
+        for name in ("run", "loop"):
+            assert run("rerun", "--manifest", f"../a/{name}/manifest.json",
+                       "--out", f"replay_{name}") == 0
+            assert tree_bytes(a / name) == tree_bytes(b / f"replay_{name}")
+
     def test_bad_manifest(self, tmp_path):
         bad = tmp_path / "m.json"
-        bad.write_text("{}")
-        assert run("rerun", "--manifest", bad, "--out", tmp_path / "o") == 2
+        for text in (
+            "{}",
+            "[]",
+            '"train"',
+            '{"command": "train"}',
+            '{"command": "train", "resolved": []}',
+            '{"command": "gen-data", "resolved": {"out": "x", "rows": 10}}',
+            '{"command": "rerun", "resolved": {}}',
+        ):
+            bad.write_text(text)
+            assert run("rerun", "--manifest", bad, "--out", tmp_path / "o") == 2, text
+            assert not (tmp_path / "o").exists()

@@ -104,11 +104,11 @@ class TestTransformNumerical:
         [(0, 0), (7, 3), (-5, 0), (1, 1), (3, 2), (511, 9), (1023, 10), (0.5, 0)],
     )
     def test_examples(self, v, bucket):
-        assert transform_numerical(v) == (bucket, 1.0)
+        assert transform_numerical(v) == bucket
 
     def test_missing_and_nan_clamp(self):
-        assert transform_numerical(None) == (0, 1.0)
-        assert transform_numerical(float("nan")) == (0, 1.0)
+        assert transform_numerical(None) == 0
+        assert transform_numerical(float("nan")) == 0
 
 
 class TestIngest:

@@ -36,7 +36,7 @@ def random_instance(schema, rng):
          for f in range(schema.n_fields)],
         dtype=np.int64,
     )
-    return EncodedInstance(1, idx, np.ones(schema.n_fields), 0)
+    return EncodedInstance(1, idx, 0)
 
 
 def randomized_params(schema, cfg, seed):
@@ -61,7 +61,7 @@ class TestForward:
         ia = schema.hash_feature("a", "u")
         ib = schema.hash_feature("b", "v")
         p.emb[ia, 0], p.emb[ib, 0] = 0.5, 0.4
-        inst = EncodedInstance(1, np.array([ia, ib]), np.ones(2), 0)
+        inst = EncodedInstance(1, np.array([ia, ib]), 0)
         z, _, _ = forward(p, inst)
         assert z == pytest.approx(0.2, abs=1e-15)
 
@@ -128,9 +128,9 @@ class TestForward:
     def test_dimension_mismatch_rejected(self, schema):
         p = init_params(schema, ModelConfig("lr"), seed=0)
         with pytest.raises(DimensionError):
-            forward_batch(p, np.zeros((1, 3), dtype=np.int64), np.ones((1, 3)))
+            forward_batch(p, np.zeros((1, 3), dtype=np.int64))
         with pytest.raises(DimensionError):
-            forward_batch(p, np.array([[0, 1, 2, 99]]), np.ones((1, 4)))
+            forward_batch(p, np.array([[0, 1, 2, 99]]))
 
     def test_predict_batch_chunking_consistent(self, schema, tiny_dataset):
         from reloop.models import predict_batch
@@ -214,8 +214,7 @@ class TestBackward:
         insts = [random_instance(schema, rng) for _ in range(4)]
         dl = rng.normal(size=4)
         idx = np.stack([i.indices for i in insts])
-        val = np.ones_like(idx, dtype=float)
-        _, _, tr = forward_batch(p, idx, val)
+        _, _, tr = forward_batch(p, idx)
         batch = grads_to_vector(backward_batch(p, tr, dl), p)
         single = np.zeros_like(batch)
         for inst, d in zip(insts, dl):
@@ -252,19 +251,18 @@ class TestCompactGrads:
         # instance and across instances
         idx = rng.choice(np.array([0, 3, 7, 8, 20]), size=(b, schema.n_fields))
         assert any(len(set(r)) < len(r) for r in idx)
-        val = rng.uniform(0.5, 2.0, size=idx.shape)
         dl = rng.normal(size=b)
-        _, _, tr = forward_batch(p, idx, val)
+        _, _, tr = forward_batch(p, idx)
         g = backward_batch(p, tr, dl)
         assert np.array_equal(g.rows, np.unique(idx))
 
         q, q_idx = _split_tables(p, idx)
-        _, _, q_tr = forward_batch(q, q_idx, val)
+        _, _, q_tr = forward_batch(q, q_idx)
         cells = backward_batch(q, q_tr, dl)
         assert np.array_equal(q_tr.z, tr.z)
         if p.linear is not None:
             ref = np.zeros_like(p.linear)
-            np.add.at(ref, idx.ravel(), (dl[:, None] * val).ravel())
+            np.add.at(ref, idx.ravel(), np.repeat(dl, idx.shape[1]))
             assert np.array_equal(dense_table(g.linear, g.rows, p.linear), ref)
         if p.emb is not None:
             ref = np.zeros_like(p.emb)

@@ -173,7 +173,7 @@ def per_batch_train(params, dataset, cfg):
             sel = order[lo : lo + cfg.batch_size]
             y = dataset.labels[sel]
             y_last = None if dataset.y_last is None else dataset.y_last[sel]
-            _, p, trace = forward_batch(params, dataset.indices[sel], dataset.values[sel])
+            _, p, trace = forward_batch(params, dataset.indices[sel])
             total += float(combined_vec(cfg.loss, y, p, y_last).sum())
             dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / sel.shape[0]
             apply_update(state, params, backward_batch(params, trace, dl_dz))
@@ -208,7 +208,7 @@ def separable_dataset(n=400):
     bit = np.where(labels == 1, idx_pos, idx_neg)
     noise = np.array([schema.hash_feature("noise", str(t)) for t in rng.integers(0, 8, n)])
     indices = np.stack([bit, noise], axis=1)
-    ds = Dataset(schema, labels, indices, np.ones_like(indices, float), np.arange(n))
+    ds = Dataset(schema, labels, indices, np.arange(n))
     return ds, idx_pos, idx_neg
 
 
