@@ -7,7 +7,9 @@ and ``rerun`` replays a manifest into a fresh directory byte-for-byte.
 
 Configuration precedence: command-line flags override ``--config`` file
 entries (plain ``key = value`` lines, ``#`` comments), which override
-built-in defaults.
+built-in defaults. A flag, a config entry and a manifest value pass the same
+check, their option's parser (type, allowed values, range, finite floats),
+and a bad one is a usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import csv
 import glob as globmod
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -48,86 +51,135 @@ from .loop import (
     sweep_alpha_static,
     write_loop_report,
 )
-from .losses import LossConfig, LossInputError, emit_loss_curves, write_loss_curves
+from .losses import LOSS_KINDS, LossConfig, LossInputError, emit_loss_curves, write_loss_curves
 from .metrics import METRICS_CSV_HEADER, evaluate
-from .models import ModelConfig, init_params, predict_batch
-from .optim import DivergenceError, TrainConfig, train_epochs
+from .models import MODEL_KINDS, ModelConfig, init_params, predict_batch
+from .optim import OPTIMIZER_KINDS, DivergenceError, TrainConfig, train_epochs
 
 
 class UsageError(Exception):
     """Bad invocation: wrong flags, values out of range, missing inputs."""
 
 
+def _checked(kind, ok, what):
+    """Parser of a ``kind`` for which ``ok`` holds (``what`` names it). Flag and config
+    strings are converted; a JSON manifest value must have the type (an int may be a float)."""
+
+    def parse(value):
+        native = type(value) is kind or (kind is float and type(value) is int)
+        try:
+            x = kind(value) if native or isinstance(value, str) else None
+        except ValueError:
+            x = None
+        if x is None or not ok(x):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {value!r}")
+        return x
+
+    return parse
+
+
+def _number(kind, lo=-math.inf, hi=math.inf, closed=True):
+    """Parser of a finite ``kind`` in [lo, hi], or in (lo, hi) unless ``closed``."""
+    span = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+    return _checked(kind, lambda x: (lo <= x <= hi if closed else lo < x < hi)
+                    and abs(x) != math.inf, f"{kind.__name__} in {span}")
+
+
+def _one_of(*allowed):
+    """Parser of one of ``allowed``; its ``metavar`` lists them in ``--help``."""
+    parse = _checked(type(allowed[0]), allowed.__contains__, f"one of {allowed}")
+    parse.metavar = "{" + ",".join(map(str, allowed)) + "}"
+    return parse
+
+
+_text = _checked(str, lambda s: True, "a string")
+
+
 def _parse_bool(s) -> bool:
     if isinstance(s, bool):
         return s
-    if str(s).lower() in ("1", "true", "yes"):
+    if _text(s).lower() in ("1", "true", "yes"):
         return True
-    if str(s).lower() in ("0", "false", "no"):
+    if s.lower() in ("0", "false", "no"):
         return False
     raise argparse.ArgumentTypeError(f"expected true/false, got {s!r}")
 
 
-def _parse_list(convert):
-    """Parser of a comma-separated (or already split) list of ``convert`` values."""
+def _parse_list(convert, nonempty=False):
+    """Parser of a comma-separated string, or a JSON list, of ``convert`` values."""
 
     def parse(s) -> list:
-        if not isinstance(s, (list, tuple)):
-            s = [x.strip() for x in str(s).split(",") if x.strip() != ""]
+        if not isinstance(s, list):
+            s = [x.strip() for x in _text(s).split(",") if x.strip() != ""]
+        if nonempty and not s:
+            raise argparse.ArgumentTypeError("expected at least one value")
         return [convert(x) for x in s]
 
-    parse.__name__ = f"_parse_{convert.__name__}s"  # argparse names it on rejection
     return parse
 
 
-def _input_path(s: str) -> str:
+def _input_path(s) -> str:
     """An input file or glob, made absolute so that ``rerun`` works from anywhere."""
-    return os.path.abspath(s) if s else s
+    return os.path.abspath(s) if _text(s) else s
+
+
+_COUNT = _number(int, 1)
+_UNIT = _number(float, 0.0, 1.0)
+_FRACTION = _number(float, 0.0, 1.0, closed=False)
 
 
 @dataclass(frozen=True)
 class _Opt:
     name: str
-    type: object
+    type: object  # the option's whole check, for its flag, config entry and manifest value
     default: object
     help: str
-    choices: tuple | None = None
 
 
 _MODEL_OPTS = [
-    _Opt("model", str, "deepfm", "backbone kind", ("lr", "fm", "mlp", "deepfm", "dcn")),
-    _Opt("embed-dim", int, 16, "embedding dimension"),
-    _Opt("mlp-widths", _parse_list(int), [64, 32], "comma-separated hidden widths"),
-    _Opt("cross-layers", int, 2, "number of cross layers (dcn)"),
+    _Opt("model", _one_of(*MODEL_KINDS), "deepfm", "backbone kind"),
+    _Opt("embed-dim", _number(int), 16, "embedding dimension"),
+    _Opt("mlp-widths", _parse_list(_COUNT), [64, 32], "comma-separated hidden widths"),
+    _Opt("cross-layers", _number(int), 2, "number of cross layers (dcn)"),
 ]
 
 _TRAIN_OPTS = [
-    _Opt("loss", str, "ce", "training objective", ("ce", "reloop", "kd")),
-    _Opt("alpha", float, 0.2, "self-correction blend weight in [0, 1]"),
-    _Opt("optimizer", str, "adam", "update rule", ("adam", "sgd")),
-    _Opt("lr", float, 1e-3, "learning rate"),
-    _Opt("batch-size", int, 256, "mini-batch size"),
-    _Opt("epochs", int, 5, "training epochs"),
+    _Opt("loss", _one_of(*LOSS_KINDS), "ce", "training objective"),
+    _Opt("alpha", _UNIT, 0.2, "self-correction blend weight in [0, 1]"),
+    _Opt("optimizer", _one_of(*OPTIMIZER_KINDS), "adam", "update rule"),
+    _Opt("lr", _number(float, 0.0, closed=False), 1e-3, "learning rate"),
+    _Opt("batch-size", _COUNT, 256, "mini-batch size"),
+    _Opt("epochs", _number(int, 0), 5, "training epochs"),
     _Opt("shuffle", _parse_bool, True, "shuffle each epoch (true/false)"),
-    _Opt("seed", int, 0, "master run seed"),
+    _Opt("seed", _number(int), 0, "master run seed"),
 ]
 
 _SCHEMA_OPTS = [
-    _Opt("buckets", int, 64, "hash buckets per field for ingested CSVs"),
-    _Opt("numerical", _parse_list(str), [], "comma-separated numerical field names"),
+    _Opt("buckets", _COUNT, 64, "hash buckets per field for ingested CSVs"),
+    _Opt("numerical", _parse_list(_text), [], "comma-separated numerical field names"),
+]
+
+_LOOP_OPTS = [
+    _Opt("mode", _one_of("static", "continual"), "static", "loop protocol"),
+    _Opt("data", _input_path, None, "dataset CSV (static mode; split 8:1:1)"),
+    _Opt("windows", _input_path, None, "window CSV glob (continual mode)"),
+    _Opt("prior-fraction", _FRACTION, 0.9, "leading fraction the prior trains on"),
+    _Opt("holdout-fraction", _FRACTION, 0.2, "final-window tail held out for eval"),
+    _Opt("warm-start", _parse_bool, False, "warm-start each version (true/false)"),
+    _Opt("out", _text, None, "output directory"),
 ]
 
 _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     "gen-data": (
         [
-            _Opt("out", str, None, "output directory"),
-            _Opt("rows", int, 50000, "rows per window"),
-            _Opt("fields", int, 8, "number of fields"),
-            _Opt("buckets", int, 64, "hash buckets per field"),
-            _Opt("latent-dim", int, 4, "hidden ground-truth latent dimension"),
-            _Opt("windows", int, 1, "number of windows"),
-            _Opt("drift", float, 0.0, "latent drift fraction between windows"),
-            _Opt("seed", int, 42, "generator seed"),
+            _Opt("out", _text, None, "output directory"),
+            _Opt("rows", _COUNT, 50000, "rows per window"),
+            _Opt("fields", _COUNT, 8, "number of fields"),
+            _Opt("buckets", _COUNT, 64, "hash buckets per field"),
+            _Opt("latent-dim", _COUNT, 4, "hidden ground-truth latent dimension"),
+            _Opt("windows", _COUNT, 1, "number of windows"),
+            _Opt("drift", _UNIT, 0.0, "latent drift fraction between windows"),
+            _Opt("seed", _number(int), 42, "generator seed"),
         ],
         "generate synthetic click-log windows",
     ),
@@ -136,7 +188,7 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
             _Opt("data", _input_path, None, "training CSV"),
             _Opt("valid", _input_path, None, "validation CSV (metrics.csv target)"),
             _Opt("prior-scores", _input_path, None, "score log supplying y_last"),
-            _Opt("out", str, None, "output directory"),
+            _Opt("out", _text, None, "output directory"),
         ]
         + _MODEL_OPTS
         + _TRAIN_OPTS
@@ -144,32 +196,15 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
         "train one model on one dataset",
     ),
     "loop": (
-        [
-            _Opt("mode", str, "static", "loop protocol", ("static", "continual")),
-            _Opt("data", _input_path, None, "dataset CSV (static mode; split 8:1:1)"),
-            _Opt("windows", _input_path, None, "window CSV glob (continual mode)"),
-            _Opt("prior-fraction", float, 0.9, "leading fraction the prior trains on"),
-            _Opt("holdout-fraction", float, 0.2, "final-window tail held out for eval"),
-            _Opt("warm-start", _parse_bool, False, "warm-start each version (true/false)"),
-            _Opt("out", str, None, "output directory"),
-        ]
-        + _MODEL_OPTS
-        + _TRAIN_OPTS
-        + _SCHEMA_OPTS,
+        _LOOP_OPTS + _MODEL_OPTS + _TRAIN_OPTS + _SCHEMA_OPTS,
         "run the static-prior or continual training loop",
     ),
     "sweep-alpha": (
         [
-            _Opt("alphas", _parse_list(float), [round(0.1 * i, 1) for i in range(11)],
-                 "comma-separated blend weights"),
-            _Opt("mode", str, "static", "loop protocol", ("static", "continual")),
-            _Opt("data", _input_path, None, "dataset CSV (static mode)"),
-            _Opt("windows", _input_path, None, "window CSV glob (continual mode)"),
-            _Opt("prior-fraction", float, 0.9, "leading fraction the prior trains on"),
-            _Opt("holdout-fraction", float, 0.2, "final-window tail held out for eval"),
-            _Opt("warm-start", _parse_bool, False, "warm-start each version (true/false)"),
-            _Opt("out", str, None, "output directory"),
+            _Opt("alphas", _parse_list(_UNIT, nonempty=True),
+                 [round(0.1 * i, 1) for i in range(11)], "comma-separated blend weights"),
         ]
+        + _LOOP_OPTS
         + _MODEL_OPTS
         + [o for o in _TRAIN_OPTS if o.name not in ("loss", "alpha")]
         + _SCHEMA_OPTS,
@@ -188,17 +223,17 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     ),
     "loss-curves": (
         [
-            _Opt("y", int, 1, "label of the scenario", (0, 1)),
-            _Opt("y-last", float, 0.8, "previous model's score"),
-            _Opt("grid", int, 99, "number of probability grid points"),
-            _Opt("out", str, None, "output CSV file"),
+            _Opt("y", _one_of(0, 1), 1, "label of the scenario"),
+            _Opt("y-last", _UNIT, 0.8, "previous model's score"),
+            _Opt("grid", _COUNT, 99, "number of probability grid points"),
+            _Opt("out", _text, None, "output CSV file"),
         ],
         "emit objective curves for one (label, prior score) scenario",
     ),
     "rerun": (
         [
-            _Opt("manifest", str, None, "manifest.json from a previous run"),
-            _Opt("out", str, None, "fresh output location"),
+            _Opt("manifest", _text, None, "manifest.json from a previous run"),
+            _Opt("out", _text, None, "fresh output location"),
         ],
         "replay a recorded run byte-for-byte",
     ),
@@ -216,15 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="key = value config file")
         for o in opts:
-            kwargs = {
-                "dest": o.name.replace("-", "_"),
-                "type": o.type,
-                "default": argparse.SUPPRESS,
-                "help": f"{o.help} (default: {o.default})",
-            }
-            if o.choices is not None:
-                kwargs["choices"] = o.choices
-            p.add_argument(f"--{o.name}", **kwargs)
+            p.add_argument(f"--{o.name}", dest=o.name.replace("-", "_"), type=o.type,
+                           default=argparse.SUPPRESS, metavar=getattr(o.type, "metavar", None),
+                           help=f"{o.help} (default: {o.default})")
     return parser
 
 
@@ -245,21 +274,19 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _resolve(command: str, ns: argparse.Namespace) -> dict:
-    """Materialize the full option set: defaults, then config, then flags."""
+def _resolve(command: str, values: dict, source: str, flags: dict) -> dict:
+    """The full option set: defaults, then config-file or manifest ``values``, then flags."""
     opts = {o.name.replace("-", "_"): o for o in _COMMANDS[command][0]}
     resolved = {k: o.default for k, o in opts.items()}
-    if ns.config:
-        for key, raw in _read_config(ns.config).items():
-            if key not in opts:
-                raise UsageError(f"config key {key!r} unknown for command {command}")
-            try:
-                resolved[key] = opts[key].type(raw)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise UsageError(f"config key {key!r}: {exc}") from None
-    for key, value in vars(ns).items():
-        if key in opts:
-            resolved[key] = value
+    for key, value in values.items():
+        if key not in opts:
+            raise UsageError(f"{source} key {key!r} unknown for command {command}")
+        try:  # None stays unset only where that is the default
+            if value is not None or opts[key].default is not None:
+                resolved[key] = opts[key].type(value)
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{source} key {key!r}: {exc}") from None
+    resolved.update((k, v) for k, v in flags.items() if k in opts)
     return resolved
 
 
@@ -271,9 +298,7 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
         "tool": "reloop",
         "tool_version": __version__,
         "command": command,
-        "resolved": {
-            k: (list(v) if isinstance(v, tuple) else v) for k, v in resolved.items()
-        },
+        "resolved": resolved,
         "config_digest": digest,
         "seed": resolved.get("seed"),
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -324,34 +349,19 @@ def _model_config(res: dict) -> ModelConfig:
         raise UsageError(str(exc)) from None
 
 
-def _loss_config(res: dict) -> LossConfig:
-    _require(0.0 <= res["alpha"] <= 1.0, "--alpha must lie in [0, 1]")
-    return LossConfig(kind=res["loss"], alpha=res["alpha"])
-
-
 def _train_config(res: dict, loss: LossConfig) -> TrainConfig:
-    try:
-        return TrainConfig(
-            batch_size=res["batch_size"],
-            epochs=res["epochs"],
-            seed=res["seed"],
-            shuffle=res["shuffle"],
-            loss=loss,
-            optimizer=res["optimizer"],
-            lr=res["lr"],
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return TrainConfig(
+        batch_size=res["batch_size"],
+        epochs=res["epochs"],
+        seed=res["seed"],
+        shuffle=res["shuffle"],
+        loss=loss,
+        optimizer=res["optimizer"],
+        lr=res["lr"],
+    )
 
 
 def _cmd_gen_data(res: dict) -> None:
-    _require(res["rows"] >= 1, "--rows must be >= 1")
-    _require(res["fields"] >= 1, "--fields must be >= 1")
-    _require(res["buckets"] >= 1, "--buckets must be >= 1")
-    _require(res["latent_dim"] >= 1, "--latent-dim must be >= 1")
-    _require(res["windows"] >= 1, "--windows must be >= 1")
-    _require(0.0 <= res["drift"] <= 1.0, "--drift must lie in [0, 1]")
-    out = _out_dir(res)
     spec = SyntheticSpec(
         n_fields=res["fields"],
         buckets_per_field=res["buckets"],
@@ -361,7 +371,7 @@ def _cmd_gen_data(res: dict) -> None:
         n_windows=res["windows"],
         drift_rate=res["drift"],
     )
-    generate_synthetic_csv(spec, out)
+    generate_synthetic_csv(spec, _out_dir(res))
 
 
 def _load_training_data(res: dict, schema: FeatureSchema, loss: LossConfig):
@@ -380,7 +390,7 @@ def _load_training_data(res: dict, schema: FeatureSchema, loss: LossConfig):
 def _cmd_train(res: dict) -> None:
     _require(res.get("data"), "--data is required")
     out = _out_dir(res)
-    loss = _loss_config(res)
+    loss = LossConfig(kind=res["loss"], alpha=res["alpha"])
     schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
     data = _load_training_data(res, schema, loss)
     model_cfg = _model_config(res)
@@ -420,7 +430,6 @@ def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
     train_cfg = _train_config(res, loss)
     if res["mode"] == "static":
         _require(res.get("data"), "static mode requires --data")
-        _require(0.0 < res["prior_fraction"] < 1.0, "--prior-fraction must lie in (0, 1)")
         schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
         splits = _split_811(ingest_csv(res["data"], schema))
         cfg = LoopConfig(
@@ -434,7 +443,6 @@ def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
     _require(res.get("windows"), "continual mode requires --windows GLOB")
     paths = sorted(globmod.glob(res["windows"]))
     _require(len(paths) >= 2, f"--windows {res['windows']!r} must match >= 2 files")
-    _require(0.0 < res["holdout_fraction"] < 1.0, "--holdout-fraction must lie in (0, 1)")
     schema = _schema_from_csv(paths[0], res["buckets"], res["numerical"])
     windows = [ingest_csv(p, schema) for p in paths]
     cfg = LoopConfig(
@@ -450,7 +458,7 @@ def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
 
 def _cmd_loop(res: dict) -> None:
     out = _out_dir(res)
-    cfg, data = _loop_setup(res, _loss_config(res), checkpoint_dir=out / "checkpoints")
+    cfg, data = _loop_setup(res, LossConfig(res["loss"], res["alpha"]), out / "checkpoints")
     if cfg.mode == "static_prior":
         state = run_static_prior(cfg, *data)
     else:
@@ -462,10 +470,6 @@ def _cmd_loop(res: dict) -> None:
 def _cmd_sweep_alpha(res: dict) -> None:
     out = _out_dir(res)
     alphas = res["alphas"]
-    _require(len(alphas) >= 1, "--alphas must name at least one value")
-    _require(
-        all(0.0 <= a <= 1.0 for a in alphas), "--alphas values must lie in [0, 1]"
-    )
     # Headline per alpha: the static ``current`` test row, or the continual
     # run's mean over its report rows. The phases alpha does not reach run once.
     cfg, data = _loop_setup(res, LossConfig(), checkpoint_dir=None)
@@ -547,13 +551,10 @@ def _cmd_eval(res: dict) -> None:
 
 
 def _cmd_loss_curves(res: dict) -> None:
-    _require(res.get("out"), "--out is required")
-    _require(res["grid"] >= 1, "--grid must be >= 1")
-    _require(0.0 <= res["y_last"] <= 1.0, "--y-last must lie in [0, 1]")
+    out = _out_dir(res)
     n = res["grid"]
     grid = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
     table = emit_loss_curves(res["y"], res["y_last"], grid)
-    out = Path(res["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     write_loss_curves(out, table)
 
@@ -600,8 +601,7 @@ def _cmd_rerun(res: dict) -> None:
     if not isinstance(resolved, dict) or set(resolved) != options:
         raise UsageError(f"manifest 'resolved' must map exactly the {command} "
                          f"options: {sorted(options)}")
-    replay = dict(resolved)
-    replay["out"] = res["out"]
+    replay = _resolve(command, resolved, "manifest", {"out": res["out"]})
     _dispatch(command, replay, None)
 
 
@@ -613,11 +613,11 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
+        config = _read_config(ns.config) if ns.config else {}
+        res = _resolve(ns.command, config, "config", vars(ns))
         if ns.command == "rerun":
-            res = _resolve("rerun", ns)
             _cmd_rerun(res)
         else:
-            res = _resolve(ns.command, ns)
             _dispatch(ns.command, res, ns.config)
         return 0
     except UsageError as exc:

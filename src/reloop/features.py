@@ -198,14 +198,6 @@ class Dataset:
     def n_fields(self) -> int:
         return self.schema.n_fields
 
-    def row(self, i: int) -> EncodedInstance:
-        return EncodedInstance(
-            label=int(self.labels[i]),
-            indices=self.indices[i],
-            row_id=int(self.row_ids[i]),
-            y_last=None if self.y_last is None else float(self.y_last[i]),
-        )
-
     def take(self, sel) -> "Dataset":
         return Dataset(
             self.schema,

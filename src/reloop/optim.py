@@ -58,8 +58,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:  # NaN fails too
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass

@@ -1,20 +1,27 @@
 """CLI: exit codes, artifacts, config precedence, manifest replay."""
 
+import copy
 import json
 import os
 import shutil
+import tempfile
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reloop.cli
 import reloop.loop
 from reloop.cli import main
 from reloop.features import SyntheticSpec, generate_synthetic_csv
 from reloop.loop import ScoreLog, mean_report_metrics
+from reloop.losses import LOSS_KINDS
+from reloop.models import MODEL_KINDS
+from reloop.optim import OPTIMIZER_KINDS
 
 
 def run(*argv):
@@ -434,6 +441,57 @@ class TestConfigPrecedence:
                    "--out", tmp_path / "o") == 2
 
 
+class TestOneCheckPerOption:
+    """A flag and a config entry pass the same parser: a bad value exits 2
+    before anything is written. Manifest values: TestRerun."""
+
+    @pytest.mark.parametrize("command, config, args, where", [
+        ("loop", "mode = bogus", ["--windows", "{windows}", "--model", "lr", "--epochs", "1"],
+         "config key 'mode'"),
+        ("loss-curves", "y = 5", [], "config key 'y'"),
+        ("train", "loss = bogus", ["--data", "{data}"], "config key 'loss'"),
+        ("train", None, ["--data", "{data}", "--model", "lr", "--lr", "nan"], "argument --lr"),
+        ("train", None, ["--data", "{data}", "--model", "lr", "--lr", "inf"], "argument --lr"),
+        ("train", None, ["--data", "{data}", "--buckets", "0"], "argument --buckets"),
+        ("loop", None, ["--data", "{data}", "--buckets", "0"], "argument --buckets"),
+        ("eval", None, ["--data", "{data}", "--checkpoint", "{data}", "--buckets", "0"],
+         "argument --buckets"),
+    ], ids=["config-mode", "config-y", "config-loss", "lr-nan", "lr-inf",
+            "buckets-train", "buckets-loop", "buckets-eval"])
+    def test_bad_value_exits_two(self, data_dir, tmp_path, capsys, command, config, args,
+                                 where):
+        paths = {"data": data_dir / "single" / "window_000.csv",
+                 "windows": data_dir / "windows" / "window_*.csv"}
+        argv = [command, *(a.format(**paths) for a in args)]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config + "\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        if command == "loss-curves":
+            argv += ["--out", tmp_path / "o" / "c.csv"]
+        elif command != "eval":
+            argv += ["--out", tmp_path / "o"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_help_lists_allowed_values(self, capsys):
+        allowed = {name: "{" + ",".join(map(str, values)) + "}" for name, values in (
+            ("model", MODEL_KINDS), ("loss", LOSS_KINDS), ("optimizer", OPTIMIZER_KINDS),
+            ("mode", ("static", "continual")), ("y", (0, 1)))}
+        seen = set()
+        for command in ("gen-data", "train", "loop", "sweep-alpha", "eval", "loss-curves",
+                        "rerun"):
+            assert run(command, "--help") == 0
+            text = capsys.readouterr().out
+            for name, values in allowed.items():
+                if f"--{name} " in text:
+                    assert f"--{name} {values}" in text, (command, name)
+                    seen.add(name)
+        assert seen == set(allowed)
+
+
 class TestTrainSmoke:
     def test_deepfm_reloop_on_bundled_fixture(self, fixture_csv, tmp_path):
         """The bundled 50k fixture trains in budget and beats chance."""
@@ -503,8 +561,24 @@ class TestRerun:
                        "--out", f"replay_{name}") == 0
             assert tree_bytes(a / name) == tree_bytes(b / f"replay_{name}")
 
-    def test_bad_manifest(self, tmp_path):
+    def test_bad_manifest(self, data_dir, tmp_path):
         bad = tmp_path / "m.json"
+        good = {}
+        for command, args in (
+            ("gen-data", ["--rows", 50, "--fields", 2, "--buckets", 4]),
+            ("train", ["--data", data_dir / "single" / "window_000.csv"]),
+            ("loop", ["--mode", "continual", "--windows", data_dir / "windows" / "window_*.csv"]),
+        ):
+            if command != "gen-data":
+                args += ["--model", "lr", "--epochs", 1, "--buckets", 12]
+            assert run(command, *args, "--out", tmp_path / command) == 0
+            good[command] = json.loads((tmp_path / command / "manifest.json").read_text())
+
+        def with_value(command, key, value):
+            payload = copy.deepcopy(good[command])
+            payload["resolved"][key] = value
+            return json.dumps(payload)
+
         for text in (
             "{}",
             "[]",
@@ -513,7 +587,44 @@ class TestRerun:
             '{"command": "train", "resolved": []}',
             '{"command": "gen-data", "resolved": {"out": "x", "rows": 10}}',
             '{"command": "rerun", "resolved": {}}',
+            with_value("gen-data", "rows", "x"),
+            with_value("gen-data", "rows", 1.5),
+            with_value("gen-data", "rows", True),
+            with_value("loop", "mode", "bogus"),
+            with_value("train", "lr", float("nan")),
         ):
             bad.write_text(text)
             assert run("rerun", "--manifest", bad, "--out", tmp_path / "o") == 2, text
             assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def small_manifests(tmp_path_factory):
+    """Valid manifests of two quick commands, by command name."""
+    root = tmp_path_factory.mktemp("manifests")
+    assert run("gen-data", "--rows", 30, "--fields", 2, "--buckets", 4,
+               "--latent-dim", 2, "--out", root / "g") == 0
+    assert run("loss-curves", "--grid", 5, "--out", root / "c" / "c.csv") == 0
+    return {"gen-data": json.loads((root / "g" / "manifest.json").read_text()),
+            "loss-curves": json.loads((root / "c" / "manifest.json").read_text())}
+
+
+# Small numbers and short strings keep every accepted replay quick.
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+                 | st.text(max_size=2))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_manifest_value_exits_zero_or_two(small_manifests, data):
+    """One resolved value replaced by any JSON scalar or list: the replay
+    either runs or is a usage error; it never raises."""
+    command = data.draw(st.sampled_from(sorted(small_manifests)))
+    payload = copy.deepcopy(small_manifests[command])
+    key = data.draw(st.sampled_from(sorted(payload["resolved"])))
+    payload["resolved"][key] = data.draw(_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = Path(tmp) / "m.json"
+        manifest.write_text(json.dumps(payload))
+        out = Path(tmp) / "o" / ("c.csv" if command == "loss-curves" else "")
+        assert run("rerun", "--manifest", manifest, "--out", out) in (0, 2)

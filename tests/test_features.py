@@ -192,12 +192,6 @@ class TestDataset:
         with pytest.raises(DataError):
             tiny_dataset.with_y_last(np.zeros(n - 1))
 
-    def test_row_view(self, tiny_dataset):
-        inst = tiny_dataset.row(3)
-        assert inst.row_id == 3
-        assert inst.indices.shape == (4,)
-        assert inst.y_last is None
-
 
 class TestSynthetic:
     def test_spec_validation(self):

@@ -45,6 +45,13 @@ def lr_params():
     return init_params(schema, ModelConfig("lr"), seed=0)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_lr_not_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="lr must be positive and finite"):
+            TrainConfig(lr=lr)
+
+
 class TestSgd:
     def test_scalar_update(self, lr_params):
         lr_params.bias = 1.0
