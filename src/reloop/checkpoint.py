@@ -85,8 +85,10 @@ class _Reader:
         return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
-def _blob(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _blob(a: np.ndarray) -> memoryview:
+    """The little-endian f64 bytes of ``a``; a view, not a copy, of a
+    C-contiguous float64 array on a little-endian machine."""
+    return np.ascontiguousarray(a, dtype="<f8").data.cast("B")
 
 
 def save_checkpoint(params: Params, path: str | Path) -> None:
@@ -102,6 +104,7 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
             f"refusing to write {path}: parameter block {block} is not finite "
             "(did training diverge?)"
         )
+    # header fields, then views of the parameter blocks: no block is copied
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
     parts.append(struct.pack("<B", _KIND_CODE[params.kind]))
     parts.append(struct.pack("<Q", params.schema_digest))
@@ -127,8 +130,29 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
     if params.head is not None:
         parts.append(_blob(params.head))
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(parts))
+    with tmp.open("wb") as fh:
+        fh.writelines(parts)
     tmp.replace(path)
+
+
+def _check_header(kind: str, embed_dim: int, n_fields: int, widths: list[int],
+                  n_cross: int) -> None:
+    """Refuse a layout that ``init_params`` never builds, before any block is
+    read: an lr header has no embeddings, so a corrupt cross-layer count
+    would otherwise ask for billions of empty blocks."""
+    if kind == "lr":
+        ok = embed_dim == 0 and not widths and n_cross == 0
+    else:
+        ok = embed_dim >= 1 and all(w >= 1 for w in widths)
+        if kind == "fm":
+            ok = ok and not widths and n_cross == 0
+        elif kind in ("mlp", "deepfm"):
+            ok = ok and widths[-1:] == [1] and n_cross == 0
+    if n_fields < 1 or not ok:
+        raise CheckpointError(
+            f"checkpoint header describes no {kind} model: embed_dim {embed_dim}, "
+            f"{n_fields} fields, mlp widths {widths}, {n_cross} cross layers"
+        )
 
 
 def load_checkpoint(path: str | Path) -> Params:
@@ -153,6 +177,7 @@ def load_checkpoint(path: str | Path) -> Params:
     (n_mlp,) = r.unpack("<I")
     widths = [r.unpack("<I")[0] for _ in range(n_mlp)]
     (n_cross,) = r.unpack("<I")
+    _check_header(kind, embed_dim, n_fields, widths, n_cross)
     (n_features,) = r.unpack("<Q")
 
     params = Params(

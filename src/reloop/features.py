@@ -21,6 +21,7 @@ from .rng import fnv1a64, philox  # fnv1a64 is re-exported here
 
 MISSING_TOKEN = "__MISSING__"
 PROB_CLIP = 1e-7
+ROW_BLOCK = 1024  # rows per block of a whole-window pass; see by_row_blocks
 
 _KINDS = ("categorical", "numerical")
 
@@ -224,6 +225,25 @@ class Dataset:
         return Dataset(self.schema, self.labels, self.indices, self.row_ids, clipped)
 
 
+def by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
+    """``fn`` applied to ``rows`` in blocks of ``ROW_BLOCK`` rows, one float per
+    row, in row order.
+
+    The last block takes in the remainder, so no block is shorter than
+    ``ROW_BLOCK`` rows unless ``rows`` is. OpenBLAS computes a product over a
+    block of a few rows with other kernels, so a short tail block would give
+    scores that differ in the last bits from the same rows scored in a large
+    block. A pass then holds one block's temporaries, never a whole window's.
+    """
+    n = rows.shape[0]
+    n_blocks = max(n // ROW_BLOCK, min(n, 1))
+    edges = [b * ROW_BLOCK for b in range(n_blocks)] + [n]
+    out = np.empty(n, dtype=np.float64)
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = fn(rows[lo:hi])
+    return out
+
+
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Read a labelled CSV into a Dataset.
 
@@ -351,8 +371,8 @@ class SyntheticTruth:
         return pair + self.bias
 
     def ctr(self, indices: np.ndarray) -> np.ndarray:
-        z = self.logits(indices)
-        return 1.0 / (1.0 + np.exp(-z))
+        """Click probability per row, computed in row blocks."""
+        return by_row_blocks(lambda rows: 1.0 / (1.0 + np.exp(-self.logits(rows))), indices)
 
     def copy(self) -> "SyntheticTruth":
         return SyntheticTruth(self.latent.copy(), self.bias)

@@ -411,7 +411,7 @@ def _continual_version(
     t: int,
     prev: Params | None,
     state: LoopState,
-) -> Params:
+) -> Params | None:
     """Train, record and evaluate version t.
 
     Version 1 trains with cross-entropy from a fresh init. Version t > 1 trains
@@ -421,6 +421,10 @@ def _continual_version(
     over window t+1 yields its ``next_window`` report (on the raw
     probabilities) and the score log (on the clipped ones). The final version
     is evaluated on the held-out tail of its window and logs nothing.
+
+    Returns version t's params if its successor warm-starts from them, else
+    None: a cold successor reads only the score log, so a cold loop frees
+    each version before the next one trains.
     """
     window = windows[t - 1]
     final = t == len(windows)
@@ -464,7 +468,7 @@ def _continual_version(
     state.reports.append(
         ReportRow(t, eval_window, eval_phase, loss.kind, _alpha_of(loss), report)
     )
-    return params
+    return params if cfg.warm_start else None
 
 
 def _continual_versions(

@@ -15,6 +15,15 @@ Table gradients are compact: the batch's sorted unique feature rows come
 with one linear entry and one embedding row per feature, so a step's cost
 and memory follow the rows the batch touches, not the size of the table.
 Rows outside that set have zero gradient and are never materialised.
+
+Scoring contract: ``predict_batch`` scores a dataset in blocks of
+``features.ROW_BLOCK`` (1024) rows. The last block takes in the remainder,
+so a block has 1024..2047 rows unless the dataset has fewer, and a pass holds
+one block's activations whatever the dataset's size. The scores equal one
+whole-array ``forward_batch`` run with BLAS on one thread, bit for bit, and
+the tests check that at the thread count they run with. A whole-array pass
+on a multi-threaded BLAS is not a reference: it splits one large product
+across threads and can move the last bits.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Dataset, EncodedInstance, FeatureSchema
+from .features import Dataset, EncodedInstance, FeatureSchema, by_row_blocks
 from .rng import philox
 
 MODEL_KINDS = ("lr", "fm", "mlp", "deepfm", "dcn")
@@ -435,11 +444,10 @@ def backward(params: Params, trace: Trace, dl_dz: float) -> Grads:
     return backward_batch(params, trace, np.array([dl_dz], dtype=np.float64))
 
 
-def predict_batch(params: Params, dataset: Dataset, chunk: int = 8192) -> np.ndarray:
-    """Probabilities for every row of a dataset, in row order."""
-    out = np.empty(len(dataset), dtype=np.float64)
-    for lo in range(0, len(dataset), chunk):
-        hi = min(lo + chunk, len(dataset))
-        _, p, _ = forward_batch(params, dataset.indices[lo:hi])
-        out[lo:hi] = p
-    return out
+def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:
+    """Probabilities for every row of a dataset, in row order.
+
+    Rows are scored in blocks (``features.by_row_blocks``); see the scoring
+    contract in the module docstring.
+    """
+    return by_row_blocks(lambda rows: forward_batch(params, rows)[1], dataset.indices)

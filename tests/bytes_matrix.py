@@ -2,12 +2,12 @@
 
     python tests/bytes_matrix.py [--tiny]
 
-prints ``<n_files> <sha256>``: the number of output files and one sha256
-over their relative paths and bytes, ``manifest.json`` excluded (it holds
-wall-clock). A change that keeps training, inference and every writer
-bitwise the same prints the same line before and after. The hash is not a
-golden value: it depends on the BLAS build, so compare two trees on one
-machine.
+prints two lines ``<n_files> <sha256>``, one for the matrix and one for the
+row-block runs: the number of output files and one sha256 over their
+relative paths and bytes, ``manifest.json`` excluded (it holds wall-clock).
+A change that keeps training, inference and every writer bitwise the same
+prints the same lines before and after. The hash is not a golden value: it
+depends on the BLAS build, so compare two trees on one machine.
 
 The matrix: every model kind x {adam, sgd} x {ce, reloop, kd} x {static,
 continual cold, continual warm} ``loop`` runs; static, continual-cold and
@@ -15,6 +15,11 @@ continual-warm ``sweep-alpha`` at alphas 0,0.3,1 per kind; and per kind one
 ``--shuffle false`` static reloop run and one continual sgd kd run at lr
 0.05. The full size trains on 3 windows x 900 rows (6 fields x 128 buckets);
 ``--tiny`` keeps the matrix and shrinks the data and the models.
+
+A 900-row window is scored in one row block. The row-block runs reach the
+multi-block path: a continual reloop ``loop`` per kind with a perceptron
+branch (mlp, deepfm, dcn) over 3 windows x 3092 rows, which every version
+scores in blocks of 1024, 1024 and 1044 rows, at both sizes.
 """
 
 from __future__ import annotations
@@ -37,25 +42,35 @@ _SIZES = {
 }
 
 _MODES = (("static", False), ("continual", False), ("continual", True))
+_BLOCK_ROWS = 3092  # rows per window of the row-block runs
+
+
+def _gen_data(data: Path, rows: int, s: dict) -> list[str]:
+    return ["gen-data", "--out", str(data), "--rows", str(rows),
+            "--fields", str(s["fields"]), "--buckets", str(s["buckets"]),
+            "--windows", "3", "--drift", "0.2", "--seed", "7"]
+
+
+def _run(root: Path, s: dict, command, name, mode, warm, *extra) -> list[str]:
+    """One loop or sweep-alpha run over ``root``'s data, writing under ``root``."""
+    data = root / "data"
+    inputs = {"static": ["--data", str(data / "window_000.csv")],
+              "continual": ["--windows", str(data / "window_*.csv")]}
+    out = root / "runs" / f"{command}-{name}-{mode}-{'warm' if warm else 'cold'}"
+    return [command, "--mode", mode, *inputs[mode],
+            "--warm-start", str(warm).lower(), "--out", str(out),
+            "--buckets", str(s["buckets"]), "--epochs", str(s["epochs"]),
+            "--batch-size", str(s["batch"]), "--embed-dim", str(s["embed"]),
+            "--mlp-widths", s["mlp"], "--seed", "3", *extra]
 
 
 def matrix_runs(root: Path, tiny: bool = False) -> list[list[str]]:
     """The CLI argument lists of the matrix, gen-data first."""
     s = _SIZES[tiny]
-    data = root / "data"
-    runs = [["gen-data", "--out", str(data), "--rows", str(s["rows"]),
-             "--fields", str(s["fields"]), "--buckets", str(s["buckets"]),
-             "--windows", "3", "--drift", "0.2", "--seed", "7"]]
-    inputs = {"static": ["--data", str(data / "window_000.csv")],
-              "continual": ["--windows", str(data / "window_*.csv")]}
+    runs = [_gen_data(root / "data", s["rows"], s)]
 
-    def run(command, name, mode, warm, *extra):
-        out = root / "runs" / f"{command}-{name}-{mode}-{'warm' if warm else 'cold'}"
-        runs.append([command, "--mode", mode, *inputs[mode],
-                     "--warm-start", str(warm).lower(), "--out", str(out),
-                     "--buckets", str(s["buckets"]), "--epochs", str(s["epochs"]),
-                     "--batch-size", str(s["batch"]), "--embed-dim", str(s["embed"]),
-                     "--mlp-widths", s["mlp"], "--seed", "3", *extra])
+    def run(*args):
+        runs.append(_run(root, s, *args))
 
     for kind in MODEL_KINDS:
         for opt in ("adam", "sgd"):
@@ -72,6 +87,16 @@ def matrix_runs(root: Path, tiny: bool = False) -> list[list[str]]:
     return runs
 
 
+def block_runs(root: Path, tiny: bool = False) -> list[list[str]]:
+    """The CLI argument lists of the row-block runs, gen-data first."""
+    s = _SIZES[tiny]
+    return [_gen_data(root / "data", _BLOCK_ROWS, s)] + [
+        _run(root, s, "loop", f"{kind}-blocks", "continual", False,
+             "--model", kind, "--loss", "reloop")
+        for kind in ("mlp", "deepfm", "dcn")
+    ]
+
+
 def tree_digest(root: Path) -> tuple[int, str]:
     """(file count, sha256 over relative paths and bytes), manifests excluded."""
     h = hashlib.sha256()
@@ -84,9 +109,10 @@ def tree_digest(root: Path) -> tuple[int, str]:
     return n, h.hexdigest()
 
 
-def run_matrix(root: Path, tiny: bool = False) -> tuple[int, str]:
-    """Run the whole matrix under ``root`` and digest its outputs."""
-    for argv in matrix_runs(root, tiny):
+def run_matrix(root: Path, tiny: bool = False, runs=matrix_runs) -> tuple[int, str]:
+    """Run ``runs`` (``matrix_runs`` or ``block_runs``) under ``root`` and
+    digest its outputs."""
+    for argv in runs(root, tiny):
         code = main(argv)
         if code != 0:
             raise RuntimeError(f"reloop {' '.join(argv)} exited {code}")
@@ -98,8 +124,9 @@ def _main() -> int:
     ap.add_argument("--tiny", action="store_true", help="small data and models")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        n, digest = run_matrix(Path(tmp), args.tiny)
-    print(n, digest)
+        for runs in (matrix_runs, block_runs):
+            n, digest = run_matrix(Path(tmp) / runs.__name__, args.tiny, runs)
+            print(n, digest, flush=True)
     return 0
 
 

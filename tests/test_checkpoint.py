@@ -1,14 +1,19 @@
 """Checkpoint format: bitwise round trips and distinct corruption errors."""
 
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradutils import params_to_vector
+from gradutils import params_to_vector, set_params_from_vector
 from reloop.checkpoint import (
     MAGIC,
     BadMagicError,
+    CheckpointError,
     FormatVersionError,
     NonFiniteCheckpointError,
     SchemaDigestError,
@@ -128,9 +133,62 @@ class TestCorruption:
         check_schema(params, schema)  # the matching schema passes
 
     def test_unknown_kind_code(self, tmp_path, schema):
-        from reloop.checkpoint import CheckpointError
-
         path, raw = self._saved(tmp_path, schema)
         path.write_bytes(raw[:12] + b"\x7f" + raw[13:])
         with pytest.raises(CheckpointError, match="kind"):
             load_checkpoint(path)
+
+
+@st.composite
+def any_params(draw):
+    """Params of any kind and small shape, every value a random finite float64."""
+    kind = draw(st.sampled_from(MODEL_KINDS))
+    n_fields = draw(st.integers(1, 3))
+    schema = FeatureSchema([FieldSpec(f"f{i}", "categorical", draw(st.integers(1, 3)))
+                            for i in range(n_fields)])
+    cfg = ModelConfig(kind, embed_dim=draw(st.integers(1, 3)),
+                      mlp_widths=tuple(draw(st.lists(st.integers(1, 3), max_size=2))),
+                      n_cross_layers=draw(st.integers(0, 2)))
+    p = init_params(schema, cfg, seed=0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = params_to_vector(p).size
+    values = np.frombuffer(rng.bytes(8 * size), dtype="<f8").copy()  # any bit pattern
+    values[~np.isfinite(values)] = -0.0
+    set_params_from_vector(p, values)
+    return p
+
+
+def _layout(p):
+    blocks = [p.linear, p.emb, p.head] + [a for pair in p.mlp + p.cross for a in pair]
+    return (p.kind, p.n_fields, p.n_features, p.embed_dim, p.schema_digest,
+            [None if a is None else a.shape for a in blocks])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(any_params())
+def test_round_trip_is_bitwise_for_any_params(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.ckpt"
+        save_checkpoint(p, path)
+        q = load_checkpoint(path)
+    assert _layout(q) == _layout(p)
+    assert params_to_vector(q).tobytes() == params_to_vector(p).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(any_params(), st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255))
+def test_truncated_or_flipped_file_loads_or_raises_checkpoint_error(p, where, mask):
+    """A strict prefix of a valid file, or the file with one byte XORed with
+    ``mask``, either loads or raises a CheckpointError subclass; ``where``
+    picks the cut and the byte."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.ckpt"
+        save_checkpoint(p, path)
+        raw = path.read_bytes()
+        i = int(where * len(raw))
+        for data in (raw[:i], raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]):
+            path.write_bytes(data)
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass

@@ -249,6 +249,12 @@ class TestSynthetic:
         expected = truth.ctr(indices).mean()
         assert abs(ds.labels.mean() - expected) <= 0.02
 
+    def test_ctr_in_row_blocks_equals_whole_array(self):
+        spec = SyntheticSpec(8, 64, 4, 5000, seed=3)
+        (ds,), (truth,) = generate_synthetic(spec, return_truth=True)
+        whole = 1.0 / (1.0 + np.exp(-truth.logits(ds.indices)))
+        assert truth.ctr(ds.indices).tobytes() == whole.tobytes()
+
     def test_index_ranges(self):
         spec = SyntheticSpec(3, 10, 2, 1000, seed=3)
         (ds,) = generate_synthetic(spec)

@@ -1,5 +1,6 @@
 """Loop driver: protocols, provenance, scoring, and degeneracies."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -291,6 +292,33 @@ class TestContinual:
             window = windows[nxt - 1]
             raw = real_predict(load_checkpoint(tmp_path / f"v{t:03d}.ckpt"), window)
             assert state.reports[t - 1].report == evaluate(window.labels, raw)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("arms", [False, True])
+    def test_dead_versions_freed_before_training(self, monkeypatch, warm, arms):
+        """When version t starts training, a cold loop holds no earlier
+        version's table; a warm one holds version t-1's, its start, and the
+        arms also the shared version 1, every arm's start."""
+        tables = []  # a weak reference to each trained version's emb, in order
+        live_at_start = []
+        real_train = reloop.loop.train_epochs
+
+        def train(params, dataset, cfg):
+            live_at_start.append([i for i, ref in enumerate(tables) if ref() is not None])
+            params, log = real_train(params, dataset, cfg)
+            tables.append(weakref.ref(params.emb))
+            return params, log
+
+        monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        cfg = loop_config("continual", LossConfig("reloop", alpha=0.3), warm_start=warm)
+        windows = small_windows(4)
+        if arms:  # trains v1, then v2..v4 of one arm, then of the other
+            run_continual_arms(cfg, windows, reloop_losses(cfg, (0.3, 0.6)))
+            warm_live = [[], [0], [0, 1], [0, 2], [0], [0, 4], [0, 5]]
+        else:
+            run_continual(cfg, windows)
+            warm_live = [[], [0], [1], [2]]
+        assert live_at_start == (warm_live if warm else [[]] * len(warm_live))
 
     def test_bitwise_reproducible(self):
         windows = small_windows(3)

@@ -1,5 +1,11 @@
 """Model zoo: forward formulas, reductions, init, and exact gradients."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +16,7 @@ from gradutils import (
     relative_errors,
     set_params_from_vector,
 )
-from reloop.features import EncodedInstance, FeatureSchema, FieldSpec
+from reloop.features import Dataset, EncodedInstance, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig, combined_loss, loss_grad_z
 from reloop.models import (
     MODEL_KINDS,
@@ -22,6 +28,7 @@ from reloop.models import (
     forward,
     forward_batch,
     init_params,
+    predict_batch,
 )
 
 
@@ -131,16 +138,6 @@ class TestForward:
             forward_batch(p, np.zeros((1, 3), dtype=np.int64))
         with pytest.raises(DimensionError):
             forward_batch(p, np.array([[0, 1, 2, 99]]))
-
-    def test_predict_batch_chunking_consistent(self, schema, tiny_dataset):
-        from reloop.models import predict_batch
-
-        p = randomized_params(
-            tiny_dataset.schema, ModelConfig("deepfm", embed_dim=3, mlp_widths=(5,)), seed=21
-        )
-        full = predict_batch(p, tiny_dataset, chunk=10_000)
-        small = predict_batch(p, tiny_dataset, chunk=37)
-        assert np.array_equal(full, small)
 
 
 class TestInit:
@@ -308,3 +305,62 @@ class TestFiniteDifference:
                 fd[j] = (combined_loss(loss_cfg, y, pp, t) - combined_loss(loss_cfg, y, pm, t)) / (2 * h)
             set_params_from_vector(p, base)
             assert relative_errors(fd, an).max() <= 1e-4
+
+
+# One block; one block with a 1-row remainder; three blocks, the last 1044
+# rows; and the sizes whose former 8192-row chunks ended in a 20-row chunk.
+SCORING_SIZES = (1000, 1025, 3092, 8212, 16404)
+_TESTS = Path(__file__).resolve().parent
+
+
+def scoring_case(kind, n_rows):
+    """Default-dims params of ``kind`` and ``n_rows`` rows of 8 fields x 64 buckets."""
+    schema = FeatureSchema([FieldSpec(f"f{i}", "categorical", 64) for i in range(8)])
+    rng = np.random.default_rng(0)
+    indices = rng.integers(0, 64, size=(n_rows, 8)) + np.arange(8) * 64
+    data = Dataset(schema, np.zeros(n_rows), indices, np.arange(n_rows))
+    return init_params(schema, ModelConfig(kind), seed=3), data
+
+
+def save_whole_array_scores(path):
+    """Write one whole-array ``forward_batch`` pass per kind and size to ``path``."""
+    scores = {}
+    for kind in MODEL_KINDS:
+        params, data = scoring_case(kind, max(SCORING_SIZES))
+        for n in SCORING_SIZES:
+            scores[f"{kind}-{n}"] = forward_batch(params, data.indices[:n])[1]
+    np.savez(path, **scores)
+
+
+class TestScoringBlocks:
+    def test_predict_batch_equals_one_thread_whole_array_pass(self, tmp_path):
+        """The scoring contract: predict_batch, here at whatever BLAS thread
+        count this process has, equals a whole-array forward_batch run in a
+        child process with BLAS on one thread, bit for bit."""
+        path = tmp_path / "whole.npz"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([str(_TESTS), str(_TESTS.parent / "src")])
+        code = f"import test_models; test_models.save_whole_array_scores({str(path)!r})"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=300)
+        whole = np.load(path)
+        differ = []
+        for kind in MODEL_KINDS:
+            params, data = scoring_case(kind, max(SCORING_SIZES))
+            for n in SCORING_SIZES:
+                got = predict_batch(params, data.head(n))
+                if got.tobytes() != whole[f"{kind}-{n}"].tobytes():
+                    differ.append((kind, n))
+        assert differ == []
+
+    def test_predict_batch_memory_follows_the_block(self):
+        peaks = []
+        for n in (4096, 32768):
+            params, data = scoring_case("deepfm", n)
+            tracemalloc.start()
+            try:
+                predict_batch(params, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
