@@ -19,7 +19,6 @@ from .checkpoint import (
 from .features import (
     DataError,
     Dataset,
-    EncodedInstance,
     FeatureSchema,
     FieldSpec,
     SyntheticSpec,
@@ -40,22 +39,11 @@ from .loop import (
     run_static_prior,
     write_loop_report,
 )
-from .losses import (
-    LossConfig,
-    LossInputError,
-    ce_loss,
-    combined_loss,
-    emit_loss_curves,
-    kd_loss,
-    loss_grad_z,
-    sc_loss,
-)
+from .losses import LossConfig, LossInputError, emit_loss_curves
 from .metrics import MetricsReport, auc, evaluate, logloss
 from .models import (
     ModelConfig,
     Params,
-    backward,
-    forward,
     forward_batch,
     backward_batch,
     init_params,
@@ -69,7 +57,6 @@ __all__ = [
     "CheckpointError",
     "DataError",
     "Dataset",
-    "EncodedInstance",
     "FeatureSchema",
     "FieldSpec",
     "FormatVersionError",
@@ -90,30 +77,23 @@ __all__ = [
     "TruncatedCheckpointError",
     "apply_update",
     "auc",
-    "backward",
     "backward_batch",
-    "ce_loss",
-    "combined_loss",
     "emit_loss_curves",
     "evaluate",
     "fnv1a64",
-    "forward",
     "forward_batch",
     "generate_synthetic",
     "generate_synthetic_csv",
     "infer_scores",
     "ingest_csv",
     "init_params",
-    "kd_loss",
     "load_checkpoint",
     "logloss",
-    "loss_grad_z",
     "predict_batch",
     "run_continual",
     "run_continual_arms",
     "run_static_prior",
     "save_checkpoint",
-    "sc_loss",
     "train_epochs",
     "transform_numerical",
     "write_loop_report",

@@ -63,11 +63,13 @@ class NonFiniteCheckpointError(CheckpointError):
 
 
 class _Reader:
+    """Reads a checkpoint's bytes in order; ``take`` cuts views, not copies."""
+
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise TruncatedCheckpointError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
@@ -158,7 +160,7 @@ def _check_header(kind: str, embed_dim: int, n_fields: int, widths: list[int],
 def load_checkpoint(path: str | Path) -> Params:
     """Deserialize a checkpoint written by save_checkpoint."""
     r = _Reader(Path(path).read_bytes())
-    magic = r.take(len(MAGIC))
+    magic = bytes(r.take(len(MAGIC)))
     if magic != MAGIC:
         raise BadMagicError(f"bad checkpoint magic {magic!r}")
     (version,) = r.unpack("<I")

@@ -15,7 +15,6 @@ and a bad one is a usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob as globmod
 import json
 import math
@@ -34,6 +33,7 @@ from .features import (
     FeatureSchema,
     FieldSpec,
     SyntheticSpec,
+    csv_rows,
     fnv1a64,
     generate_synthetic_csv,
     ingest_csv,
@@ -321,7 +321,7 @@ def _out_dir(res: dict) -> Path:
 
 def _schema_from_csv(path: str, buckets: int, numerical: list[str]) -> FeatureSchema:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader(fh), [])
+        _, header = next(csv_rows(path, fh), (0, []))
     if not header or header[0] != "label":
         raise DataError(f"{path}: first header column must be 'label'")
     names = header[1:]
@@ -477,7 +477,7 @@ def _cmd_sweep_alpha(res: dict) -> None:
         train, _, test = data
         heads = [(r.auc, r.logloss) for r in sweep_alpha_static(cfg, train, test, alphas)]
     else:
-        states = run_continual_arms(cfg, data, reloop_losses(cfg, alphas))
+        states = run_continual_arms(cfg, data, reloop_losses(alphas))
         heads = [mean_report_metrics(s) for s in states]
     lines = ["alpha,auc,logloss"]
     for alpha, (auc_v, ll_v) in zip(alphas, heads):

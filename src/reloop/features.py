@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .losses import clip_prob
 from .rng import fnv1a64, philox  # fnv1a64 is re-exported here
 
 MISSING_TOKEN = "__MISSING__"
-PROB_CLIP = 1e-7
 ROW_BLOCK = 1024  # rows per block of a whole-window pass; see by_row_blocks
 
 _KINDS = ("categorical", "numerical")
@@ -137,13 +137,17 @@ class FeatureSchema:
         return index
 
     def encode_cell(self, pos: int, cell: str) -> int:
-        """Hash one CSV cell; empty cells map to the missing-value sentinel."""
+        """Hash one CSV cell. Empty cells, and numerical cells that do not
+        parse or parse to +inf (which has no log2 bucket), map to the
+        missing-value sentinel."""
         if cell == "":
             return self.hash_feature(pos, MISSING_TOKEN)
         if self.fields[pos].kind == "numerical":
             try:
                 v = float(cell)
             except ValueError:
+                v = math.inf
+            if v == math.inf:
                 return self.hash_feature(pos, MISSING_TOKEN)
             return self.hash_feature(pos, transform_numerical(v))
         return self.hash_feature(pos, cell)
@@ -153,16 +157,6 @@ class FeatureSchema:
 
     def __repr__(self):
         return f"FeatureSchema({list(self.fields)!r})"
-
-
-@dataclass(frozen=True)
-class EncodedInstance:
-    """One hashed sample: label, per-field indices, optional prior score."""
-
-    label: int
-    indices: np.ndarray  # (F,) int64, global feature indices
-    row_id: int
-    y_last: float | None = None
 
 
 class Dataset:
@@ -221,8 +215,8 @@ class Dataset:
             raise DataError("prior scores must align one-to-one with rows")
         if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
             raise DataError("prior scores must lie in [0, 1]")
-        clipped = np.clip(scores, PROB_CLIP, 1.0 - PROB_CLIP)
-        return Dataset(self.schema, self.labels, self.indices, self.row_ids, clipped)
+        return Dataset(self.schema, self.labels, self.indices, self.row_ids,
+                       clip_prob(scores))
 
 
 def by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
@@ -244,6 +238,18 @@ def by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def csv_rows(path: str | Path, fh):
+    """(line number, cells) per row ``csv.reader`` reads from ``fh``. A row it
+    refuses, such as one with a cell over csv's field size limit, raises
+    DataError naming ``path`` and the line."""
+    reader = csv.reader(fh)
+    try:
+        for cells in reader:
+            yield reader.line_num, cells
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Read a labelled CSV into a Dataset.
 
@@ -253,15 +259,14 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
     Raises:
         DataError: header mismatch, wrong column count, label outside {0,1},
-            or y_last outside [0, 1].
+            y_last outside [0, 1], or a row csv cannot read.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        lines = csv_rows(path, fh)
+        _, header = next(lines, (0, None))
+        if header is None:
+            raise DataError(f"{path}: empty file")
         expected = ["label"] + [f.name for f in schema.fields]
         has_y_last = header == expected + ["y_last"]
         if not has_y_last and header != expected:
@@ -273,7 +278,7 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
         n_fields = schema.n_fields
 
         labels, rows, y_last = [], [], [] if has_y_last else None
-        for rownum, cells in enumerate(reader, start=1):
+        for rownum, (_, cells) in enumerate(lines, start=1):
             if len(cells) != width:
                 raise DataError(
                     f"{path}: row {rownum}: expected {width} columns, got {len(cells)}"
@@ -300,7 +305,7 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     indices = np.array(rows, dtype=np.int64).reshape(n, n_fields)
     scores = None
     if y_last is not None:
-        scores = np.clip(np.array(y_last, dtype=np.float64), PROB_CLIP, 1.0 - PROB_CLIP)
+        scores = clip_prob(np.array(y_last, dtype=np.float64))
     return Dataset(schema, np.array(labels), indices, np.arange(n), scores)
 
 

@@ -29,15 +29,14 @@ with its report row and its scores on window 2. The continual alpha sweep is
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import check_schema, load_checkpoint, save_checkpoint
-from .features import PROB_CLIP, DataError, Dataset
-from .losses import LossConfig
+from .features import DataError, Dataset, csv_rows
+from .losses import LossConfig, clip_prob
 from .metrics import MetricsReport, evaluate
 from .models import ModelConfig, Params, init_params, predict_batch
 from .optim import DivergenceError, TrainConfig, train_epochs
@@ -90,12 +89,12 @@ class ScoreLog:
         first_line: dict[int, int] = {}  # row_id -> line, in file order
         scores = []
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            rows = csv_rows(path, fh)
+            _, header = next(rows, (0, None))
             if header != ["row_id", "y_last"]:
                 raise NotAScoreLogError(f"{path}: not a score log (header {header!r})")
-            for cells in reader:
-                where = f"{path}:{reader.line_num}"
+            for line, cells in rows:
+                where = f"{path}:{line}"
                 if len(cells) != 2:
                     raise DataError(
                         f"{where}: expected 2 cells (row_id,y_last), got {len(cells)}"
@@ -104,13 +103,15 @@ class ScoreLog:
                     rid, score = int(cells[0]), float(cells[1])
                 except ValueError:
                     raise DataError(f"{where}: cannot parse row {cells!r}") from None
+                if not -(2**63) <= rid < 2**63:
+                    raise DataError(f"{where}: row_id {rid} is outside int64")
                 if not 0.0 <= score <= 1.0:
                     raise DataError(
                         f"{where}: y_last must lie in [0, 1], got {cells[1]!r}"
                     )
                 if rid in first_line:
                     raise DataError(f"{where}: row_id {rid} repeats line {first_line[rid]}")
-                first_line[rid] = reader.line_num
+                first_line[rid] = line
                 scores.append(score)
         rids = np.array(list(first_line), dtype=np.int64)
         return cls(rids, np.array(scores, dtype=np.float64))
@@ -185,7 +186,7 @@ def _predict_scored(params: Params, dataset: Dataset) -> tuple[np.ndarray, Score
     """
     check_schema(params, dataset.schema)
     p = predict_batch(params, dataset)
-    return p, ScoreLog(dataset.row_ids.copy(), np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP))
+    return p, ScoreLog(dataset.row_ids.copy(), clip_prob(p))
 
 
 def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
@@ -227,14 +228,12 @@ def _train_phase(
     return params
 
 
-def _ce(cfg: LoopConfig) -> LossConfig:
-    """Cross-entropy for the alpha-independent phases (prior, baseline, v1)."""
-    return LossConfig("ce", clip_eps=cfg.train.loss.clip_eps)
+_CE = LossConfig("ce")  # the alpha-independent phases: prior, baseline, v1
 
 
-def reloop_losses(cfg: LoopConfig, alphas) -> list[LossConfig]:
-    """The reloop loss at each blend weight, with ``cfg``'s ``clip_eps``."""
-    return [LossConfig("reloop", alpha=a, clip_eps=cfg.train.loss.clip_eps) for a in alphas]
+def reloop_losses(alphas) -> list[LossConfig]:
+    """The reloop loss at each blend weight."""
+    return [LossConfig("reloop", alpha=a) for a in alphas]
 
 
 def _with_loss(cfg: LoopConfig, loss: LossConfig) -> LoopConfig:
@@ -285,7 +284,7 @@ def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
     if n_prior < 1 or n_prior > n:
         raise DataError("prior_fraction leaves no rows for the prior model")
     prior_split = train_set.head(n_prior)
-    prior = _train_phase(cfg, prior_split, _ce(cfg), "prior")
+    prior = _train_phase(cfg, prior_split, _CE, "prior")
     log = infer_scores(prior, train_set)
     return _StaticPrior(prior, prior_split.row_ids.copy(), log,
                         train_set.with_y_last(log.scores))
@@ -311,7 +310,7 @@ def run_static_prior(
     """
     _check_static(cfg, train_set, test_set)
     prior = _train_prior(cfg, train_set)
-    baseline = _train_phase(cfg, train_set, _ce(cfg), "current")
+    baseline = _train_phase(cfg, train_set, _CE, "current")
     current = _train_current(cfg, prior)
 
     state = LoopState(mode="static_prior", prior_row_ids=prior.row_ids)
@@ -367,13 +366,13 @@ def sweep_alpha_static(
 
     Each report equals the one a reloop run at that alpha writes: the prior
     trains and scores once, and the baseline, which no alpha changes, is not
-    trained. ``cfg.train.loss`` supplies only ``clip_eps``.
+    trained; ``cfg.train.loss`` is not read.
     """
     _check_static(cfg, train_set, test_set)
     prior = _train_prior(cfg, train_set)
     return [
         _evaluate_on(_train_current(_with_loss(cfg, loss), prior), test_set)
-        for loss in reloop_losses(cfg, alphas)
+        for loss in reloop_losses(alphas)
     ]
 
 
@@ -435,7 +434,7 @@ def _continual_version(
         n_train = len(window)
 
     if t == 1:
-        loss, y_source = _ce(cfg), None
+        loss, y_source = _CE, None
     else:
         loss, y_source = cfg.train.loss, t - 1
         window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
@@ -498,14 +497,10 @@ def run_continual_arms(
 
     Version 1 trains with cross-entropy whatever the loss, so it, its report
     row and its score log on window 2 are computed once; versions 2..T run
-    once per loss. Version 1 takes ``clip_eps`` from ``cfg.train.loss``, so
-    every loss must share it. With a ``checkpoint_dir`` every arm writes its
-    files there, and the last arm's remain.
+    once per loss. With a ``checkpoint_dir`` every arm writes its files there,
+    and the last arm's remain.
     """
     _check_continual(cfg, windows)
-    clip_eps = cfg.train.loss.clip_eps
-    if any(loss.clip_eps != clip_eps for loss in losses):
-        raise ValueError(f"every arm's loss must have clip_eps {clip_eps:g}, as version 1")
     first = LoopState(mode="continual")
     v1 = _continual_version(cfg, windows, 1, None, first)
     return [

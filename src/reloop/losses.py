@@ -11,6 +11,9 @@ charges only when the current prediction is worse than the predecessor's in
 the direction of the label, and is flat (zero, zero gradient) once the model
 does at least as well. The trainable blend is alpha*sc + (1-alpha)*ce; ``kd``
 is the soft-target baseline and is used alone.
+
+Every function takes arrays, one entry per sample; a single sample is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CLIP = 1e-7
+_CLIP = 1e-7
 
 LOSS_KINDS = ("ce", "reloop", "kd")
 
@@ -37,28 +40,27 @@ class LossConfig:
 
     kind: str = "ce"
     alpha: float = 0.2
-    clip_eps: float = DEFAULT_CLIP
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise LossInputError(f"unknown loss kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise LossInputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.clip_eps < 0.5:
-            raise LossInputError("clip_eps must lie in (0, 0.5)")
 
     @property
     def needs_y_last(self) -> bool:
         return self.kind in ("reloop", "kd")
 
 
-def clip_prob(p, eps: float = DEFAULT_CLIP):
-    return np.clip(p, eps, 1.0 - eps)
+def clip_prob(p):
+    """``p`` clipped into [1e-7, 1 - 1e-7], the package's one probability clip:
+    losses, logged scores and y_last columns all pass through it."""
+    return np.clip(p, _CLIP, 1.0 - _CLIP)
 
 
-def ce_vec(y: np.ndarray, p: np.ndarray, clip_eps: float = DEFAULT_CLIP) -> np.ndarray:
+def ce_vec(y: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Binary cross-entropy with probability clipping."""
-    pc = clip_prob(p, clip_eps)
+    pc = clip_prob(p)
     return -y * np.log(pc) - (1.0 - y) * np.log(1.0 - pc)
 
 
@@ -67,26 +69,22 @@ def sc_vec(y: np.ndarray, p: np.ndarray, y_last: np.ndarray) -> np.ndarray:
     return y * np.maximum(y_last - p, 0.0) + (1.0 - y) * np.maximum(p - y_last, 0.0)
 
 
-def kd_vec(
-    y_last: np.ndarray, p: np.ndarray, clip_eps: float = DEFAULT_CLIP
-) -> np.ndarray:
+def kd_vec(y_last: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distillation cross-entropy against the previous score as soft target."""
-    pc = clip_prob(p, clip_eps)
-    t = clip_prob(y_last, clip_eps)
+    pc = clip_prob(p)
+    t = clip_prob(y_last)
     return -t * np.log(pc) - (1.0 - t) * np.log(1.0 - pc)
 
 
 def combined_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
     """Configured per-sample objective; reloop blends sc and ce by alpha."""
     if cfg.kind == "ce":
-        return ce_vec(y, p, cfg.clip_eps)
+        return ce_vec(y, p)
     if y_last is None:
         raise LossInputError(f"loss kind {cfg.kind!r} requires y_last")
     if cfg.kind == "kd":
-        return kd_vec(y_last, p, cfg.clip_eps)
-    return cfg.alpha * sc_vec(y, p, y_last) + (1.0 - cfg.alpha) * ce_vec(
-        y, p, cfg.clip_eps
-    )
+        return kd_vec(y_last, p)
+    return cfg.alpha * sc_vec(y, p, y_last) + (1.0 - cfg.alpha) * ce_vec(y, p)
 
 
 def grad_z_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
@@ -106,33 +104,7 @@ def grad_z_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:
     return cfg.alpha * (dl_dp * p * (1.0 - p)) + (1.0 - cfg.alpha) * (p - y)
 
 
-# Scalar forms of the above, for one sample at a time.
-
-def ce_loss(y: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
-    return float(ce_vec(np.float64(y), np.float64(y_hat), clip_eps))
-
-
-def sc_loss(y: float, y_hat: float, y_last: float) -> float:
-    return float(sc_vec(np.float64(y), np.float64(y_hat), np.float64(y_last)))
-
-
-def kd_loss(y_last: float, y_hat: float, clip_eps: float = DEFAULT_CLIP) -> float:
-    return float(kd_vec(np.float64(y_last), np.float64(y_hat), clip_eps))
-
-
-def combined_loss(cfg: LossConfig, y: float, y_hat: float,
-                  y_last: float | None = None) -> float:
-    return float(combined_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
-
-
-def loss_grad_z(cfg: LossConfig, y: float, y_hat: float,
-                y_last: float | None = None) -> float:
-    return float(grad_z_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
-
-
-def emit_loss_curves(
-    y: int, y_last: float, y_hat_grid: np.ndarray, clip_eps: float = DEFAULT_CLIP
-) -> np.ndarray:
+def emit_loss_curves(y: int, y_last: float, y_hat_grid: np.ndarray) -> np.ndarray:
     """Table of (y_hat, l_ce, l_kd, l_sc) over a probability grid in (0, 1).
 
     Lays the three objectives side by side for one (label, prior score)
@@ -144,8 +116,7 @@ def emit_loss_curves(
     ybc = np.full_like(grid, float(y))
     tbc = np.full_like(grid, float(y_last))
     return np.column_stack(
-        [grid, ce_vec(ybc, grid, clip_eps), kd_vec(tbc, grid, clip_eps),
-         sc_vec(ybc, grid, tbc)]
+        [grid, ce_vec(ybc, grid), kd_vec(tbc, grid), sc_vec(ybc, grid, tbc)]
     )
 
 

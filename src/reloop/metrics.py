@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import DEFAULT_CLIP, ce_vec
+from .losses import ce_vec
 
 METRICS_CSV_HEADER = "n,n_pos,n_neg,auc,logloss"
 
@@ -65,13 +65,13 @@ def auc(labels, scores) -> float:
     return float(u / (n_pos * n_neg))
 
 
-def logloss(labels, scores, clip_eps: float = DEFAULT_CLIP) -> float:
+def logloss(labels, scores) -> float:
     """Mean per-sample cross-entropy, scores clipped into (0, 1)."""
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1 or labels.shape[0] < 1:
         raise ValueError("labels and scores must be equal-length nonempty vectors")
-    return float(ce_vec(labels, scores, clip_eps).mean())
+    return float(ce_vec(labels, scores).mean())
 
 
 def evaluate(labels, scores) -> MetricsReport:

@@ -10,7 +10,8 @@ y_hat = sigmoid(z), and exposes exact hand-derived gradients:
   dcn     cross stack x_{l+1} = x0 (w_l . x_l) + b_l + x_l alongside a relu
           stack, head over concat(x_L, deep out), plus b
 
-All arithmetic is float64. forward/backward never mutate parameters.
+All arithmetic is float64. forward_batch/backward_batch never mutate
+parameters.
 Table gradients are compact: the batch's sorted unique feature rows come
 with one linear entry and one embedding row per feature, so a step's cost
 and memory follow the rows the batch touches, not the size of the table.
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import Dataset, EncodedInstance, FeatureSchema, by_row_blocks
+from .features import Dataset, FeatureSchema, by_row_blocks
 from .rng import philox
 
 MODEL_KINDS = ("lr", "fm", "mlp", "deepfm", "dcn")
@@ -143,9 +144,6 @@ class Params:
             if a is not None and not np.all(np.isfinite(a)):
                 return name
         return None
-
-    def all_finite(self) -> bool:
-        return self.nonfinite_block() is None
 
     @property
     def mlp_widths(self) -> tuple[int, ...]:
@@ -321,12 +319,6 @@ def forward_batch(
     return z, sigmoid(z), trace
 
 
-def forward(params: Params, instance: EncodedInstance) -> tuple[float, float, Trace]:
-    """Single-instance logit, probability and trace."""
-    z, p, trace = forward_batch(params, instance.indices[None, :])
-    return float(z[0]), float(p[0]), trace
-
-
 def _mlp_backward(
     params: Params, trace: Trace, g_out: np.ndarray
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
@@ -437,11 +429,6 @@ def _accumulate(total: np.ndarray | None, term: np.ndarray) -> np.ndarray:
         return term
     total += term
     return total
-
-
-def backward(params: Params, trace: Trace, dl_dz: float) -> Grads:
-    """Single-instance gradients for a trace produced by ``forward``."""
-    return backward_batch(params, trace, np.array([dl_dz], dtype=np.float64))
 
 
 def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:

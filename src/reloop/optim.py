@@ -8,7 +8,8 @@ bias-corrected away, the standard treatment for large sparse tables. Dense
 blocks (bias, perceptron and cross layers, head) update densely every step.
 Adam keeps the moments of the array blocks among them (mlp, cross, head)
 in one flat array, with ``OptimizerState.m``/``v`` holding views into it,
-so each step runs the moment recurrence once over all of them.
+so each step runs the moment recurrence once over all of them. Adam's decay
+rates and denominator floor are the fixed constants below.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers its rows once, in shuffle order, and its mini-batches are
@@ -30,6 +31,7 @@ from .rng import philox
 OPTIMIZER_KINDS = ("sgd", "adam")
 
 _SHUFFLE_STREAM = 7
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 class DivergenceError(RuntimeError):
@@ -47,9 +49,6 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
     optimizer: str = "adam"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -73,9 +72,6 @@ class OptimizerState:
 
     kind: str
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: Params | None = None
     v: Params | None = None
@@ -84,13 +80,7 @@ class OptimizerState:
 
     @classmethod
     def for_params(cls, cfg: TrainConfig, params: Params) -> "OptimizerState":
-        state = cls(
-            kind=cfg.optimizer,
-            lr=cfg.lr,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.eps,
-        )
+        state = cls(kind=cfg.optimizer, lr=cfg.lr)
         if state.kind == "adam":
             state.m, state.m_dense = _flat_dense_zeros(params)
             state.v, state.v_dense = _flat_dense_zeros(params)
@@ -126,34 +116,34 @@ def _adam_rows(state, theta, g, m, v, rows, c1, c2):
 
     ``np.take`` gathers the rows: the same values as ``m[rows]``, faster.
     """
-    mr = state.beta1 * np.take(m, rows, axis=0) + (1.0 - state.beta1) * g
-    vr = state.beta2 * np.take(v, rows, axis=0) + (1.0 - state.beta2) * (g * g)
+    mr = _B1 * np.take(m, rows, axis=0) + (1.0 - _B1) * g
+    vr = _B2 * np.take(v, rows, axis=0) + (1.0 - _B2) * (g * g)
     m[rows] = mr
     v[rows] = vr
     theta[rows] = np.take(theta, rows, axis=0) - state.lr * (mr / c1) / (
-        np.sqrt(vr / c2) + state.eps)
+        np.sqrt(vr / c2) + _EPS)
 
 
 def _adam_dense(state, blocks, grads, c1, c2):
     """Adam over every dense block at once, through the flat moments.
 
     Per element this is the same arithmetic as the table rule above:
-    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2, and
-    theta -= lr (m / c1) / (sqrt(v / c2) + eps).
+    m = _B1 m + (1 - _B1) g, v = _B2 v + (1 - _B2) g^2, and
+    theta -= lr (m / c1) / (sqrt(v / c2) + _EPS).
     """
     g = np.concatenate([a.ravel() for a in grads])
     m, v = state.m_dense, state.v_dense
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
+    m *= _B1
+    m += (1.0 - _B1) * g
+    v *= _B2
     g *= g
-    g *= 1.0 - state.beta2
+    g *= 1.0 - _B2
     v += g
     step = m / c1
     step *= state.lr
     den = v / c2
     np.sqrt(den, out=den)
-    den += state.eps
+    den += _EPS
     step /= den
     lo = 0
     for theta in blocks:
@@ -182,14 +172,14 @@ def apply_update(
         return params, state
 
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - _B1**t
+    c2 = 1.0 - _B2**t
     m, v = state.m, state.v
 
     # scalar bias as a 0-d special case of the dense rule
-    m.bias = state.beta1 * m.bias + (1.0 - state.beta1) * grads.bias
-    v.bias = state.beta2 * v.bias + (1.0 - state.beta2) * grads.bias**2
-    params.bias -= state.lr * (m.bias / c1) / (np.sqrt(v.bias / c2) + state.eps)
+    m.bias = _B1 * m.bias + (1.0 - _B1) * grads.bias
+    v.bias = _B2 * v.bias + (1.0 - _B2) * grads.bias**2
+    params.bias -= state.lr * (m.bias / c1) / (np.sqrt(v.bias / c2) + _EPS)
 
     if params.linear is not None:
         _adam_rows(state, params.linear, grads.linear, m.linear, v.linear, rows, c1, c2)

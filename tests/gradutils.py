@@ -1,10 +1,62 @@
-"""Flatten/unflatten helpers for finite-difference gradient checks."""
+"""Helpers for finite-difference gradient checks.
+
+Flatten/unflatten helpers for parameters and gradients, and the
+single-instance forms of the model and loss functions: thin wrappers over
+``forward_batch``, ``backward_batch`` and the ``*_vec`` losses, which treat
+one sample as a batch of one.
+"""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from reloop.models import Grads, Params
+from reloop.losses import LossConfig, ce_vec, combined_vec, grad_z_vec, kd_vec, sc_vec
+from reloop.models import Grads, Params, Trace, backward_batch, forward_batch
+
+
+@dataclass(frozen=True)
+class EncodedInstance:
+    """One hashed sample: label, per-field indices, optional prior score."""
+
+    label: int
+    indices: np.ndarray  # (F,) int64, global feature indices
+    row_id: int
+    y_last: float | None = None
+
+
+def forward(params: Params, instance: EncodedInstance) -> tuple[float, float, Trace]:
+    """Single-instance logit, probability and trace."""
+    z, p, trace = forward_batch(params, instance.indices[None, :])
+    return float(z[0]), float(p[0]), trace
+
+
+def backward(params: Params, trace: Trace, dl_dz: float) -> Grads:
+    """Single-instance gradients for a trace produced by ``forward``."""
+    return backward_batch(params, trace, np.array([dl_dz], dtype=np.float64))
+
+
+def ce_loss(y: float, y_hat: float) -> float:
+    return float(ce_vec(np.float64(y), np.float64(y_hat)))
+
+
+def sc_loss(y: float, y_hat: float, y_last: float) -> float:
+    return float(sc_vec(np.float64(y), np.float64(y_hat), np.float64(y_last)))
+
+
+def kd_loss(y_last: float, y_hat: float) -> float:
+    return float(kd_vec(np.float64(y_last), np.float64(y_hat)))
+
+
+def combined_loss(cfg: LossConfig, y: float, y_hat: float,
+                  y_last: float | None = None) -> float:
+    return float(combined_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
+
+
+def loss_grad_z(cfg: LossConfig, y: float, y_hat: float,
+                y_last: float | None = None) -> float:
+    return float(grad_z_vec(cfg, np.float64(y), np.float64(y_hat), y_last))
 
 
 def params_to_vector(p: Params) -> np.ndarray:

@@ -14,9 +14,17 @@ import pytest
 
 from conftest import CONTINUAL_SPEC, FIXTURE_SPEC
 from gradutils import (
+    EncodedInstance,
+    backward,
+    ce_loss,
+    combined_loss,
+    forward,
     grads_to_vector,
+    kd_loss,
+    loss_grad_z,
     params_to_vector,
     relative_errors,
+    sc_loss,
     set_params_from_vector,
 )
 from reloop.checkpoint import (
@@ -28,31 +36,17 @@ from reloop.checkpoint import (
     save_checkpoint,
 )
 from reloop.cli import main
-from reloop.features import EncodedInstance, FeatureSchema, FieldSpec
+from reloop.features import FeatureSchema, FieldSpec
 from reloop.loop import (
     LoopConfig,
     mean_report_metrics,
     run_continual_arms,
     run_static_prior,
 )
-from reloop.losses import (
-    LossConfig,
-    ce_loss,
-    combined_loss,
-    emit_loss_curves,
-    kd_loss,
-    loss_grad_z,
-    sc_loss,
-)
+from reloop.losses import LossConfig, emit_loss_curves
 from reloop.metrics import auc as rank_auc
 from reloop.metrics import logloss
-from reloop.models import (
-    MODEL_KINDS,
-    ModelConfig,
-    backward,
-    forward,
-    init_params,
-)
+from reloop.models import MODEL_KINDS, ModelConfig, init_params
 from reloop.optim import TrainConfig
 
 # Continual-fixture training settings: cold start per version, enough epochs

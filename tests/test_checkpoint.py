@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,12 @@ class TestCorruption:
         with pytest.raises(BadMagicError):
             load_checkpoint(path)
 
+    def test_bad_magic_shown_as_bytes(self, tmp_path, schema):
+        path, raw = self._saved(tmp_path, schema)
+        path.write_bytes(b"X" + raw[1:])
+        with pytest.raises(BadMagicError, match=r"magic b'XLPCKPT1'"):
+            load_checkpoint(path)
+
     def test_version_mismatch(self, tmp_path, schema):
         path, raw = self._saved(tmp_path, schema)
         path.write_bytes(MAGIC + struct.pack("<I", 99) + raw[12:])
@@ -192,3 +199,19 @@ def test_truncated_or_flipped_file_loads_or_raises_checkpoint_error(p, where, ma
                 load_checkpoint(path)
             except CheckpointError:
                 pass
+
+
+def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path):
+    """Peak memory of a load: the file's bytes plus the parameters built from
+    them, not a third copy of each table cut from the bytes first."""
+    schema = FeatureSchema([FieldSpec("f0", buckets=2**15)])
+    path = tmp_path / "fm.ckpt"
+    save_checkpoint(init_params(schema, ModelConfig("fm", embed_dim=16), seed=0), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * size, peak / size

@@ -1,6 +1,7 @@
 """CLI: exit codes, artifacts, config precedence, manifest replay."""
 
 import copy
+import dataclasses
 import json
 import os
 import shutil
@@ -19,7 +20,7 @@ import reloop.loop
 from reloop.cli import main
 from reloop.features import SyntheticSpec, generate_synthetic_csv
 from reloop.loop import ScoreLog, mean_report_metrics
-from reloop.losses import LOSS_KINDS
+from reloop.losses import LOSS_KINDS, LossConfig
 from reloop.models import MODEL_KINDS
 from reloop.optim import OPTIMIZER_KINDS
 
@@ -490,6 +491,80 @@ class TestOneCheckPerOption:
                     assert f"--{name} {values}" in text, (command, name)
                     seen.add(name)
         assert seen == set(allowed)
+
+
+class TestInputBoundaries:
+    """Inputs that once ended in a traceback: each now runs or exits 1 naming
+    the file."""
+
+    def test_infinite_numerical_cell_trains(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_text("label,a,b\n1,inf,x\n0,1e400,y\n1,3,x\n0,-inf,y\n")
+        assert run("train", "--data", data, "--numerical", "a", "--model", "lr",
+                   "--epochs", 1, "--buckets", 8, "--out", tmp_path / "o") == 0
+        assert (tmp_path / "o" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_row_id_outside_int64_exit_one(self, data_dir, tmp_path, capsys, command):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("row_id,y_last\n0,0.5\n99999999999999999999999,0.5\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\n0\n")
+        if command == "eval":
+            argv = ["eval", "--scores", scores, "--labels", labels]
+        else:
+            argv = ["train", "--data", data_dir / "single" / "window_000.csv",
+                    "--model", "lr", "--loss", "reloop", "--prior-scores", scores,
+                    "--buckets", 12, "--out", tmp_path / "o"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"{scores}:3: row_id 99999999999999999999999 is outside int64" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["header", "data-cell", "score-log"])
+    def test_cell_over_csv_field_limit_exit_one(self, tmp_path, capsys, where):
+        long = "x" * 131073
+        data = tmp_path / "d.csv"
+        header = f"label,a,{long}" if where == "header" else "label,a,b"
+        cell = long if where == "data-cell" else "y"
+        data.write_text(f"{header}\n1,x,{cell}\n0,z,w\n1,x,w\n0,z,y\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"row_id,y_last\n0,0.5\n1,{long}\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_text("1\n0\n")
+        if where == "score-log":
+            bad, argv = scores, ["eval", "--scores", scores, "--labels", labels]
+        else:
+            bad, argv = data, ["train", "--data", data, "--model", "lr", "--epochs", 1,
+                               "--buckets", 8, "--out", tmp_path / "o"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:" in err and "field larger than field limit" in err
+        assert "Traceback" not in err
+
+
+def test_every_config_field_is_set_by_an_option():
+    """With every model and train option off its default, every field of the
+    configs the CLI builds is off its default too: a field that stays at its
+    default is a knob no option reaches."""
+    res = {"model": "dcn", "embed_dim": 3, "mlp_widths": [5], "cross_layers": 1,
+           "loss": "reloop", "alpha": 0.5, "optimizer": "sgd", "lr": 0.05,
+           "batch_size": 7, "epochs": 2, "shuffle": False, "seed": 9}
+    opts = reloop.cli._MODEL_OPTS + reloop.cli._TRAIN_OPTS
+    assert sorted(res) == sorted(o.name.replace("-", "_") for o in opts)
+    for o in opts:
+        assert res[o.name.replace("-", "_")] != o.default, o.name
+    loss = LossConfig(res["loss"], res["alpha"])  # as the train and loop commands build it
+    train = reloop.cli._train_config(res, loss)
+    for cfg in (reloop.cli._model_config(res), train, train.loss):
+        for f in dataclasses.fields(cfg):
+            if f.default is not dataclasses.MISSING:
+                default = f.default
+            elif f.default_factory is not dataclasses.MISSING:
+                default = f.default_factory()
+            else:
+                continue
+            assert getattr(cfg, f.name) != default, f"{type(cfg).__name__}.{f.name}"
 
 
 class TestTrainSmoke:

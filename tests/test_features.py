@@ -1,5 +1,9 @@
 """Feature pipeline: hashing, encoding, ingestion, synthetic generation."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -170,6 +174,13 @@ class TestIngest:
         assert ds.indices[1, 0] == schema.hash_feature("n", 0)
         assert ds.indices[2, 0] == schema.hash_feature("n", MISSING_TOKEN)
 
+    def test_infinite_numerical_cell_hashes_sentinel(self, tmp_path):
+        schema = FeatureSchema([FieldSpec("n", "numerical", buckets=8)])
+        p = self._write(tmp_path / "d.csv", "label,n\n1,inf\n0,1e400\n1,-inf\n")
+        ds = ingest_csv(p, schema)
+        assert ds.indices[:2, 0].tolist() == [schema.hash_feature("n", MISSING_TOKEN)] * 2
+        assert ds.indices[2, 0] == schema.hash_feature("n", 0)  # negative: bucket 0
+
     def test_encoding_is_pure(self, tmp_path):
         p = self._write(tmp_path / "d.csv", "label,a,b\n1,x,y\n1,x,y\n")
         ds = ingest_csv(p, self._schema())
@@ -290,3 +301,49 @@ class TestSynthetic:
 def test_hash_of_int_equals_hash_of_its_string(raw):
     schema = FeatureSchema([FieldSpec("k", buckets=101)])
     assert schema.hash_feature("k", raw) == schema.hash_feature("k", str(raw))
+
+
+# Cells that exercise both field kinds: numbers of every shape, the spellings
+# float() accepts for inf and nan, csv's special characters, and any text.
+_NUMBERS = st.floats(allow_nan=True, allow_infinity=True).map(repr) | st.integers().map(str)
+_TEXT = st.characters(blacklist_categories=("Cs",))  # a UTF-8 file holds no surrogates
+_CELLS = (_NUMBERS | st.sampled_from(["", "inf", "-inf", "1e400", "nan", " 7 ", "1_0"])
+          | st.text(_TEXT, max_size=8))
+_FUZZ_SCHEMA = FeatureSchema([FieldSpec("c", buckets=13), FieldSpec("n", "numerical", 17)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.sampled_from("01"), _CELLS, _CELLS), min_size=1, max_size=6))
+def test_ingested_index_is_encode_cell_of_each_cell(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([("label", "c", "n"), *rows])
+        ds = ingest_csv(path, _FUZZ_SCHEMA)
+    assert ds.labels.tolist() == [float(label) for label, _, _ in rows]
+    expected = [[_FUZZ_SCHEMA.encode_cell(p, cell) for p, cell in enumerate(cells)]
+                for _, *cells in rows]
+    assert ds.indices.tolist() == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.text(st.sampled_from('01,.-+eEinfa"\r\n \x00') | _TEXT, max_size=40))
+def test_fuzzed_csv_text_ingests_or_raises_data_error(body):
+    """Any text after a valid header is a Dataset or a DataError, never another
+    exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text("label,c,n\n" + body, encoding="utf-8")
+        try:
+            ds = ingest_csv(path, _FUZZ_SCHEMA)
+        except DataError:
+            return
+    assert ds.indices.shape == (len(ds), 2)
+    assert np.all(np.isfinite(ds.labels))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_CELLS)
+def test_any_numerical_cell_encodes_in_its_range(cell):
+    base = _FUZZ_SCHEMA.index_base[1]
+    assert base <= _FUZZ_SCHEMA.encode_cell(1, cell) < base + 17

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from reloop.losses import ce_loss
+from gradutils import ce_loss
 from reloop.metrics import MetricsReport, auc, evaluate, logloss
 
 

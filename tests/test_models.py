@@ -10,22 +10,25 @@ import numpy as np
 import pytest
 
 from gradutils import (
+    EncodedInstance,
+    backward,
+    combined_loss,
     dense_table,
+    forward,
     grads_to_vector,
+    loss_grad_z,
     params_to_vector,
     relative_errors,
     set_params_from_vector,
 )
-from reloop.features import Dataset, EncodedInstance, FeatureSchema, FieldSpec
-from reloop.losses import LossConfig, combined_loss, loss_grad_z
+from reloop.features import Dataset, FeatureSchema, FieldSpec
+from reloop.losses import LossConfig
 from reloop.models import (
     MODEL_KINDS,
     DimensionError,
     ModelConfig,
     ModelConfigError,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_params,
     predict_batch,
