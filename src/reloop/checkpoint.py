@@ -11,8 +11,9 @@ Layout, in order:
   n_mlp_layers     u32, then one u32 output width per layer
   n_cross_layers   u32
   n_features       u64      feature-table row count
-  parameter blobs  f64 little-endian, in this fixed order:
-                   bias; linear (n_features); emb (n_features x embed_dim,
+  bias             f64
+  parameter blobs  f64 little-endian, one per block in ``Params.blocks()``
+                   order: linear (n_features); emb (n_features x embed_dim,
                    row-major); per mlp layer W (row-major) then b; per cross
                    layer w then b; head. Blocks a kind does not own are
                    simply absent.
@@ -23,13 +24,14 @@ a distinct error class per failure mode.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .features import FeatureSchema
-from .models import Params
+from .models import Params, build_params
 
 MAGIC = b"RLPCKPT1"
 FORMAT_VERSION = 1
@@ -82,9 +84,9 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, count: int) -> np.ndarray:
-        raw = self.take(count * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        raw = self.take(math.prod(shape) * 8)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def _blob(a: np.ndarray) -> memoryview:
@@ -107,54 +109,17 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
             "(did training diverge?)"
         )
     # header fields, then views of the parameter blocks: no block is copied
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    parts.append(struct.pack("<B", _KIND_CODE[params.kind]))
-    parts.append(struct.pack("<Q", params.schema_digest))
-    parts.append(struct.pack("<I", params.embed_dim))
-    parts.append(struct.pack("<I", params.n_fields))
     widths = params.mlp_widths
-    parts.append(struct.pack("<I", len(widths)))
-    for w in widths:
-        parts.append(struct.pack("<I", w))
-    parts.append(struct.pack("<I", len(params.cross)))
-    parts.append(struct.pack("<Q", params.n_features))
-    parts.append(struct.pack("<d", params.bias))
-    if params.linear is not None:
-        parts.append(_blob(params.linear))
-    if params.emb is not None:
-        parts.append(_blob(params.emb))
-    for w, b in params.mlp:
-        parts.append(_blob(w))
-        parts.append(_blob(b))
-    for w, b in params.cross:
-        parts.append(_blob(w))
-        parts.append(_blob(b))
-    if params.head is not None:
-        parts.append(_blob(params.head))
+    header = struct.pack(
+        f"<IBQIII{len(widths)}IIQd", FORMAT_VERSION, _KIND_CODE[params.kind],
+        params.schema_digest, params.embed_dim, params.n_fields, len(widths), *widths,
+        len(params.cross), params.n_features, params.bias,
+    )
+    parts = [MAGIC, header] + [_blob(a) for _, a in params.blocks()]
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
         fh.writelines(parts)
     tmp.replace(path)
-
-
-def _check_header(kind: str, embed_dim: int, n_fields: int, widths: list[int],
-                  n_cross: int) -> None:
-    """Refuse a layout that ``init_params`` never builds, before any block is
-    read: an lr header has no embeddings, so a corrupt cross-layer count
-    would otherwise ask for billions of empty blocks."""
-    if kind == "lr":
-        ok = embed_dim == 0 and not widths and n_cross == 0
-    else:
-        ok = embed_dim >= 1 and all(w >= 1 for w in widths)
-        if kind == "fm":
-            ok = ok and not widths and n_cross == 0
-        elif kind in ("mlp", "deepfm"):
-            ok = ok and widths[-1:] == [1] and n_cross == 0
-    if n_fields < 1 or not ok:
-        raise CheckpointError(
-            f"checkpoint header describes no {kind} model: embed_dim {embed_dim}, "
-            f"{n_fields} fields, mlp widths {widths}, {n_cross} cross layers"
-        )
 
 
 def load_checkpoint(path: str | Path) -> Params:
@@ -173,39 +138,17 @@ def load_checkpoint(path: str | Path) -> Params:
     kind = _CODE_KIND.get(kind_code)
     if kind is None:
         raise CheckpointError(f"unknown model-kind code {kind_code}")
-    (digest,) = r.unpack("<Q")
-    (embed_dim,) = r.unpack("<I")
-    (n_fields,) = r.unpack("<I")
-    (n_mlp,) = r.unpack("<I")
-    widths = [r.unpack("<I")[0] for _ in range(n_mlp)]
-    (n_cross,) = r.unpack("<I")
-    _check_header(kind, embed_dim, n_fields, widths, n_cross)
-    (n_features,) = r.unpack("<Q")
-
-    params = Params(
-        kind=kind,
-        n_fields=n_fields,
-        n_features=n_features,
-        embed_dim=embed_dim,
-        schema_digest=digest,
-    )
-    (params.bias,) = r.unpack("<d")
-    if kind in ("lr", "fm", "deepfm"):
-        params.linear = r.array(n_features)
-    if kind != "lr":
-        params.emb = r.array(n_features * embed_dim).reshape(n_features, embed_dim)
-    prev = n_fields * embed_dim
-    for w in widths:
-        W = r.array(w * prev).reshape(w, prev)
-        b = r.array(w)
-        params.mlp.append((W, b))
-        prev = w
-    d = n_fields * embed_dim
-    for _ in range(n_cross):
-        params.cross.append((r.array(d), r.array(d)))
-    if kind == "dcn":
-        deep_w = widths[-1] if widths else 0
-        params.head = r.array(d + deep_w)
+    digest, embed_dim, n_fields, n_mlp = r.unpack("<QIII")
+    widths = r.unpack(f"<{n_mlp}I")
+    n_cross, n_features, bias = r.unpack("<IQd")
+    try:
+        # blocks are read one at a time: a corrupt count stops at the first
+        # block the file does not hold
+        params = build_params(kind, n_fields, n_features, embed_dim, digest, widths,
+                              n_cross, lambda _, shape: r.array(shape))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint header: {exc}") from None
+    params.bias = bias
     if r.pos != len(r.buf):
         raise TruncatedCheckpointError(
             f"checkpoint has {len(r.buf) - r.pos} unexpected trailing bytes"

@@ -510,12 +510,18 @@ def _read_column(path: str, accepted_headers: tuple[str, ...], parse) -> np.ndar
     """One value per non-blank line, after an optional header; ``parse(cell,
     where)`` checks each value and raises DataError naming ``<file>:<line>``."""
     values = []
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            cell = line.strip()
-            if not cell or (lineno == 1 and cell in accepted_headers):
-                continue
-            values.append(parse(cell, f"{path}:{lineno}"))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                cell = line.strip()
+                if not cell or (lineno == 1 and cell in accepted_headers):
+                    continue
+                values.append(parse(cell, f"{path}:{lineno}"))
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path}: not UTF-8 text after line {lineno}: {exc.reason}"
+            ) from None
     if not values:
         raise DataError(f"{path}: no values found")
     return np.array(values, dtype=np.float64)

@@ -49,12 +49,17 @@ def transform_numerical(v) -> int:
 
     bucket = floor(log2(v + 1)) for v >= 0; negative or missing values clamp
     to bucket 0. The bucket is then hashed like a categorical token.
+
+    Raises:
+        DataError: ``v`` is +inf, which has no log2 bucket.
     """
     if v is None:
         return 0
     v = float(v)
     if math.isnan(v) or v < 0.0:
         return 0
+    if v == math.inf:
+        raise DataError("+inf has no log2 bucket")
     return int(math.floor(math.log2(v + 1.0)))
 
 
@@ -144,12 +149,10 @@ class FeatureSchema:
             return self.hash_feature(pos, MISSING_TOKEN)
         if self.fields[pos].kind == "numerical":
             try:
-                v = float(cell)
+                token = transform_numerical(float(cell))
             except ValueError:
-                v = math.inf
-            if v == math.inf:
-                return self.hash_feature(pos, MISSING_TOKEN)
-            return self.hash_feature(pos, transform_numerical(v))
+                token = MISSING_TOKEN
+            return self.hash_feature(pos, token)
         return self.hash_feature(pos, cell)
 
     def __eq__(self, other):
@@ -240,14 +243,18 @@ def by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
 
 def csv_rows(path: str | Path, fh):
     """(line number, cells) per row ``csv.reader`` reads from ``fh``. A row it
-    refuses, such as one with a cell over csv's field size limit, raises
-    DataError naming ``path`` and the line."""
+    refuses, such as one with a cell over csv's field size limit, and bytes
+    that are not UTF-8 raise DataError naming ``path`` and the line."""
     reader = csv.reader(fh)
     try:
         for cells in reader:
             yield reader.line_num, cells
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path}: not UTF-8 text after line {reader.line_num}: {exc.reason}"
+        ) from None
 
 
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
@@ -399,7 +406,9 @@ def _token_index_table(spec: SyntheticSpec, schema: FeatureSchema) -> np.ndarray
 
 
 def _raw_windows(spec: SyntheticSpec):
-    """Yield (tokens, labels, truth) per window, deterministically."""
+    """Yield (schema, tokens, indices, labels, truth) per window,
+    deterministically. ``truth`` is one object the later windows' drift
+    updates in place."""
     schema = spec.schema()
     scale = _latent_scale(spec)
     init_rng = philox(spec.seed, 1)
@@ -425,21 +434,15 @@ def _raw_windows(spec: SyntheticSpec):
         indices = np.take_along_axis(table, tokens.T, axis=1).T
         p = truth.ctr(indices)
         labels = (rng.random(spec.n_rows) < p).astype(np.float64)
-        yield schema, table, tokens, indices, labels, truth
+        yield schema, tokens, indices, labels, truth
 
 
-def generate_synthetic(spec: SyntheticSpec, return_truth: bool = False):
-    """Generate one Dataset per window from a hidden drifting CTR model.
-
-    With ``return_truth`` the per-window ground-truth snapshots are returned
-    alongside, for oracle checks against the hidden model.
-    """
-    windows, truths = [], []
-    for schema, _, _, indices, labels, truth in _raw_windows(spec):
-        windows.append(Dataset(schema, labels, indices, np.arange(labels.shape[0])))
-        if return_truth:
-            truths.append(truth.copy())
-    return (windows, truths) if return_truth else windows
+def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
+    """Generate one Dataset per window from a hidden drifting CTR model."""
+    return [
+        Dataset(schema, labels, indices, np.arange(labels.shape[0]))
+        for schema, _, indices, labels, _ in _raw_windows(spec)
+    ]
 
 
 def generate_synthetic_csv(spec: SyntheticSpec, out_dir: str | Path) -> list[Path]:
@@ -447,7 +450,7 @@ def generate_synthetic_csv(spec: SyntheticSpec, out_dir: str | Path) -> list[Pat
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for w, (schema, _, tokens, _, labels, _) in enumerate(_raw_windows(spec)):
+    for w, (schema, tokens, _, labels, _) in enumerate(_raw_windows(spec)):
         path = out_dir / f"window_{w:03d}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -12,6 +12,13 @@ y_hat = sigmoid(z), and exposes exact hand-derived gradients:
 
 All arithmetic is float64. forward_batch/backward_batch never mutate
 parameters.
+
+Parameter layout: besides the float bias, a model's parameters are array
+blocks in one fixed order, which checkpoints store and every walk follows:
+linear, emb, mlp (W, b) per layer, cross (w, b) per layer, head. Blocks a
+kind does not own are None and skipped. ``_each_block`` is the one place
+that order is written; ``Params.blocks()``/``Grads.blocks()`` walk it and
+``build_params`` makes a layout block by block in it.
 Table gradients are compact: the batch's sorted unique feature rows come
 with one linear entry and one embedding row per feature, so a step's cost
 and memory follow the rows the batch touches, not the size of the table.
@@ -29,7 +36,8 @@ across threads and can move the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -72,8 +80,52 @@ class ModelConfig:
             raise ModelConfigError("n_cross_layers must be >= 0")
 
 
+def _each_block(p, fn) -> dict:
+    """The parameter layout, written out once.
+
+    Returns ``p``'s block fields with each present block replaced by
+    ``fn(name, block)``; absent blocks stay None. ``fn`` runs in layout
+    order (see the module docstring). ``p`` holds arrays, or shapes while
+    ``build_params`` makes a layout; there ``cross`` is a lazy iterable.
+    """
+
+    def one(name, a):
+        return None if a is None else fn(name, a)
+
+    return dict(
+        linear=one("linear", p.linear),
+        emb=one("emb", p.emb),
+        mlp=[(fn(f"mlp[{i}].W", w), fn(f"mlp[{i}].b", b))
+             for i, (w, b) in enumerate(p.mlp)],
+        cross=[(fn(f"cross[{i}].w", w), fn(f"cross[{i}].b", b))
+               for i, (w, b) in enumerate(p.cross)],
+        head=one("head", p.head),
+    )
+
+
+class _Blocks:
+    """The walks over a layout, shared by Params and Grads."""
+
+    def blocks(self) -> list[tuple[str, np.ndarray]]:
+        """(name, array) of each block, in layout order."""
+        out = []
+        _each_block(self, lambda name, a: out.append((name, a)))
+        return out
+
+    def dense_blocks(self) -> list[np.ndarray]:
+        """The arrays of ``blocks()`` after the linear and embedding tables.
+
+        Unnamed: the training step walks these every step, and formatting
+        the names would cost it more than the walk itself.
+        """
+        out = [a for pair in self.mlp + self.cross for a in pair]
+        if self.head is not None:
+            out.append(self.head)
+        return out
+
+
 @dataclass
-class Params:
+class Params(_Blocks):
     """Parameter container shared by all model kinds.
 
     mlp holds (W, b) pairs with W of shape (out, in); for mlp/deepfm the last
@@ -94,56 +146,18 @@ class Params:
     cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     head: np.ndarray | None = None
 
+    def like(self, make) -> "Params":
+        """Params of this layout with a zero bias, each block made by
+        ``make(name, block)`` in layout order."""
+        return replace(self, bias=0.0, **_each_block(self, make))
+
     def copy(self) -> "Params":
-        return Params(
-            kind=self.kind,
-            n_fields=self.n_fields,
-            n_features=self.n_features,
-            embed_dim=self.embed_dim,
-            schema_digest=self.schema_digest,
-            bias=self.bias,
-            linear=None if self.linear is None else self.linear.copy(),
-            emb=None if self.emb is None else self.emb.copy(),
-            mlp=[(w.copy(), b.copy()) for w, b in self.mlp],
-            cross=[(w.copy(), b.copy()) for w, b in self.cross],
-            head=None if self.head is None else self.head.copy(),
-        )
-
-    def zeros_like(self) -> "Params":
-        """Zeros shaped like these params.
-
-        ``np.zeros`` hands out untouched zero pages, so a table costs memory
-        only where it is later written, as lazy Adam's moments are.
-        """
-
-        def zeros(a):
-            return None if a is None else np.zeros(a.shape, dtype=np.float64)
-
-        return Params(
-            kind=self.kind,
-            n_fields=self.n_fields,
-            n_features=self.n_features,
-            embed_dim=self.embed_dim,
-            schema_digest=self.schema_digest,
-            linear=zeros(self.linear),
-            emb=zeros(self.emb),
-            mlp=[(zeros(w), zeros(b)) for w, b in self.mlp],
-            cross=[(zeros(w), zeros(b)) for w, b in self.cross],
-            head=zeros(self.head),
-        )
+        return replace(self, **_each_block(self, lambda _, a: a.copy()))
 
     def nonfinite_block(self) -> str | None:
         """Name of the first block holding a NaN or inf, None if all finite."""
-        blocks = [("bias", self.bias), ("linear", self.linear), ("emb", self.emb)]
-        for i, (w, b) in enumerate(self.mlp):
-            blocks += [(f"mlp[{i}].W", w), (f"mlp[{i}].b", b)]
-        for i, (w, b) in enumerate(self.cross):
-            blocks += [(f"cross[{i}].w", w), (f"cross[{i}].b", b)]
-        blocks.append(("head", self.head))
-        for name, a in blocks:
-            if a is not None and not np.all(np.isfinite(a)):
-                return name
-        return None
+        blocks = [("bias", self.bias)] + self.blocks()
+        return next((name for name, a in blocks if not np.isfinite(a).all()), None)
 
     @property
     def mlp_widths(self) -> tuple[int, ...]:
@@ -151,7 +165,7 @@ class Params:
 
 
 @dataclass
-class Grads:
+class Grads(_Blocks):
     """Gradients for Params; table blocks are compact over ``rows``.
 
     ``rows`` holds the sorted unique feature rows of the batch. ``linear[j]``
@@ -201,50 +215,70 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _glorot(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-s, s, size=shape)
+def build_params(kind: str, n_fields: int, n_features: int, embed_dim: int,
+                 digest: int, widths, n_cross: int, make) -> Params:
+    """Params of one layout, each block made by ``make(name, shape)`` in
+    layout order; the bias is 0.0.
+
+    ``widths`` are the stored mlp output widths, the scalar end of an mlp or
+    deepfm branch included. A layout ``init_params`` never builds raises
+    ValueError before the first block is made: an lr layout has no
+    embeddings, so a corrupt cross-layer count would otherwise make billions
+    of empty blocks.
+    """
+    widths = list(widths)
+    ok = (
+        kind in MODEL_KINDS
+        and n_fields >= 1
+        and (embed_dim == 0 if kind == "lr" else embed_dim >= 1)
+        and all(w >= 1 for w in widths)
+        and (n_cross == 0 or kind == "dcn")
+        and (widths[-1:] == [1] if kind in ("mlp", "deepfm")
+             else not widths or kind == "dcn")
+    )
+    if not ok:
+        raise ValueError(
+            f"no {kind} model has embed_dim {embed_dim}, {n_fields} fields, "
+            f"mlp widths {widths} and {n_cross} cross layers"
+        )
+    d = n_fields * embed_dim
+    fan_ins = [d] + widths
+    shapes = SimpleNamespace(
+        linear=(n_features,) if kind in _WITH_LINEAR else None,
+        emb=None if kind == "lr" else (n_features, embed_dim),
+        mlp=[((w, n), (w,)) for n, w in zip(fan_ins, widths)],
+        # lazy: under a corrupt count, building stops at the first block make refuses
+        cross=(((d,), (d,)) for _ in range(n_cross)),
+        head=(d + (widths[-1] if widths else 0),) if kind == "dcn" else None,
+    )
+    return Params(kind, n_fields, n_features, embed_dim, digest,
+                  **_each_block(shapes, make))
 
 
 def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int) -> Params:
     """Fresh parameters; weights uniform Glorot, biases and linear zero.
 
-    Deterministic given (schema, cfg, seed); the draw order is embeddings,
-    mlp layers bottom-up, cross layers, head.
+    Deterministic given (schema, cfg, seed); weights are drawn in layout
+    order: embeddings, mlp layers bottom-up, cross layers, head.
     """
-    m = schema.n_features
-    f = schema.n_fields
-    k = cfg.embed_dim if cfg.kind in _EMBEDDED else 0
-    p = Params(
-        kind=cfg.kind,
-        n_fields=f,
-        n_features=m,
-        embed_dim=k,
-        schema_digest=schema.digest(),
-    )
     rng = philox(seed, 100)
-    if cfg.kind in _WITH_LINEAR:
-        p.linear = np.zeros(m, dtype=np.float64)
-    if cfg.kind in _EMBEDDED:
-        p.emb = _glorot(rng, (m, k), m, k)
-    if cfg.kind in _WITH_MLP:
-        d0 = f * k
-        widths = list(cfg.mlp_widths)
-        if cfg.kind in ("mlp", "deepfm"):
-            widths = widths + [1]  # scalar-ended branch
-        prev = d0
-        for w in widths:
-            W = _glorot(rng, (w, prev), prev, w)
-            p.mlp.append((W, np.zeros(w, dtype=np.float64)))
-            prev = w
-    if cfg.kind == "dcn":
-        d = f * k
-        for _ in range(cfg.n_cross_layers):
-            w = _glorot(rng, (d,), d, 1)
-            p.cross.append((w, np.zeros(d, dtype=np.float64)))
-        deep_w = p.mlp[-1][0].shape[0] if p.mlp else 0
-        p.head = _glorot(rng, (d + deep_w,), d + deep_w, 1)
-    return p
+
+    def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name == "linear" or name.endswith(".b"):
+            return np.zeros(shape)
+        # fan_in + fan_out: a matrix's two sides, or a vector feeding one output
+        s = np.sqrt(6.0 / (sum(shape) if len(shape) == 2 else shape[0] + 1))
+        return rng.uniform(-s, s, size=shape)
+
+    kind = cfg.kind
+    widths = tuple(cfg.mlp_widths) if kind in _WITH_MLP else ()
+    if kind in ("mlp", "deepfm"):
+        widths += (1,)  # scalar-ended branch
+    return build_params(
+        kind, schema.n_fields, schema.n_features,
+        cfg.embed_dim if kind in _EMBEDDED else 0, schema.digest(), widths,
+        cfg.n_cross_layers if kind == "dcn" else 0, make,
+    )
 
 
 def _check_batch(params: Params, indices: np.ndarray) -> None:
@@ -281,8 +315,8 @@ def forward_batch(
     indices = np.asarray(indices, dtype=np.int64)
     _check_batch(params, indices)
     n = indices.shape[0]
-    trace = Trace(indices=indices, z=np.zeros(n))
     z = np.full(n, params.bias, dtype=np.float64)
+    trace = Trace(indices=indices, z=z)
 
     if params.linear is not None:
         z += params.linear[indices].sum(axis=1)
@@ -315,7 +349,6 @@ def forward_batch(
                 out = _mlp_forward(params, x0, trace)
                 z += out[:, 0]
 
-    trace.z = z
     return z, sigmoid(z), trace
 
 

@@ -6,10 +6,10 @@ SGD and lazy Adam touch only those rows of the parameters and moments.
 Moments of rows a batch never touched are neither decayed nor
 bias-corrected away, the standard treatment for large sparse tables. Dense
 blocks (bias, perceptron and cross layers, head) update densely every step.
-Adam keeps the moments of the array blocks among them (mlp, cross, head)
-in one flat array, with ``OptimizerState.m``/``v`` holding views into it,
-so each step runs the moment recurrence once over all of them. Adam's decay
-rates and denominator floor are the fixed constants below.
+Adam keeps each moment in one flat array, every block a view into it in
+layout order, so the dense tail (``OptimizerState.m_dense``/``v_dense``)
+runs the moment recurrence once over all dense blocks per step. Adam's
+decay rates and denominator floor are the fixed constants below.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers its rows once, in shuffle order, and its mini-batches are
@@ -65,9 +65,9 @@ class TrainConfig:
 class OptimizerState:
     """Update rule plus Adam moment accumulators shaped like the params.
 
-    The dense array blocks of ``m`` and ``v`` (mlp, cross, head) are views
-    into the flat arrays ``m_dense`` and ``v_dense``, in ``_dense_blocks``
-    order.
+    Each of ``m`` and ``v`` has its blocks as views into one flat array, in
+    layout order; ``m_dense`` and ``v_dense`` are the tails of those arrays
+    that hold the dense blocks (mlp, cross, head).
     """
 
     kind: str
@@ -82,33 +82,28 @@ class OptimizerState:
     def for_params(cls, cfg: TrainConfig, params: Params) -> "OptimizerState":
         state = cls(kind=cfg.optimizer, lr=cfg.lr)
         if state.kind == "adam":
-            state.m, state.m_dense = _flat_dense_zeros(params)
-            state.v, state.v_dense = _flat_dense_zeros(params)
+            state.m, state.m_dense = _flat_zeros(params)
+            state.v, state.v_dense = _flat_zeros(params)
         return state
 
 
-def _dense_blocks(p: Params | Grads) -> list[np.ndarray]:
-    """The dense array blocks in a fixed order: mlp (W, b)..., cross (w, b)..., head."""
-    blocks = [a for pair in p.mlp + p.cross for a in pair]
-    if p.head is not None:
-        blocks.append(p.head)
-    return blocks
+def _flat_zeros(params: Params) -> tuple[Params, np.ndarray]:
+    """Zeros shaped like ``params`` whose blocks are consecutive views of one
+    flat array, and that array's tail of dense blocks.
 
+    ``np.zeros`` hands out untouched zero pages, so a table costs memory only
+    where it is later written, as lazy Adam's moments are.
+    """
+    flat = np.zeros(sum(a.size for _, a in params.blocks()), dtype=np.float64)
+    lo = 0
 
-def _flat_dense_zeros(params: Params) -> tuple[Params, np.ndarray]:
-    """Zeros shaped like ``params`` whose dense blocks are views of one flat array."""
-    z = params.zeros_like()
-    flat = np.zeros(sum(a.size for a in _dense_blocks(z)), dtype=np.float64)
-    views, lo = [], 0
-    for a in _dense_blocks(z):
-        views.append(flat[lo : lo + a.size].reshape(a.shape))
+    def view(_, a):
+        nonlocal lo
         lo += a.size
-    it = iter(views)
-    z.mlp = [(next(it), next(it)) for _ in z.mlp]
-    z.cross = [(next(it), next(it)) for _ in z.cross]
-    if z.head is not None:
-        z.head = next(it)
-    return z, flat
+        return flat[lo - a.size : lo].reshape(a.shape)
+
+    n_dense = sum(a.size for a in params.dense_blocks())
+    return params.like(view), flat[flat.size - n_dense :]
 
 
 def _adam_rows(state, theta, g, m, v, rows, c1, c2):
@@ -167,7 +162,7 @@ def apply_update(
             params.linear[rows] -= state.lr * grads.linear
         if params.emb is not None:
             params.emb[rows] -= state.lr * grads.emb
-        for theta, g in zip(_dense_blocks(params), _dense_blocks(grads)):
+        for theta, g in zip(params.dense_blocks(), grads.dense_blocks()):
             theta -= state.lr * g
         return params, state
 
@@ -185,9 +180,9 @@ def apply_update(
         _adam_rows(state, params.linear, grads.linear, m.linear, v.linear, rows, c1, c2)
     if params.emb is not None:
         _adam_rows(state, params.emb, grads.emb, m.emb, v.emb, rows, c1, c2)
-    blocks = _dense_blocks(params)
+    blocks = params.dense_blocks()
     if blocks:
-        _adam_dense(state, blocks, _dense_blocks(grads), c1, c2)
+        _adam_dense(state, blocks, grads.dense_blocks(), c1, c2)
     return params, state
 
 

@@ -60,41 +60,15 @@ def loss_grad_z(cfg: LossConfig, y: float, y_hat: float,
 
 
 def params_to_vector(p: Params) -> np.ndarray:
-    blocks = [np.array([p.bias])]
-    if p.linear is not None:
-        blocks.append(p.linear.ravel())
-    if p.emb is not None:
-        blocks.append(p.emb.ravel())
-    for w, b in p.mlp:
-        blocks += [w.ravel(), b.ravel()]
-    for w, b in p.cross:
-        blocks += [w.ravel(), b.ravel()]
-    if p.head is not None:
-        blocks.append(p.head.ravel())
-    return np.concatenate(blocks)
+    return np.concatenate([[p.bias]] + [a.ravel() for _, a in p.blocks()])
 
 
 def set_params_from_vector(p: Params, vec: np.ndarray) -> None:
-    i = 1
     p.bias = float(vec[0])
-
-    def fill(a: np.ndarray):
-        nonlocal i
+    i = 1
+    for _, a in p.blocks():
         a.ravel()[:] = vec[i : i + a.size]
         i += a.size
-
-    if p.linear is not None:
-        fill(p.linear)
-    if p.emb is not None:
-        fill(p.emb)
-    for w, b in p.mlp:
-        fill(w)
-        fill(b)
-    for w, b in p.cross:
-        fill(w)
-        fill(b)
-    if p.head is not None:
-        fill(p.head)
     assert i == vec.size
 
 
@@ -110,18 +84,11 @@ def grads_to_vector(g: Grads, p: Params) -> np.ndarray:
 
     ``p`` supplies the table sizes that compact gradients do not carry.
     """
-    blocks = [np.array([g.bias])]
-    if g.linear is not None:
-        blocks.append(dense_table(g.linear, g.rows, p.linear).ravel())
-    if g.emb is not None:
-        blocks.append(dense_table(g.emb, g.rows, p.emb).ravel())
-    for w, b in g.mlp:
-        blocks += [w.ravel(), b.ravel()]
-    for w, b in g.cross:
-        blocks += [w.ravel(), b.ravel()]
-    if g.head is not None:
-        blocks.append(g.head.ravel())
-    return np.concatenate(blocks)
+    blocks = [
+        dense_table(a, g.rows, pa) if name in ("linear", "emb") else a
+        for (name, a), (_, pa) in zip(g.blocks(), p.blocks())
+    ]
+    return np.concatenate([[g.bias]] + [a.ravel() for a in blocks])
 
 
 def relative_errors(fd: np.ndarray, an: np.ndarray, floor: float = 1e-2) -> np.ndarray:

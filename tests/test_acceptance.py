@@ -268,9 +268,8 @@ def test_ac7_alpha_sweep_shape(fixture_csv, tmp_path):
           f"max interior AUC {max(interior):.4f} >= {alpha0_auc:.4f}")
 
 
-def test_ac8_determinism_and_persistence(tmp_path, monkeypatch):
+def test_ac8_determinism_and_persistence(tmp_path):
     """Manifest replays are byte-identical; corruption errors are typed."""
-    monkeypatch.setenv("RELOOP_THREADS", "1")
 
     def tree(root: Path):
         return {
@@ -338,7 +337,7 @@ def test_ac8_determinism_and_persistence(tmp_path, monkeypatch):
     bad.write_bytes(raw[:-9])
     with pytest.raises(TruncatedCheckpointError):
         load_checkpoint(bad)
-    print("AC-8 PASS: byte-identical replays under RELOOP_THREADS=1, typed errors")
+    print("AC-8 PASS: byte-identical replays, typed errors")
 
 
 def test_ac9_static_prior_protocol(fixture_dataset):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradutils import params_to_vector, set_params_from_vector
@@ -215,3 +215,62 @@ def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * size, peak / size
+
+
+_KIND_CODES = {"lr": 0, "fm": 1, "mlp": 2, "deepfm": 3, "dcn": 4}
+
+
+def _header(kind_code, digest, embed_dim, n_fields, widths, n_cross, n_features, bias):
+    """The header bytes as the module docstring lays them out, bias included."""
+    return MAGIC + struct.pack(
+        f"<IBQIII{len(widths)}IIQd", 1, kind_code, digest, embed_dim, n_fields,
+        len(widths), *widths, n_cross, n_features, bias,
+    )
+
+
+@pytest.mark.parametrize("kind, widths", [(k, (4, 2)) for k in MODEL_KINDS] + [("dcn", ())],
+                         ids=list(MODEL_KINDS) + ["dcn-no-mlp"])
+def test_bytes_are_header_bias_then_each_block(tmp_path, schema, kind, widths):
+    p = init_params(schema, ModelConfig(kind, embed_dim=3, mlp_widths=widths), seed=4)
+    p.bias = 0.375
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(p, path)
+    expected = _header(_KIND_CODES[kind], p.schema_digest, p.embed_dim, p.n_fields,
+                       p.mlp_widths, len(p.cross), p.n_features, p.bias)
+    expected += b"".join(a.astype("<f8").tobytes() for _, a in p.blocks())
+    assert path.read_bytes() == expected
+
+
+_U32 = st.sampled_from([1, 0, 2, 2**32 - 1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(kind_code=st.integers(0, 5), embed_dim=_U32, n_fields=_U32,
+       widths=st.lists(_U32, max_size=2), n_cross=_U32,
+       n_features=st.sampled_from([1, 0, 2, 2**64 - 1]),
+       body=st.one_of(st.binary(max_size=256), st.integers(0, 40).map(lambda n: bytes(8 * n))))
+@example(kind_code=0, embed_dim=0, n_fields=1, widths=[], n_cross=2**32 - 1,
+         n_features=1, body=bytes(8))
+@example(kind_code=4, embed_dim=1, n_fields=1, widths=[1], n_cross=2**32 - 1,
+         n_features=1, body=bytes(64))
+@example(kind_code=1, embed_dim=2**32 - 1, n_fields=2**32 - 1, widths=[], n_cross=0,
+         n_features=2**64 - 1, body=bytes(16))
+def test_any_header_over_a_short_body_loads_or_raises_checkpoint_error(
+        kind_code, embed_dim, n_fields, widths, n_cross, n_features, body):
+    """Header fields that describe no model, or more blocks than the body
+    holds, raise a CheckpointError subclass before anything near their size
+    is allocated."""
+    raw = _header(kind_code, 0, embed_dim, n_fields, widths, n_cross, n_features, 0.0) + body
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.ckpt"
+        path.write_bytes(raw)
+        tracemalloc.start()
+        try:
+            try:
+                load_checkpoint(path)
+            except CheckpointError:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 64 * 1024 + 4 * len(raw), peak

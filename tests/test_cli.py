@@ -521,6 +521,28 @@ class TestInputBoundaries:
         assert f"{scores}:3: row_id 99999999999999999999999 is outside int64" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where", ["csv", "score-log", "plain-column"])
+    def test_non_utf8_input_names_its_file(self, tmp_path, capsys, where):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"label,a,b\n1,x,y\n0,caf\xe9,w\n1,x,w\n0,z,y\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(b"row_id,y_last\n0,0.5\n1,0.\xe9\n")
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"label\n1\n\xe9\n" if where == "plain-column" else b"1\n0\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("0.5\n0.5\n")
+        if where == "csv":
+            bad, argv = data, ["train", "--data", data, "--model", "lr", "--epochs", 1,
+                               "--buckets", 8, "--out", tmp_path / "o"]
+        elif where == "score-log":
+            bad, argv = scores, ["eval", "--scores", scores, "--labels", labels]
+        else:
+            bad, argv = labels, ["eval", "--scores", plain, "--labels", labels]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: not UTF-8 text after line " in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("where", ["header", "data-cell", "score-log"])
     def test_cell_over_csv_field_limit_exit_one(self, tmp_path, capsys, where):
         long = "x" * 131073

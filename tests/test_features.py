@@ -1,6 +1,7 @@
 """Feature pipeline: hashing, encoding, ingestion, synthetic generation."""
 
 import csv
+import re
 import tempfile
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from reloop.features import (
     FeatureSchema,
     FieldSpec,
     SyntheticSpec,
+    _raw_windows,
     canonical_token,
     fnv1a64,
     generate_synthetic,
@@ -32,6 +34,11 @@ def reference_fnv1a(data: bytes) -> int:
     return functools.reduce(
         lambda h, b: ((h ^ b) * 0x100000001B3) % 2**64, data, 0xCBF29CE484222325
     )
+
+
+def hidden_models(spec: SyntheticSpec):
+    """A copy of the hidden CTR model behind each generated window."""
+    return [truth.copy() for *_, truth in _raw_windows(spec)]
 
 
 class TestHashing:
@@ -114,6 +121,11 @@ class TestTransformNumerical:
         assert transform_numerical(None) == 0
         assert transform_numerical(float("nan")) == 0
 
+    def test_plus_inf_has_no_bucket(self):
+        with pytest.raises(DataError, match="inf"):
+            transform_numerical(float("inf"))
+        assert transform_numerical(float("-inf")) == 0
+
 
 class TestIngest:
     def _write(self, path, text):
@@ -151,6 +163,15 @@ class TestIngest:
     def test_y_last_out_of_range_rejected(self, tmp_path):
         p = self._write(tmp_path / "d.csv", "label,a,b,y_last\n1,x,y,1.5\n")
         with pytest.raises(DataError, match="y_last"):
+            ingest_csv(p, self._schema())
+
+    def test_non_utf8_names_file_and_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"label,a,b\n1,x,y\n" + b"0,x,y\n" * 2000 + b"1,caf\xe9,y\n")
+        # text is decoded in chunks, so the line named is the last one read
+        # before the chunk holding the bad byte, not line 2003 itself
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}: not UTF-8 text "
+                           r"after line [1-9]\d*: invalid continuation byte$"):
             ingest_csv(p, self._schema())
 
     def test_header_mismatch_rejected(self, tmp_path):
@@ -221,13 +242,13 @@ class TestSynthetic:
 
     def test_drift_zero_keeps_one_ground_truth(self):
         spec = SyntheticSpec(4, 16, 3, 400, seed=11, n_windows=3, drift_rate=0.0)
-        _, truths = generate_synthetic(spec, return_truth=True)
+        truths = hidden_models(spec)
         for t in truths[1:]:
             assert np.array_equal(t.latent, truths[0].latent)
 
     def test_drift_changes_ground_truth(self):
         spec = SyntheticSpec(4, 16, 3, 400, seed=11, n_windows=2, drift_rate=0.5)
-        _, truths = generate_synthetic(spec, return_truth=True)
+        truths = hidden_models(spec)
         changed = np.any(truths[0].latent != truths[1].latent, axis=1).sum()
         assert changed == round(0.5 * 64)
 
@@ -243,7 +264,7 @@ class TestSynthetic:
         from reloop.features import token_probabilities
 
         spec = SyntheticSpec(8, 64, 4, 100_000, seed=42)
-        (ds,), (truth,) = generate_synthetic(spec, return_truth=True)
+        (ds,), (truth,) = generate_synthetic(spec), hidden_models(spec)
         schema = spec.schema()
         rng = np.random.default_rng(1234)
         # independent draw path: choice over the declared popularity law
@@ -262,7 +283,7 @@ class TestSynthetic:
 
     def test_ctr_in_row_blocks_equals_whole_array(self):
         spec = SyntheticSpec(8, 64, 4, 5000, seed=3)
-        (ds,), (truth,) = generate_synthetic(spec, return_truth=True)
+        (ds,), (truth,) = generate_synthetic(spec), hidden_models(spec)
         whole = 1.0 / (1.0 + np.exp(-truth.logits(ds.indices)))
         assert truth.ctr(ds.indices).tobytes() == whole.tobytes()
 

@@ -23,12 +23,14 @@ from gradutils import (
 )
 from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig
+from reloop.rng import philox
 from reloop.models import (
     MODEL_KINDS,
     DimensionError,
     ModelConfig,
     ModelConfigError,
     backward_batch,
+    build_params,
     forward_batch,
     init_params,
     predict_batch,
@@ -175,6 +177,81 @@ class TestInit:
             ModelConfig("fm", embed_dim=0)
         with pytest.raises(ModelConfigError):
             ModelConfig("rnn")
+
+
+class TestLayout:
+    """One block order: blocks(), dense_blocks() and build_params agree on it."""
+
+    @pytest.mark.parametrize("kind, names", [
+        ("lr", ["linear"]),
+        ("fm", ["linear", "emb"]),
+        ("mlp", ["emb", "mlp[0].W", "mlp[0].b", "mlp[1].W", "mlp[1].b"]),
+        ("deepfm", ["linear", "emb", "mlp[0].W", "mlp[0].b", "mlp[1].W", "mlp[1].b"]),
+        ("dcn", ["emb", "mlp[0].W", "mlp[0].b", "cross[0].w", "cross[0].b",
+                 "cross[1].w", "cross[1].b", "head"]),
+    ])
+    def test_walks_and_builder_share_one_order(self, schema, kind, names):
+        p = init_params(schema, ModelConfig(kind, embed_dim=2, mlp_widths=(3,)), seed=0)
+        assert [name for name, _ in p.blocks()] == names
+        arrays = [a for _, a in p.blocks()]
+        n_tables = sum(name in ("linear", "emb") for name in names)
+        dense = p.dense_blocks()
+        assert len(dense) == len(arrays) - n_tables
+        assert all(a is b for a, b in zip(dense, arrays[n_tables:]))
+
+        made = []
+        q = build_params(p.kind, p.n_fields, p.n_features, p.embed_dim, p.schema_digest,
+                         p.mlp_widths, len(p.cross),
+                         lambda name, shape: made.append((name, shape)) or np.ones(shape))
+        assert made == [(name, a.shape) for name, a in p.blocks()]
+        assert [name for name, _ in q.blocks()] == names
+
+        _, _, trace = forward_batch(p, random_instance(schema, np.random.default_rng(0))
+                                    .indices[None, :])
+        g = backward_batch(p, trace, np.ones(1))
+        assert [name for name, _ in g.blocks()] == names
+        assert all(a is b for a, b in zip(g.dense_blocks(), [a for _, a in g.blocks()][n_tables:]))
+
+    def test_weights_drawn_in_layout_order(self, schema):
+        """Glorot draws, in order, for emb, each mlp W, each cross w and head;
+        the linear table and every bias stay zero."""
+        p = init_params(schema, ModelConfig("dcn", embed_dim=2, mlp_widths=(3,),
+                                            n_cross_layers=2), seed=5)
+        rng = philox(5, 100)
+
+        def glorot(shape, fans):
+            s = np.sqrt(6.0 / fans)
+            return rng.uniform(-s, s, size=shape)
+
+        m, d = schema.n_features, schema.n_fields * 2
+        assert p.emb.tobytes() == glorot((m, 2), m + 2).tobytes()
+        assert p.mlp[0][0].tobytes() == glorot((3, d), d + 3).tobytes()
+        for w, b in p.cross:
+            assert w.tobytes() == glorot((d,), d + 1).tobytes()
+            assert not b.any()
+        assert p.head.tobytes() == glorot((d + 3,), d + 4).tobytes()
+        assert not p.mlp[0][1].any()
+
+    @pytest.mark.parametrize("kind, embed_dim, n_fields, widths, n_cross", [
+        ("lr", 1, 2, [], 0),
+        ("lr", 0, 2, [], 1),
+        ("fm", 0, 2, [], 0),
+        ("fm", 2, 2, [1], 0),
+        ("fm", 2, 2, [], 1),
+        ("mlp", 2, 2, [3], 0),
+        ("deepfm", 2, 2, [], 0),
+        ("deepfm", 2, 2, [3, 1], 1),
+        ("dcn", 2, 2, [0], 1),
+        ("dcn", 2, 0, [], 1),
+        ("rnn", 2, 2, [], 0),
+    ])
+    def test_builder_refuses_layouts_init_never_builds(self, kind, embed_dim, n_fields,
+                                                       widths, n_cross):
+        made = []
+        with pytest.raises(ValueError, match="no .* model has"):
+            build_params(kind, n_fields, 5, embed_dim, 0, widths, n_cross,
+                         lambda name, shape: made.append(name))
+        assert made == []
 
 
 class TestBackward:
