@@ -123,7 +123,12 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Params:
-    """Deserialize a checkpoint written by save_checkpoint."""
+    """Deserialize a checkpoint written by save_checkpoint.
+
+    Raises:
+        NonFiniteCheckpointError: a parameter is NaN or inf, which
+            save_checkpoint never writes: the file is damaged or foreign.
+    """
     r = _Reader(Path(path).read_bytes())
     magic = bytes(r.take(len(MAGIC)))
     if magic != MAGIC:
@@ -153,6 +158,9 @@ def load_checkpoint(path: str | Path) -> Params:
         raise TruncatedCheckpointError(
             f"checkpoint has {len(r.buf) - r.pos} unexpected trailing bytes"
         )
+    block = params.nonfinite_block()
+    if block is not None:
+        raise NonFiniteCheckpointError(f"{path}: parameter block {block} is not finite")
     return params
 
 

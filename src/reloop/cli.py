@@ -260,9 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_config(path: str) -> dict[str, str]:
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:

@@ -6,6 +6,16 @@ models never touch strings. A field contributes its hashed index alone, with
 no value weight: numericals are bucketed into tokens before hashing. Hashing
 is 64-bit FNV-1a over ``name=value`` byte strings as the sole source of
 indices; there are no vocabulary files.
+
+Hashing is a pure function of the token, so it runs in bulk: a field's
+tokens go through the vectorized kernel ``rng.fnv1a64_batch`` in one call,
+starting from the digest of the field's ``name=`` prefix; the kernel's cost
+is linear in the tokens' total bytes, whatever their lengths. CSV ingest
+reads rows in blocks of ``ROW_BLOCK``, encodes a block column by column, and
+sends to the kernel only the cells its file has not shown before; synthetic
+windows hash each field's whole token range once and are written out in
+blocks of ``ROW_BLOCK`` rows. No memo outlives a call: ingest's per-file
+cell->index dicts go with the file.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .losses import clip_prob
-from .rng import fnv1a64, philox  # fnv1a64 is re-exported here
+from .rng import fnv1a64, fnv1a64_batch, philox  # fnv1a64 is re-exported here
 
 MISSING_TOKEN = "__MISSING__"
 ROW_BLOCK = 1024  # rows per block of a whole-window pass; see by_row_blocks
@@ -102,8 +112,6 @@ class FeatureSchema:
         self.index_base = tuple(base)
         self.n_features = offset
         self._pos = {f.name: i for i, f in enumerate(fields)}
-        # per-field token memo; hashing is pure so caching is transparent
-        self._cache: list[dict[str, int]] = [{} for _ in fields]
 
     @property
     def n_fields(self) -> int:
@@ -123,6 +131,14 @@ class FeatureSchema:
         """FNV-1a digest of the canonical serialization; keys checkpoints."""
         return fnv1a64(self.canonical_serialization().encode("utf-8"))
 
+    def hash_tokens(self, pos: int, tokens: list[str]) -> np.ndarray:
+        """Global indices of canonical tokens of field ``pos``, in one kernel
+        pass: index_base[pos] + (fnv1a64(b"name=token") mod buckets)."""
+        spec = self.fields[pos]
+        state = fnv1a64(f"{spec.name}=".encode("utf-8"))
+        digests = fnv1a64_batch([t.encode("utf-8") for t in tokens], state)
+        return (digests % np.uint64(spec.buckets)).astype(np.int64) + self.index_base[pos]
+
     def hash_feature(self, field: str | int, raw: str | int | float) -> int:
         """Global index for a raw value of one field.
 
@@ -130,30 +146,24 @@ class FeatureSchema:
         Total function: any raw value maps somewhere in the field's range.
         """
         pos = field if isinstance(field, int) else self.field_position(field)
-        token = canonical_token(raw)
-        cache = self._cache[pos]
-        hit = cache.get(token)
-        if hit is not None:
-            return hit
-        spec = self.fields[pos]
-        digest = fnv1a64(f"{spec.name}={token}".encode("utf-8"))
-        index = self.index_base[pos] + digest % spec.buckets
-        cache[token] = index
-        return index
+        return int(self.hash_tokens(pos, [canonical_token(raw)])[0])
+
+    def cell_token(self, pos: int, cell: str) -> str:
+        """Canonical token of one CSV cell. Empty cells, and numerical cells
+        that do not parse or parse to +inf (which has no log2 bucket), give
+        the missing-value sentinel."""
+        if cell == "":
+            return MISSING_TOKEN
+        if self.fields[pos].kind == "categorical":
+            return cell
+        try:
+            return str(transform_numerical(float(cell)))
+        except ValueError:
+            return MISSING_TOKEN
 
     def encode_cell(self, pos: int, cell: str) -> int:
-        """Hash one CSV cell. Empty cells, and numerical cells that do not
-        parse or parse to +inf (which has no log2 bucket), map to the
-        missing-value sentinel."""
-        if cell == "":
-            return self.hash_feature(pos, MISSING_TOKEN)
-        if self.fields[pos].kind == "numerical":
-            try:
-                token = transform_numerical(float(cell))
-            except ValueError:
-                token = MISSING_TOKEN
-            return self.hash_feature(pos, token)
-        return self.hash_feature(pos, cell)
+        """Hash one CSV cell: the index of ``cell_token(pos, cell)``."""
+        return self.hash_feature(pos, self.cell_token(pos, cell))
 
     def __eq__(self, other):
         return isinstance(other, FeatureSchema) and self.fields == other.fields
@@ -257,12 +267,33 @@ def csv_rows(path: str | Path, fh):
         ) from None
 
 
+def _encode_block(schema: FeatureSchema, block: list[list[str]],
+                  seen: list[dict[str, int]]) -> np.ndarray:
+    """(len(block), n_fields) indices of a block of CSV rows, field by field.
+
+    ``seen[p]`` maps each cell of field p met so far in the file to its index;
+    only the cells it lacks go to the kernel, in one call per field.
+    """
+    out = np.empty((len(block), schema.n_fields), dtype=np.int64)
+    columns = list(zip(*block))[1 : 1 + schema.n_fields]
+    for pos, (memo, column) in enumerate(zip(seen, columns)):
+        new = [cell for cell in dict.fromkeys(column) if cell not in memo]
+        if new:
+            tokens = [schema.cell_token(pos, cell) for cell in new]
+            memo.update(zip(new, schema.hash_tokens(pos, tokens).tolist()))
+        out[:, pos] = [memo[cell] for cell in column]
+    return out
+
+
 def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     """Read a labelled CSV into a Dataset.
 
     Expected header: ``label,<field1>,...,<fieldN>[,y_last]`` matching the
     schema's field names in order. Empty cells hash to the missing-value
-    sentinel. Row numbers in error messages are 1-based data rows.
+    sentinel. Row numbers in error messages are 1-based data rows. Rows are
+    checked one by one and encoded a block of ``ROW_BLOCK`` rows at a time,
+    so the raw rows held never exceed one block; besides them, ingest holds
+    one dict entry per distinct cell of each field until the file is read.
 
     Raises:
         DataError: header mismatch, wrong column count, label outside {0,1},
@@ -284,7 +315,9 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
         width = len(expected) + (1 if has_y_last else 0)
         n_fields = schema.n_fields
 
-        labels, rows, y_last = [], [], [] if has_y_last else None
+        labels, y_last = [], [] if has_y_last else None
+        block, encoded = [], []
+        seen = [{} for _ in range(n_fields)]
         for rownum, (_, cells) in enumerate(lines, start=1):
             if len(cells) != width:
                 raise DataError(
@@ -295,7 +328,7 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                     f"{path}: row {rownum}: label must be 0 or 1, got {cells[0]!r}"
                 )
             labels.append(float(cells[0]))
-            rows.append([schema.encode_cell(p, cells[1 + p]) for p in range(n_fields)])
+            block.append(cells)
             if has_y_last:
                 try:
                     score = float(cells[-1])
@@ -307,9 +340,13 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                         f"got {cells[-1]!r}"
                     )
                 y_last.append(score)
+            if len(block) == ROW_BLOCK:
+                encoded.append(_encode_block(schema, block, seen))
+                block = []
+        encoded.append(_encode_block(schema, block, seen))
 
     n = len(labels)
-    indices = np.array(rows, dtype=np.int64).reshape(n, n_fields)
+    indices = np.concatenate(encoded)
     scores = None
     if y_last is not None:
         scores = clip_prob(np.array(y_last, dtype=np.float64))
@@ -398,11 +435,8 @@ def _latent_scale(spec: SyntheticSpec) -> float:
 def _token_index_table(spec: SyntheticSpec, schema: FeatureSchema) -> np.ndarray:
     # (F, B) map from raw token to global hashed index, the same path a CSV
     # round-trip takes, so in-memory windows equal their re-ingested files.
-    table = np.empty((spec.n_fields, spec.buckets_per_field), dtype=np.int64)
-    for f in range(spec.n_fields):
-        for t in range(spec.buckets_per_field):
-            table[f, t] = schema.hash_feature(f, str(t))
-    return table
+    tokens = [str(t) for t in range(spec.buckets_per_field)]
+    return np.stack([schema.hash_tokens(f, tokens) for f in range(spec.n_fields)])
 
 
 def _raw_windows(spec: SyntheticSpec):
@@ -455,7 +489,9 @@ def generate_synthetic_csv(spec: SyntheticSpec, out_dir: str | Path) -> list[Pat
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["label"] + [f.name for f in schema.fields])
-            for i in range(labels.shape[0]):
-                writer.writerow([int(labels[i])] + [str(t) for t in tokens[i]])
+            for lo in range(0, labels.shape[0], ROW_BLOCK):
+                hi = lo + ROW_BLOCK
+                block = np.column_stack([labels[lo:hi].astype(np.int64), tokens[lo:hi]])
+                writer.writerows(block.tolist())
         paths.append(path)
     return paths

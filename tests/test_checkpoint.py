@@ -1,5 +1,6 @@
 """Checkpoint format: bitwise round trips and distinct corruption errors."""
 
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -92,6 +93,25 @@ class TestNonFinite:
         with pytest.raises(NonFiniteCheckpointError, match="block bias "):
             save_checkpoint(p, path)
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", ["bias", "last"])
+    def test_load_refuses_non_finite_file(self, tmp_path, schema, kind, value, where):
+        """A file holding NaN or inf, which save never writes, does not load."""
+        p = randomized(schema, kind)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        raw = bytearray(path.read_bytes())
+        body = sum(8 * a.size for _, a in p.blocks())
+        at = len(raw) - body - 8 if where == "bias" else len(raw) - 8
+        raw[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(raw)
+        block = "bias" if where == "bias" else p.blocks()[-1][0]
+        with pytest.raises(NonFiniteCheckpointError,
+                           match=rf"^{re.escape(str(path))}: parameter block "
+                                 rf"{re.escape(block)} is not finite$"):
+            load_checkpoint(path)
 
 
 class TestCorruption:

@@ -392,6 +392,19 @@ class TestEval:
         n, n_pos, n_neg, auc, ll = metrics_line.split(",")
         assert printed["auc"] == auc and printed["logloss"] == ll
 
+    def test_eval_refuses_non_finite_checkpoint(self, data_dir, tmp_path, capsys):
+        data = data_dir / "single" / "window_000.csv"
+        out = tmp_path / "t"
+        assert run("train", "--data", data, "--model", "lr", "--epochs", 1,
+                   "--buckets", 12, "--out", out) == 0
+        ckpt = out / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
+        capsys.readouterr()
+        assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 12) == 1
+        captured = capsys.readouterr()
+        assert f"{ckpt}: parameter block linear is not finite" in captured.err
+        assert "logloss" not in captured.out and "Traceback" not in captured.err
+
 
 class TestLossCurves:
     def test_positive_scenario_file(self, tmp_path):
@@ -433,6 +446,15 @@ class TestConfigPrecedence:
         assert manifest["resolved"]["epochs"] == 1       # from config
         assert manifest["resolved"]["seed"] == 44        # flag wins
         assert manifest["resolved"]["batch_size"] == 256  # default
+
+    def test_non_utf8_config_names_file_and_line(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"seed = 3\nrows = 3\xe9\n")
+        out = tmp_path / "o"
+        assert run("gen-data", "--config", cfgfile, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"usage error: {cfgfile}:2: not UTF-8 text: invalid continuation byte" in err
+        assert not out.exists()
 
     def test_unknown_config_key(self, data_dir, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -1,17 +1,21 @@
 """Feature pipeline: hashing, encoding, ingestion, synthetic generation."""
 
 import csv
+import hashlib
 import re
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reloop.features import (
     MISSING_TOKEN,
+    ROW_BLOCK,
     DataError,
     Dataset,
     FeatureSchema,
@@ -25,10 +29,13 @@ from reloop.features import (
     ingest_csv,
     transform_numerical,
 )
+from reloop.losses import clip_prob
+from reloop.rng import fnv1a64_batch
 
 
 def reference_fnv1a(data: bytes) -> int:
-    """Independent FNV-1a oracle, written differently from the library path."""
+    """Independent FNV-1a oracle, one byte at a time, unlike the library's
+    column-wise kernel."""
     import functools
 
     return functools.reduce(
@@ -84,6 +91,31 @@ class TestHashing:
         assert canonical_token(7.0) == "7"
         assert canonical_token(True) == "1"
         assert canonical_token(2.5) == "2.5"
+
+
+
+# Byte strings of every shape: arbitrary bytes, NULs (trailing ones too),
+# multibyte UTF-8, and strings longer than 64 bytes. Lists run past
+# rng._BYTE_LOOP_ROWS strings of one length, so a draw can take both the
+# column fold and the byte loop.
+_BLOBS = (st.binary(max_size=12)
+          | st.binary(max_size=4).map(lambda b: b + b"\x00" * 3)
+          | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).map(str.encode)
+          | st.binary(min_size=65, max_size=130))
+_SHORT = st.lists(st.binary(min_size=2, max_size=3), max_size=60)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_BLOBS, max_size=10), _SHORT, _BLOBS)
+@example([], [], b"")
+@example([b"", b"\x00", b"a\x00\x00", "é€😀".encode(), b"x" * 100], [], b"f0=")
+@example([b"x" * 100] * 17 + [b""] * 17, [b"a\x00\x00"] * 20, b"f0=")
+def test_kernel_is_fnv1a_of_each_string_and_of_prefix_plus_string(blobs, short, prefix):
+    data = blobs + short
+    assert fnv1a64_batch(data).tolist() == [reference_fnv1a(b) for b in data]
+    state = reference_fnv1a(prefix)
+    assert fnv1a64_batch(data, state).tolist() == [reference_fnv1a(prefix + b) for b in data]
+    assert fnv1a64_batch(data).dtype == np.uint64
 
 
 class TestSchema:
@@ -208,6 +240,131 @@ class TestIngest:
         assert np.array_equal(ds.indices[0], ds.indices[1])
 
 
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestIngestBlocks:
+    """Ingest encodes a block of ROW_BLOCK rows at a time; no block edge shows."""
+
+    N = 2 * ROW_BLOCK + 37
+    SCHEMA = FeatureSchema([FieldSpec("c", buckets=97), FieldSpec("n", "numerical", 31),
+                            FieldSpec("u", buckets=53)])
+
+    def _rows(self):
+        """Rows whose cells repeat across blocks, with empty, unparsable and
+        non-ASCII cells and a y_last column."""
+        rng = np.random.default_rng(3)
+        numbers = ["", "oops", "inf", "-2", "0", "7", "12.5", "1e400", "65535"]
+        return [[str(i % 2), "" if i % 11 == 0 else f"c{rng.integers(0, 300)}",
+                 numbers[rng.integers(0, len(numbers))], f"é{rng.integers(0, 5000)}",
+                 f"{rng.random():.6f}"]
+                for i in range(self.N)]
+
+    def _write(self, path, rows):
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["label", "c", "n", "u", "y_last"],
+                                                          *rows])
+        return path
+
+    def test_equals_encode_cell_per_cell(self, tmp_path):
+        rows = self._rows()
+        ds = ingest_csv(self._write(tmp_path / "d.csv", rows), self.SCHEMA)
+        assert ds.labels.tolist() == [float(r[0]) for r in rows]
+        assert ds.indices.tolist() == [[self.SCHEMA.encode_cell(p, cell)
+                                        for p, cell in enumerate(r[1:4])] for r in rows]
+        assert ds.y_last.tobytes() == clip_prob(np.array([float(r[4]) for r in rows])).tobytes()
+        assert ds.row_ids.tolist() == list(range(self.N))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("label", "label must be 0 or 1, got '2'"),
+        ("width", "expected 5 columns, got 4"),
+        ("y_last", "y_last must lie in [0, 1], got '1.5'"),
+    ])
+    def test_error_in_second_block_names_its_row(self, tmp_path, fault, message):
+        rows = self._rows()
+        bad = ROW_BLOCK + 5  # 1-based data row in the second block
+        row = rows[bad - 1]
+        if fault == "label":
+            row[0] = "2"
+        elif fault == "width":
+            del row[2]
+        else:
+            row[4] = "1.5"
+        path = self._write(tmp_path / "d.csv", rows)
+        with pytest.raises(DataError, match=rf"^{re.escape(f'{path}: row {bad}: {message}')}$"):
+            ingest_csv(path, self.SCHEMA)
+
+    def test_peak_memory_grows_with_the_output_not_the_raw_rows(self, tmp_path):
+        """Past the Dataset it returns (labels, indices and row ids: 80 bytes a
+        row at 8 fields), ingest holds one block of raw cells, not the file's."""
+        schema = FeatureSchema([FieldSpec(f"f{i}", buckets=1000) for i in range(8)])
+        rng = np.random.default_rng(0)
+
+        def peak(n):
+            path = tmp_path / f"{n}.csv"
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([["label"] + [f"f{i}" for i in range(8)]] + [
+                    [r % 2] + [f"t{t}" for t in rng.integers(0, 40, 8)] for r in range(n)])
+            return _peak_bytes(lambda: ingest_csv(path, schema))
+
+        small, large = 4 * ROW_BLOCK, 16 * ROW_BLOCK
+        per_row = (peak(large) - peak(small)) / (large - small)
+        assert per_row <= 2.5 * 80, per_row
+
+    def test_one_long_cell_costs_its_bytes_not_the_block_times_its_length(self, tmp_path):
+        """A new cell near csv's field size limit among short new cells: the
+        kernel pays for the block's bytes, not its rows times the longest."""
+        long = "\U0001F600" * (csv.field_size_limit() - 8)  # 4 UTF-8 bytes a char
+        rows = [[r % 2, f"t{r}"] for r in range(ROW_BLOCK)]
+        rows[ROW_BLOCK // 2][1] = long
+        path = tmp_path / "d.csv"
+        with path.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["label", "c"], *rows])
+        schema = FeatureSchema([FieldSpec("c", buckets=97)])
+        start = time.perf_counter()
+        ds = ingest_csv(path, schema)
+        elapsed = time.perf_counter() - start
+        assert ds.indices[:, 0].tolist() == [schema.encode_cell(0, r[1]) for r in rows]
+        peak = _peak_bytes(lambda: ingest_csv(path, schema))
+        assert peak <= 8 * len(long.encode()) + 2**20, peak
+        assert elapsed < 1.0, elapsed
+
+    def test_high_cardinality_fields_hold_each_distinct_cell_once(self, tmp_path):
+        """With every cell new, ingest grows by the Dataset's bytes plus what
+        one cell->index dict entry per distinct cell takes, not by raw rows."""
+        schema = FeatureSchema([FieldSpec(f"f{i}", buckets=1000) for i in range(8)])
+
+        def peak(n):
+            path = tmp_path / f"{n}.csv"
+            with path.open("w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([["label"] + [f"f{i}" for i in range(8)]] + [
+                    [r % 2] + [f"t{r}x{i}" for i in range(8)] for r in range(n)])
+            return _peak_bytes(lambda: ingest_csv(path, schema))
+
+        def dicts(n):
+            return _peak_bytes(lambda: [{f"t{r}x{i}": 2**20 + r for r in range(n)}
+                                        for i in range(8)])
+
+        small, large = 4 * ROW_BLOCK, 16 * ROW_BLOCK
+        per_row = (peak(large) - peak(small)) / (large - small)
+        per_row_dicts = (dicts(large) - dicts(small)) / (large - small)
+        assert per_row <= 2.5 * 80 + 1.25 * per_row_dicts, (per_row, per_row_dicts)
+
+    def test_gen_data_writer_holds_one_block(self, tmp_path):
+        """Writing a window adds at most one block's rows to what generating it
+        holds anyway."""
+        spec = SyntheticSpec(8, 4096, 2, 16 * ROW_BLOCK, seed=1)
+        arrays = _peak_bytes(lambda: [None for _ in _raw_windows(spec)])
+        written = _peak_bytes(lambda: generate_synthetic_csv(spec, tmp_path))
+        assert written - arrays <= 1024 * ROW_BLOCK, written - arrays
+
 class TestDataset:
     def test_arrays_read_only(self, tiny_dataset):
         with pytest.raises(ValueError):
@@ -308,6 +465,18 @@ class TestSynthetic:
             assert np.array_equal(ds.labels, ref.labels)
             assert np.array_equal(ds.indices, ref.indices)
             assert np.array_equal(ds.row_ids, ref.row_ids)
+
+    def test_gen_csv_golden_bytes(self, tmp_path):
+        # sha256 recorded from the row-at-a-time writer that the block writer
+        # replaced; three blocks, the last one short, and tokens past 255
+        spec = SyntheticSpec(3, 300, 2, 2 * ROW_BLOCK + 37, seed=5, n_windows=2,
+                             drift_rate=0.1)
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in generate_synthetic_csv(spec, tmp_path)]
+        assert digests == [
+            "f6da045e38f4e2a697626b7b76cc311d31348c125ce8f8ac7d9df22376acb7f6",
+            "f052645a467b6e6b6dd5b5a8759ee92cdf2f1a77ea23ee2d3e1952964b27d176",
+        ]
 
     def test_gen_csv_byte_determinism(self, tmp_path):
         spec = SyntheticSpec(3, 8, 2, 300, seed=9, n_windows=2, drift_rate=0.1)
