@@ -5,17 +5,17 @@ one index inside its own bucket range of a single flat feature space, so the
 models never touch strings. A field contributes its hashed index alone, with
 no value weight: numericals are bucketed into tokens before hashing. Hashing
 is 64-bit FNV-1a over ``name=value`` byte strings as the sole source of
-indices; there are no vocabulary files.
+indices; there are no vocabulary files. A CSV cell becomes an index one way
+only: ``FeatureSchema.cell_token``, then ``FeatureSchema.hash_tokens``.
 
 Hashing is a pure function of the token, so it runs in bulk: a field's
 tokens go through the vectorized kernel ``rng.fnv1a64_batch`` in one call,
 starting from the digest of the field's ``name=`` prefix; the kernel's cost
 is linear in the tokens' total bytes, whatever their lengths. CSV ingest
-reads rows in blocks of ``ROW_BLOCK``, encodes a block column by column, and
-sends to the kernel only the cells its file has not shown before; synthetic
-windows hash each field's whole token range once and are written out in
-blocks of ``ROW_BLOCK`` rows. No memo outlives a call: ingest's per-file
-cell->index dicts go with the file.
+reads rows in blocks of ``ROW_BLOCK`` and hashes each field's distinct cells
+once per block, keeping nothing once the block is encoded; synthetic windows
+hash each field's whole token range once and are written out in blocks of
+``ROW_BLOCK`` rows.
 """
 
 from __future__ import annotations
@@ -38,20 +38,6 @@ _KINDS = ("categorical", "numerical")
 
 class DataError(ValueError):
     """Malformed input data or schema violation."""
-
-
-def canonical_token(raw: str | int | float) -> str:
-    """Canonical byte-string form of a raw value, stable across platforms."""
-    if isinstance(raw, str):
-        return raw
-    if isinstance(raw, (bool, np.bool_)):
-        return str(int(raw))
-    if isinstance(raw, (int, np.integer)):
-        return str(int(raw))
-    if isinstance(raw, (float, np.floating)):
-        f = float(raw)
-        return str(int(f)) if f.is_integer() else repr(f)
-    raise DataError(f"cannot canonicalize raw value of type {type(raw).__name__}")
 
 
 def transform_numerical(v) -> int:
@@ -109,19 +95,14 @@ class FeatureSchema:
         for f in fields:
             base.append(offset)
             offset += f.buckets
+        if offset > 2**63:
+            raise DataError(f"bucket counts sum to {offset}, past the int64 index range")
         self.index_base = tuple(base)
         self.n_features = offset
-        self._pos = {f.name: i for i, f in enumerate(fields)}
 
     @property
     def n_fields(self) -> int:
         return len(self.fields)
-
-    def field_position(self, name: str) -> int:
-        try:
-            return self._pos[name]
-        except KeyError:
-            raise DataError(f"unknown field {name!r}") from None
 
     def canonical_serialization(self) -> str:
         body = "|".join(f"{f.name}:{f.kind}:{f.buckets}" for f in self.fields)
@@ -139,15 +120,6 @@ class FeatureSchema:
         digests = fnv1a64_batch([t.encode("utf-8") for t in tokens], state)
         return (digests % np.uint64(spec.buckets)).astype(np.int64) + self.index_base[pos]
 
-    def hash_feature(self, field: str | int, raw: str | int | float) -> int:
-        """Global index for a raw value of one field.
-
-        Returns index_base[field] + (fnv1a64(b"name=token") mod buckets).
-        Total function: any raw value maps somewhere in the field's range.
-        """
-        pos = field if isinstance(field, int) else self.field_position(field)
-        return int(self.hash_tokens(pos, [canonical_token(raw)])[0])
-
     def cell_token(self, pos: int, cell: str) -> str:
         """Canonical token of one CSV cell. Empty cells, and numerical cells
         that do not parse or parse to +inf (which has no log2 bucket), give
@@ -160,13 +132,6 @@ class FeatureSchema:
             return str(transform_numerical(float(cell)))
         except ValueError:
             return MISSING_TOKEN
-
-    def encode_cell(self, pos: int, cell: str) -> int:
-        """Hash one CSV cell: the index of ``cell_token(pos, cell)``."""
-        return self.hash_feature(pos, self.cell_token(pos, cell))
-
-    def __eq__(self, other):
-        return isinstance(other, FeatureSchema) and self.fields == other.fields
 
     def __repr__(self):
         return f"FeatureSchema({list(self.fields)!r})"
@@ -267,21 +232,19 @@ def csv_rows(path: str | Path, fh):
         ) from None
 
 
-def _encode_block(schema: FeatureSchema, block: list[list[str]],
-                  seen: list[dict[str, int]]) -> np.ndarray:
+def _encode_block(schema: FeatureSchema, block: list[list[str]]) -> np.ndarray:
     """(len(block), n_fields) indices of a block of CSV rows, field by field.
 
-    ``seen[p]`` maps each cell of field p met so far in the file to its index;
-    only the cells it lacks go to the kernel, in one call per field.
+    Each field's distinct cells in the block are hashed once, in one kernel
+    call; nothing is kept once the block is encoded.
     """
     out = np.empty((len(block), schema.n_fields), dtype=np.int64)
     columns = list(zip(*block))[1 : 1 + schema.n_fields]
-    for pos, (memo, column) in enumerate(zip(seen, columns)):
-        new = [cell for cell in dict.fromkeys(column) if cell not in memo]
-        if new:
-            tokens = [schema.cell_token(pos, cell) for cell in new]
-            memo.update(zip(new, schema.hash_tokens(pos, tokens).tolist()))
-        out[:, pos] = [memo[cell] for cell in column]
+    for pos, column in enumerate(columns):
+        cells = dict.fromkeys(column)
+        tokens = [schema.cell_token(pos, cell) for cell in cells]
+        index = dict(zip(cells, schema.hash_tokens(pos, tokens).tolist()))
+        out[:, pos] = [index[cell] for cell in column]
     return out
 
 
@@ -291,9 +254,9 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
     Expected header: ``label,<field1>,...,<fieldN>[,y_last]`` matching the
     schema's field names in order. Empty cells hash to the missing-value
     sentinel. Row numbers in error messages are 1-based data rows. Rows are
-    checked one by one and encoded a block of ``ROW_BLOCK`` rows at a time,
-    so the raw rows held never exceed one block; besides them, ingest holds
-    one dict entry per distinct cell of each field until the file is read.
+    checked one by one and encoded a block of ``ROW_BLOCK`` rows at a time;
+    a field's distinct cells are hashed once per block and nothing is kept
+    past the block, so besides the Dataset, ingest holds one block of rows.
 
     Raises:
         DataError: header mismatch, wrong column count, label outside {0,1},
@@ -313,11 +276,9 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                 f"(expected {expected!r} with optional trailing 'y_last')"
             )
         width = len(expected) + (1 if has_y_last else 0)
-        n_fields = schema.n_fields
 
         labels, y_last = [], [] if has_y_last else None
         block, encoded = [], []
-        seen = [{} for _ in range(n_fields)]
         for rownum, (_, cells) in enumerate(lines, start=1):
             if len(cells) != width:
                 raise DataError(
@@ -341,9 +302,9 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                     )
                 y_last.append(score)
             if len(block) == ROW_BLOCK:
-                encoded.append(_encode_block(schema, block, seen))
+                encoded.append(_encode_block(schema, block))
                 block = []
-        encoded.append(_encode_block(schema, block, seen))
+        encoded.append(_encode_block(schema, block))
 
     n = len(labels)
     indices = np.concatenate(encoded)
@@ -422,9 +383,6 @@ class SyntheticTruth:
     def ctr(self, indices: np.ndarray) -> np.ndarray:
         """Click probability per row, computed in row blocks."""
         return by_row_blocks(lambda rows: 1.0 / (1.0 + np.exp(-self.logits(rows))), indices)
-
-    def copy(self) -> "SyntheticTruth":
-        return SyntheticTruth(self.latent.copy(), self.bias)
 
 
 def _latent_scale(spec: SyntheticSpec) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hashutils import feature_index
 from reloop.features import (
     FeatureSchema,
     FieldSpec,
@@ -72,7 +73,7 @@ def tiny_dataset(small_schema):
     n = 300
     tokens = rng.integers(0, 6, size=(n, 4))
     indices = np.stack(
-        [np.array([small_schema.hash_feature(f, str(t)) for t in tokens[:, f]])
+        [np.array([feature_index(small_schema, f"f{f}", str(t)) for t in tokens[:, f]])
          for f in range(4)],
         axis=1,
     )

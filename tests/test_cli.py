@@ -543,6 +543,17 @@ class TestInputBoundaries:
         assert f"{scores}:3: row_id 99999999999999999999999 is outside int64" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "train"])
+    def test_buckets_past_int64_exit_one(self, data_dir, tmp_path, capsys, command):
+        data = data_dir / "single" / "window_000.csv"
+        argv = ([command, "--data", data, "--checkpoint", tmp_path / "none.ckpt"]
+                if command == "eval" else [command, "--data", data, "--out", tmp_path / "o"])
+        assert run(*argv, "--buckets", 2**64) == 1
+        err = capsys.readouterr().err
+        assert "past the int64 index range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("where", ["csv", "score-log", "plain-column"])
     def test_non_utf8_input_names_its_file(self, tmp_path, capsys, where):
         data = tmp_path / "d.csv"

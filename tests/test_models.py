@@ -21,6 +21,7 @@ from gradutils import (
     relative_errors,
     set_params_from_vector,
 )
+from hashutils import feature_index
 from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig
 from reloop.rng import philox
@@ -70,8 +71,8 @@ class TestForward:
         schema = FeatureSchema([FieldSpec("a", buckets=2), FieldSpec("b", buckets=2)])
         p = init_params(schema, ModelConfig("fm", embed_dim=1), seed=0)
         p.emb[:] = 0.0
-        ia = schema.hash_feature("a", "u")
-        ib = schema.hash_feature("b", "v")
+        ia = feature_index(schema, "a", "u")
+        ib = feature_index(schema, "b", "v")
         p.emb[ia, 0], p.emb[ib, 0] = 0.5, 0.4
         inst = EncodedInstance(1, np.array([ia, ib]), 0)
         z, _, _ = forward(p, inst)

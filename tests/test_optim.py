@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gradutils import params_to_vector
+from hashutils import feature_index
 from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from reloop.metrics import logloss
@@ -209,12 +210,12 @@ def separable_dataset(n=400):
     schema = FeatureSchema([FieldSpec("bit", buckets=2), FieldSpec("noise", buckets=8)])
     rng = np.random.default_rng(0)
     labels = rng.integers(0, 2, size=n).astype(np.float64)
-    idx_neg = schema.hash_feature("bit", "zero")
+    idx_neg = feature_index(schema, "bit", "zero")
     # find a token landing in the other bucket; hashing may collide otherwise
-    other = next(t for t in range(64) if schema.hash_feature("bit", str(t)) != idx_neg)
-    idx_pos = schema.hash_feature("bit", str(other))
+    other = next(t for t in range(64) if feature_index(schema, "bit", str(t)) != idx_neg)
+    idx_pos = feature_index(schema, "bit", str(other))
     bit = np.where(labels == 1, idx_pos, idx_neg)
-    noise = np.array([schema.hash_feature("noise", str(t)) for t in rng.integers(0, 8, n)])
+    noise = np.array([feature_index(schema, "noise", str(t)) for t in rng.integers(0, 8, n)])
     indices = np.stack([bit, noise], axis=1)
     ds = Dataset(schema, labels, indices, np.arange(n))
     return ds, idx_pos, idx_neg
