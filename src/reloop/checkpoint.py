@@ -25,7 +25,9 @@ a distinct error class per failure mode.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -65,28 +67,47 @@ class NonFiniteCheckpointError(CheckpointError):
 
 
 class _Reader:
-    """Reads a checkpoint's bytes in order; ``take`` cuts views, not copies."""
+    """Reads a checkpoint file in order, each block straight into its array."""
 
-    def __init__(self, buf: bytes):
-        self.buf = memoryview(buf)
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.buf):
+    def _claim(self, n: int) -> None:
+        """Raise unless the file holds ``n`` more bytes; checked before the
+        buffer is allocated, so a corrupt header cannot allocate its claim."""
+        if self.pos + n > self.size:
             raise TruncatedCheckpointError(
                 f"checkpoint truncated: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.buf) - self.pos}"
+                f"have {self.size - self.pos}"
             )
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
+
+    def _fill(self, buf):
+        """Read the next ``len(buf)`` bytes into ``buf``."""
+        got = self.fh.readinto(buf)
+        if got != len(buf):  # the file shrank after it was opened
+            raise TruncatedCheckpointError(
+                f"checkpoint truncated: wanted {len(buf)} bytes at offset {self.pos}, "
+                f"have {got}"
+            )
+        self.pos += got
+        return buf
+
+    def take(self, n: int) -> bytearray:
+        self._claim(n)
+        return self._fill(bytearray(n))
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        raw = self.take(math.prod(shape) * 8)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        self._claim(math.prod(shape) * 8)
+        out = np.empty(shape, dtype=np.float64)
+        self._fill(out.reshape(-1).view(np.uint8))
+        if sys.byteorder == "big":
+            out.byteswap(inplace=True)
+        return out
 
 
 def _blob(a: np.ndarray) -> memoryview:
@@ -129,7 +150,16 @@ def load_checkpoint(path: str | Path) -> Params:
         NonFiniteCheckpointError: a parameter is NaN or inf, which
             save_checkpoint never writes: the file is damaged or foreign.
     """
-    r = _Reader(Path(path).read_bytes())
+    with Path(path).open("rb") as fh:
+        params = _read_params(_Reader(fh))
+    block = params.nonfinite_block()
+    if block is not None:
+        raise NonFiniteCheckpointError(f"{path}: parameter block {block} is not finite")
+    return params
+
+
+def _read_params(r: _Reader) -> Params:
+    """The header, then each block, then the check that nothing is left."""
     magic = bytes(r.take(len(MAGIC)))
     if magic != MAGIC:
         raise BadMagicError(f"bad checkpoint magic {magic!r}")
@@ -154,13 +184,10 @@ def load_checkpoint(path: str | Path) -> Params:
     except ValueError as exc:
         raise CheckpointError(f"checkpoint header: {exc}") from None
     params.bias = bias
-    if r.pos != len(r.buf):
+    if r.pos != r.size:
         raise TruncatedCheckpointError(
-            f"checkpoint has {len(r.buf) - r.pos} unexpected trailing bytes"
+            f"checkpoint has {r.size - r.pos} unexpected trailing bytes"
         )
-    block = params.nonfinite_block()
-    if block is not None:
-        raise NonFiniteCheckpointError(f"{path}: parameter block {block} is not finite")
     return params
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, check_schema, load_checkpoint, save_checkpoint
 from .features import (
     DataError,
     FeatureSchema,
@@ -549,8 +549,10 @@ def _cmd_eval(res: dict) -> None:
             raise DataError("labels and scores differ in length")
     else:
         schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
-        data = ingest_csv(res["data"], schema)
+        # a missing or foreign checkpoint fails before the data is read
         params = load_checkpoint(res["checkpoint"])
+        check_schema(params, schema)
+        data = ingest_csv(res["data"], schema)
         log = infer_scores(params, data)
         labels, scores = data.labels, log.scores
     report = evaluate(labels, scores)

@@ -22,7 +22,10 @@ that order is written; ``Params.blocks()``/``Grads.blocks()`` walk it and
 Table gradients are compact: the batch's sorted unique feature rows come
 with one linear entry and one embedding row per feature, so a step's cost
 and memory follow the rows the batch touches, not the size of the table.
-Rows outside that set have zero gradient and are never materialised.
+Rows outside that set have zero gradient and are never materialised. The
+rows are found without a sort, by marking them in a boolean array over the
+table (``unique_rows``); in training that table is the trainer's sub-table
+of rows in use, so the mark costs what the data touches.
 
 Scoring contract: ``predict_batch`` scores a dataset in blocks of
 ``features.ROW_BLOCK`` (1024) rows. The last block takes in the remainder,
@@ -155,9 +158,18 @@ class Params(_Blocks):
         return replace(self, **_each_block(self, lambda _, a: a.copy()))
 
     def nonfinite_block(self) -> str | None:
-        """Name of the first block holding a NaN or inf, None if all finite."""
+        """Name of the first block holding a NaN or inf, None if all finite.
+
+        min and max propagate NaN, so both are finite exactly when every
+        entry is, and neither allocates a table-sized mask.
+        """
+
+        def finite(a) -> bool:
+            a = np.asarray(a)
+            return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
         blocks = [("bias", self.bias)] + self.blocks()
-        return next((name for name, a in blocks if not np.isfinite(a).all()), None)
+        return next((name for name, a in blocks if not finite(a)), None)
 
     @property
     def mlp_widths(self) -> tuple[int, ...]:
@@ -168,7 +180,8 @@ class Params(_Blocks):
 class Grads(_Blocks):
     """Gradients for Params; table blocks are compact over ``rows``.
 
-    ``rows`` holds the sorted unique feature rows of the batch. ``linear[j]``
+    ``rows`` holds the sorted unique feature rows of the batch, as
+    ``unique_rows`` finds them from a mark array. ``linear[j]``
     and ``emb[j]`` are the gradients of table row ``rows[j]``, so they have
     shapes (len(rows),) and (len(rows), K). Dense blocks (bias, mlp, cross,
     head) are shaped like their parameters.
@@ -281,7 +294,8 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int) -> Params:
     )
 
 
-def _check_batch(params: Params, indices: np.ndarray) -> None:
+def check_indices(params: Params, indices: np.ndarray) -> None:
+    """Raise DimensionError unless ``indices`` is (B, n_fields) rows of the tables."""
     if indices.ndim != 2 or indices.shape[1] != params.n_fields:
         raise DimensionError(
             f"instance has {indices.shape[-1]} fields, model expects {params.n_fields}"
@@ -290,6 +304,21 @@ def _check_batch(params: Params, indices: np.ndarray) -> None:
         raise DimensionError(
             f"feature index out of range for a {params.n_features}-feature model"
         )
+
+
+def unique_rows(indices: np.ndarray, n_features: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique values of ``indices`` and a lookup of their positions.
+
+    A mark array over the table's rows stands in for ``np.unique``'s sort:
+    ``rows`` comes out sorted, and ``slot[rows[j]] == j``. Entries of ``slot``
+    off ``rows`` are undefined. ``indices`` must lie in [0, n_features).
+    """
+    mark = np.zeros(n_features, dtype=bool)
+    mark[indices] = True
+    rows = np.flatnonzero(mark)
+    slot = np.empty(n_features, dtype=np.intp)
+    slot[rows] = np.arange(rows.size)
+    return rows, slot
 
 
 def _mlp_forward(params: Params, x0: np.ndarray, trace: Trace) -> np.ndarray:
@@ -313,7 +342,7 @@ def forward_batch(
 ) -> tuple[np.ndarray, np.ndarray, Trace]:
     """Logits, probabilities and a backward-ready trace for a batch."""
     indices = np.asarray(indices, dtype=np.int64)
-    _check_batch(params, indices)
+    check_indices(params, indices)
     n = indices.shape[0]
     z = np.full(n, params.bias, dtype=np.float64)
     trace = Trace(indices=indices, z=z)
@@ -384,7 +413,8 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
     if dl.shape != trace.z.shape:
         raise DimensionError("dl_dz must align with the traced batch")
     idx = trace.indices
-    rows, inv = np.unique(idx.ravel(), return_inverse=True)
+    rows, slot = unique_rows(idx, params.n_features)
+    inv = slot[idx.ravel()]
     n_rows = rows.shape[0]
     grads = Grads(
         bias=float(dl.sum()),

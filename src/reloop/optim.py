@@ -11,6 +11,11 @@ layout order, so the dense tail (``OptimizerState.m_dense``/``v_dense``)
 runs the moment recurrence once over all dense blocks per step. Adam's
 decay rates and denominator floor are the fixed constants below.
 
+``train_epochs`` trains a sub-table: the linear and embedding rows the
+dataset touches, copied out in row order, with the dense blocks shared. So
+Adam's table moments have one row per row in use, not one per table row,
+and the trained rows are written back when training ends or diverges.
+
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers its rows once, in shuffle order, and its mini-batches are
 contiguous slices of that copy. Per-batch gradients are reduced in batch
@@ -19,13 +24,14 @@ index order, so training is bitwise reproducible for identical inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .features import Dataset
 from .losses import LossConfig, LossInputError, combined_vec, grad_z_vec
-from .models import Grads, Params, backward_batch, forward_batch
+from .models import (Grads, Params, backward_batch, check_indices, forward_batch,
+                     unique_rows)
 from .rng import philox
 
 OPTIMIZER_KINDS = ("sgd", "adam")
@@ -200,7 +206,14 @@ def train_epochs(
     averaged over the batch, so lr is independent of batch size. Returns the
     params and the per-epoch mean training loss.
 
+    Training runs on the sub-table of table rows the dataset touches, and
+    Adam's moments are sized by those rows. The rows keep their order, so
+    every sum and update is bitwise what a loop over the full table gives.
+    Rows the data never touches keep their bytes. The trained rows and the
+    bias are written back into ``params`` also when an error ends training.
+
     Raises:
+        DimensionError: an index is out of range; raised before any step.
         LossInputError: reloop/kd configured but rows lack y_last.
         DivergenceError: an epoch's mean loss is not finite; checked once per
             epoch, after its last step. numpy's overflow and invalid-value
@@ -217,6 +230,31 @@ def train_epochs(
             f"missing starting at row_id {rid}"
         )
 
+    # train a sub-table of the rows the data touches; dense blocks are shared
+    check_indices(params, dataset.indices)
+    used, slot = unique_rows(dataset.indices, params.n_features)
+    sub = replace(
+        params, n_features=used.size,
+        linear=None if params.linear is None else params.linear[used],
+        emb=None if params.emb is None else params.emb[used],
+    )
+    try:
+        log = _train_sub(sub, slot, dataset, cfg)
+    finally:
+        # also on DivergenceError: params holds every step taken so far
+        params.bias = sub.bias
+        if params.linear is not None:
+            params.linear[used] = sub.linear
+        if params.emb is not None:
+            params.emb[used] = sub.emb
+    return params, log
+
+
+def _train_sub(params: Params, slot: np.ndarray, dataset: Dataset,
+               cfg: TrainConfig) -> list[float]:
+    """``train_epochs``' loop over the sub-table ``params``; ``slot`` maps a
+    dataset index to its sub-table row."""
+    n = len(dataset)
     state = OptimizerState.for_params(cfg, params)
     # one epoch's rows in shuffle order, gathered once into reused buffers
     columns = [dataset.indices, dataset.labels]
@@ -241,7 +279,7 @@ def train_epochs(
                 hi = min(lo + cfg.batch_size, n)
                 y = labels[lo:hi]
                 y_last = None if y_last_all is None else y_last_all[lo:hi]
-                _, p, trace = forward_batch(params, indices[lo:hi])
+                _, p, trace = forward_batch(params, slot[indices[lo:hi]])
                 losses = combined_vec(cfg.loss, y, p, y_last)
                 total += float(losses.sum())
                 dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / (hi - lo)
@@ -254,4 +292,4 @@ def train_epochs(
                     f"loss {mean}, which is not finite"
                 )
             log.append(mean)
-    return params, log
+    return log

@@ -221,9 +221,9 @@ def test_truncated_or_flipped_file_loads_or_raises_checkpoint_error(p, where, ma
                 pass
 
 
-def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path):
-    """Peak memory of a load: the file's bytes plus the parameters built from
-    them, not a third copy of each table cut from the bytes first."""
+def test_load_peaks_at_one_copy_of_the_file(tmp_path):
+    """Peak memory of a load: the parameters, each block read straight into
+    its array; no copy of the file's bytes, no table-sized finiteness mask."""
     schema = FeatureSchema([FieldSpec("f0", buckets=2**15)])
     path = tmp_path / "fm.ckpt"
     save_checkpoint(init_params(schema, ModelConfig("fm", embed_dim=16), seed=0), path)
@@ -234,7 +234,7 @@ def test_load_holds_the_file_and_one_copy_of_each_table(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * size, peak / size
+    assert peak <= 1.1 * size, peak / size
 
 
 _KIND_CODES = {"lr": 0, "fm": 1, "mlp": 2, "deepfm": 3, "dcn": 4}

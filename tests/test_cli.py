@@ -405,6 +405,24 @@ class TestEval:
         assert f"{ckpt}: parameter block linear is not finite" in captured.err
         assert "logloss" not in captured.out and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("case", ["missing", "foreign-schema"])
+    def test_bad_checkpoint_fails_before_ingest(self, data_dir, tmp_path, capsys,
+                                                monkeypatch, case):
+        data = data_dir / "single" / "window_000.csv"
+        ckpt = tmp_path / "t" / "model.ckpt"
+        if case == "foreign-schema":  # trained over other buckets
+            assert run("train", "--data", data, "--model", "lr", "--epochs", 1,
+                       "--buckets", 7, "--out", ckpt.parent) == 0
+        ingests = []
+        real = reloop.cli.ingest_csv
+        monkeypatch.setattr(reloop.cli, "ingest_csv",
+                            lambda *a, **k: ingests.append(a) or real(*a, **k))
+        capsys.readouterr()
+        assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 12) == 1
+        err = capsys.readouterr().err
+        assert ("No such file" if case == "missing" else "schema digest") in err
+        assert ingests == []
+
 
 class TestLossCurves:
     def test_positive_scenario_file(self, tmp_path):

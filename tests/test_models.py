@@ -35,6 +35,7 @@ from reloop.models import (
     forward_batch,
     init_params,
     predict_batch,
+    unique_rows,
 )
 
 
@@ -315,6 +316,30 @@ def _split_tables(p, idx):
     if p.emb is not None:
         q.emb = p.emb[idx].reshape(idx.size, -1)
     return q, np.arange(idx.size, dtype=np.int64).reshape(idx.shape)
+
+
+class TestUniqueRows:
+    @pytest.mark.parametrize("n_features", [512, 2**17])
+    def test_rows_and_inverse_equal_np_unique(self, n_features):
+        rng = np.random.default_rng(n_features)
+        for b in (1, 7, 256):
+            # repeats within and across instances, and rows spread over the table
+            idx = rng.choice(rng.integers(0, n_features, size=64), size=(b, 8))
+            rows, slot = unique_rows(idx, n_features)
+            ref_rows, ref_inv = np.unique(idx.ravel(), return_inverse=True)
+            assert rows.dtype == ref_rows.dtype and np.array_equal(rows, ref_rows)
+            assert np.array_equal(slot[idx.ravel()], ref_inv)
+
+    @pytest.mark.parametrize("n_features", [512, 2**17])
+    def test_backward_rows_are_np_unique(self, n_features):
+        schema = FeatureSchema([FieldSpec(f"f{i}", "categorical", n_features // 8)
+                                for i in range(8)])
+        p = init_params(schema, ModelConfig("fm", embed_dim=2), seed=1)
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, n_features, size=(256, 8))
+        _, _, tr = forward_batch(p, idx)
+        g = backward_batch(p, tr, rng.normal(size=256))
+        assert np.array_equal(g.rows, np.unique(idx))
 
 
 class TestCompactGrads:

@@ -9,6 +9,7 @@ from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from reloop.metrics import logloss
 from reloop.models import (
+    DimensionError,
     Grads,
     ModelConfig,
     backward_batch,
@@ -172,21 +173,26 @@ class TestFlatDenseAdam:
 
 
 def per_batch_train(params, dataset, cfg):
-    """Training as a loop that gathers every mini-batch from the dataset."""
+    """Training as a loop over the full table that gathers every mini-batch
+    from the dataset. Like ``train_epochs`` it stops after the first epoch
+    whose mean loss is not finite, with that epoch's steps taken."""
     state = OptimizerState.for_params(cfg, params)
     log = []
-    for epoch in range(cfg.epochs):
-        order = epoch_permutation(cfg.seed, epoch, len(dataset))
-        total = 0.0
-        for lo in range(0, len(dataset), cfg.batch_size):
-            sel = order[lo : lo + cfg.batch_size]
-            y = dataset.labels[sel]
-            y_last = None if dataset.y_last is None else dataset.y_last[sel]
-            _, p, trace = forward_batch(params, dataset.indices[sel])
-            total += float(combined_vec(cfg.loss, y, p, y_last).sum())
-            dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / sel.shape[0]
-            apply_update(state, params, backward_batch(params, trace, dl_dz))
-        log.append(total / len(dataset))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = epoch_permutation(cfg.seed, epoch, len(dataset))
+            total = 0.0
+            for lo in range(0, len(dataset), cfg.batch_size):
+                sel = order[lo : lo + cfg.batch_size]
+                y = dataset.labels[sel]
+                y_last = None if dataset.y_last is None else dataset.y_last[sel]
+                _, p, trace = forward_batch(params, dataset.indices[sel])
+                total += float(combined_vec(cfg.loss, y, p, y_last).sum())
+                dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / sel.shape[0]
+                apply_update(state, params, backward_batch(params, trace, dl_dz))
+            log.append(total / len(dataset))
+            if not np.isfinite(log[-1]):
+                break
     return params, log
 
 
@@ -219,6 +225,95 @@ def separable_dataset(n=400):
     indices = np.stack([bit, noise], axis=1)
     ds = Dataset(schema, labels, indices, np.arange(n))
     return ds, idx_pos, idx_neg
+
+
+@pytest.fixture
+def sparse_dataset():
+    """400 scored rows over 4 fields x 64 buckets that touch < 25% of the rows."""
+    schema = FeatureSchema([FieldSpec(f"f{i}", "categorical", 64) for i in range(4)])
+    rng = np.random.default_rng(12)
+    tokens = rng.integers(0, 10, size=(400, 4))
+    indices = np.array([[feature_index(schema, f"f{f}", str(t)) for f, t in enumerate(row)]
+                        for row in tokens])
+    assert np.unique(indices).size < 0.25 * schema.n_features
+    labels = (rng.random(400) < 0.4).astype(np.float64)
+    return Dataset(schema, labels, indices, np.arange(400), y_last=rng.uniform(0.05, 0.95, 400))
+
+
+_SUB_CASES = [(kind, opt) for kind in ("fm", "deepfm") for opt in ("adam", "sgd")]
+
+
+def _sub_setup(ds, kind, optimizer, lr=0.05):
+    p = init_params(ds.schema, ModelConfig(kind, embed_dim=3, mlp_widths=(5,)), seed=6)
+    p.linear[:] = np.random.default_rng(1).normal(size=p.linear.shape)  # init is zero
+    cfg = TrainConfig(epochs=3, seed=8, batch_size=37, optimizer=optimizer, lr=lr,
+                      loss=LossConfig("reloop", alpha=0.4))
+    return p, cfg
+
+
+class TestSubTable:
+    """train_epochs trains the rows the data touches as a sub-table."""
+
+    @pytest.mark.parametrize("kind, optimizer", _SUB_CASES)
+    def test_bitwise_equal_to_full_table_loop(self, sparse_dataset, kind, optimizer):
+        runs = []
+        for train in (train_epochs, per_batch_train):
+            p, cfg = _sub_setup(sparse_dataset, kind, optimizer)
+            p, log = train(p, sparse_dataset, cfg)
+            runs.append((params_to_vector(p).tobytes(), log))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("kind, optimizer", _SUB_CASES)
+    def test_untouched_rows_keep_init_bytes(self, sparse_dataset, kind, optimizer):
+        p, cfg = _sub_setup(sparse_dataset, kind, optimizer)
+        init = p.copy()
+        train_epochs(p, sparse_dataset, cfg)
+        off = np.setdiff1d(np.arange(p.n_features), sparse_dataset.indices)
+        assert p.linear[off].tobytes() == init.linear[off].tobytes()
+        assert p.emb[off].tobytes() == init.emb[off].tobytes()
+        on = np.unique(sparse_dataset.indices)
+        assert (p.emb[on] != init.emb[on]).any(axis=1).all()
+
+    @pytest.mark.parametrize("kind", ["fm", "deepfm"])
+    def test_moments_have_one_row_per_used_row(self, sparse_dataset, kind, monkeypatch):
+        states = []
+        real = OptimizerState.for_params.__func__
+
+        def spy(cls, cfg, params):
+            states.append(real(cls, cfg, params))
+            return states[-1]
+
+        monkeypatch.setattr(OptimizerState, "for_params", classmethod(spy))
+        p, cfg = _sub_setup(sparse_dataset, kind, "adam")
+        train_epochs(p, sparse_dataset, cfg)
+        used = np.unique(sparse_dataset.indices).size
+        (state,) = states
+        for moment in (state.m, state.v):
+            assert moment.linear.shape == (used,)
+            assert moment.emb.shape == (used, 3)
+        assert p.emb.shape == (64 * 4, 3)  # the caller's table keeps its size
+
+    # sgd diverges in epoch 2, adam in epoch 1
+    @pytest.mark.parametrize("optimizer, lr", [("sgd", 1e10), ("adam", 1e155)])
+    def test_divergence_leaves_the_full_loop_state(self, sparse_dataset, optimizer, lr):
+        p, cfg = _sub_setup(sparse_dataset, "fm", optimizer, lr=lr)
+        q = p.copy()
+        with pytest.raises(DivergenceError):
+            train_epochs(p, sparse_dataset, cfg)
+        _, log = per_batch_train(q, sparse_dataset, cfg)
+        assert not np.isfinite(log[-1])
+        assert params_to_vector(p).tobytes() == params_to_vector(q).tobytes()
+
+    def test_index_out_of_range_raises_before_any_step(self, sparse_dataset):
+        p, cfg = _sub_setup(sparse_dataset, "fm", "adam")
+        before = params_to_vector(p).tobytes()
+        bad = sparse_dataset.indices.copy()
+        bad[-1, 0] = p.n_features
+        ds = Dataset(sparse_dataset.schema, sparse_dataset.labels, bad,
+                     sparse_dataset.row_ids, sparse_dataset.y_last)
+        with pytest.raises(DimensionError, match="out of range"):
+            train_epochs(p, ds, cfg)
+        assert params_to_vector(p).tobytes() == before
 
 
 class TestTrainEpochs:
