@@ -42,7 +42,6 @@ from .loop import (
     LoopConfig,
     NotAScoreLogError,
     ScoreLog,
-    infer_scores,
     mean_report_metrics,
     reloop_losses,
     run_continual,
@@ -55,6 +54,9 @@ from .losses import LOSS_KINDS, LossConfig, LossInputError, emit_loss_curves, wr
 from .metrics import METRICS_CSV_HEADER, evaluate
 from .models import MODEL_KINDS, ModelConfig, init_params, predict_batch
 from .optim import OPTIMIZER_KINDS, DivergenceError, TrainConfig, train_epochs
+
+# not called here: bench/tracer.py resolves the name reloop.cli.infer_scores
+from .loop import infer_scores  # noqa: F401
 
 
 class UsageError(Exception):
@@ -553,8 +555,8 @@ def _cmd_eval(res: dict) -> None:
         params = load_checkpoint(res["checkpoint"])
         check_schema(params, schema)
         data = ingest_csv(res["data"], schema)
-        log = infer_scores(params, data)
-        labels, scores = data.labels, log.scores
+        # the raw probabilities, as loop reports and train --valid score them
+        labels, scores = data.labels, predict_batch(params, data)
     report = evaluate(labels, scores)
     print(f"n={report.n}")
     print(f"n_pos={report.n_pos}")

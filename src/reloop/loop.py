@@ -223,9 +223,12 @@ def _train_phase(
     try:
         params, _ = train_epochs(params, dataset, train_cfg)
     except DivergenceError as exc:
-        name = phase if isinstance(phase, str) else f"v{phase:03d}"
-        raise DivergenceError(f"{name}: {exc}") from None
+        raise DivergenceError(f"{_phase_name(phase)}: {exc}") from None
     return params
+
+
+def _phase_name(phase: str | int) -> str:
+    return phase if isinstance(phase, str) else f"v{phase:03d}"
 
 
 _CE = LossConfig("ce")  # the alpha-independent phases: prior, baseline, v1
@@ -256,6 +259,19 @@ def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
     path = ckpt_dir / name
     save_checkpoint(params, path)
     return str(path)
+
+
+def _record(cfg: LoopConfig, params: Params, phase: str | int, loss: LossConfig, *,
+            version: int, source: int | None, rows: int, scored: bool,
+            warm: bool = False) -> VersionRecord:
+    """Version ``version``'s provenance, trained on window ``version`` (0 for
+    the static prior), ``rows`` rows, each with a y_last if ``scored``. Saves
+    the checkpoint, named after ``phase``, when the config has a directory."""
+    return VersionRecord(
+        version=version, trained_window=version, loss_kind=loss.kind,
+        alpha=_alpha_of(loss), y_last_source=source, n_train_rows=rows,
+        n_with_y_last=rows if scored else 0, warm_started=warm,
+        checkpoint_path=_save(cfg, params, f"{_phase_name(phase)}.ckpt"))
 
 
 @dataclass
@@ -315,30 +331,11 @@ def run_static_prior(
 
     state = LoopState(mode="static_prior", prior_row_ids=prior.row_ids)
     state.score_logs[(0, 0)] = prior.log
-    state.versions.append(
-        VersionRecord(
-            version=0,
-            trained_window=0,
-            loss_kind="ce",
-            alpha=0.0,
-            y_last_source=None,
-            n_train_rows=len(prior.row_ids),
-            n_with_y_last=0,
-            checkpoint_path=_save(cfg, prior.params, "prior.ckpt"),
-        )
-    )
-    state.versions.append(
-        VersionRecord(
-            version=1,
-            trained_window=1,
-            loss_kind=cfg.train.loss.kind,
-            alpha=_alpha_of(cfg.train.loss),
-            y_last_source=0,
-            n_train_rows=len(train_set),
-            n_with_y_last=len(train_set),
-            checkpoint_path=_save(cfg, current, "current.ckpt"),
-        )
-    )
+    # saved once all three phases have trained
+    state.versions.append(_record(cfg, prior.params, "prior", _CE, version=0, source=None,
+                                  rows=len(prior.row_ids), scored=False))
+    state.versions.append(_record(cfg, current, "current", cfg.train.loss, version=1,
+                                  source=0, rows=len(train_set), scored=True))
     _save(cfg, baseline, "baseline.ckpt")
 
     evals = [("test", test_set)]
@@ -442,19 +439,9 @@ def _continual_version(
 
     warm = cfg.warm_start and prev is not None
     params = _train_phase(cfg, train_part, loss, t, start=prev if warm else None)
-    state.versions.append(
-        VersionRecord(
-            version=t,
-            trained_window=t,
-            loss_kind=loss.kind,
-            alpha=_alpha_of(loss),
-            y_last_source=y_source,
-            n_train_rows=n_train,
-            n_with_y_last=n_train if train_part.y_last is not None else 0,
-            warm_started=warm,
-            checkpoint_path=_save(cfg, params, f"v{t:03d}.ckpt"),
-        )
-    )
+    state.versions.append(_record(cfg, params, t, loss, version=t, source=y_source,
+                                  rows=n_train, scored=train_part.y_last is not None,
+                                  warm=warm))
     if final:
         report = _evaluate_on(params, window.tail(n_tail))
         eval_window, eval_phase = t, "holdout_tail"

@@ -49,12 +49,22 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def _check_finite(scores: np.ndarray) -> None:
+    n_bad = scores.size - int(np.count_nonzero(np.isfinite(scores)))
+    if n_bad:
+        raise ValueError(f"{n_bad} of {scores.size} scores are not finite")
+
+
 def auc(labels, scores) -> float:
-    """Probability a random positive is ranked above a random negative."""
+    """Probability a random positive is ranked above a random negative.
+
+    Raises ValueError if a score is NaN or infinite.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1:
         raise ValueError("labels and scores must be equal-length vectors")
+    _check_finite(scores)
     pos = labels == 1.0
     n_pos = int(pos.sum())
     n_neg = labels.shape[0] - n_pos
@@ -66,11 +76,15 @@ def auc(labels, scores) -> float:
 
 
 def logloss(labels, scores) -> float:
-    """Mean per-sample cross-entropy, scores clipped into (0, 1)."""
+    """Mean per-sample cross-entropy, scores clipped into (0, 1).
+
+    Raises ValueError if a score is NaN or infinite.
+    """
     labels = np.asarray(labels, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape or labels.ndim != 1 or labels.shape[0] < 1:
         raise ValueError("labels and scores must be equal-length nonempty vectors")
+    _check_finite(scores)
     return float(ce_vec(labels, scores).mean())
 
 

@@ -1,15 +1,17 @@
 """Parameter updates (SGD, Adam) and the deterministic mini-batch trainer.
 
-Embedding and linear tables get per-row sparse updates: the model hands
-back compact gradients over the batch's unique rows (``Grads.rows``), and
-SGD and lazy Adam touch only those rows of the parameters and moments.
-Moments of rows a batch never touched are neither decayed nor
-bias-corrected away, the standard treatment for large sparse tables. Dense
-blocks (bias, perceptron and cross layers, head) update densely every step.
-Adam keeps each moment in one flat array, every block a view into it in
-layout order, so the dense tail (``OptimizerState.m_dense``/``v_dense``)
-runs the moment recurrence once over all dense blocks per step. Adam's
-decay rates and denominator floor are the fixed constants below.
+Each optimizer's rule is written once, in ``_step``, and each step applies
+it twice: to one flat vector of the dense blocks (perceptron and cross
+layers, head) followed by the bias, which update densely every step; and to
+each table (linear, embedding) over the batch's unique rows only. The model
+hands back compact table gradients over those rows (``Grads.rows``), so SGD
+and lazy Adam touch only them. Moments of rows a batch never touched are
+neither decayed nor bias-corrected away, the standard treatment for large
+sparse tables. Adam keeps each moment in one flat array, every block a view
+into it in layout order and the bias in one last slot; the dense vector's
+moments (``OptimizerState.m_dense``/``v_dense``) are the tail of that
+array. Adam's decay rates and denominator floor are the fixed constants
+below.
 
 ``train_epochs`` trains a sub-table: the linear and embedding rows the
 dataset touches, copied out in row order, with the dense blocks shared. So
@@ -72,8 +74,9 @@ class OptimizerState:
     """Update rule plus Adam moment accumulators shaped like the params.
 
     Each of ``m`` and ``v`` has its blocks as views into one flat array, in
-    layout order; ``m_dense`` and ``v_dense`` are the tails of those arrays
-    that hold the dense blocks (mlp, cross, head).
+    layout order, and the bias in the array's last slot; ``m_dense`` and
+    ``v_dense`` are the tails of those arrays that hold the dense blocks
+    (mlp, cross, head) and the bias.
     """
 
     kind: str
@@ -95,12 +98,13 @@ class OptimizerState:
 
 def _flat_zeros(params: Params) -> tuple[Params, np.ndarray]:
     """Zeros shaped like ``params`` whose blocks are consecutive views of one
-    flat array, and that array's tail of dense blocks.
+    flat array with one more slot at its end, for the bias; and that array's
+    tail of dense blocks and the bias slot.
 
     ``np.zeros`` hands out untouched zero pages, so a table costs memory only
     where it is later written, as lazy Adam's moments are.
     """
-    flat = np.zeros(sum(a.size for _, a in params.blocks()), dtype=np.float64)
+    flat = np.zeros(sum(a.size for _, a in params.blocks()) + 1, dtype=np.float64)
     lo = 0
 
     def view(_, a):
@@ -108,87 +112,71 @@ def _flat_zeros(params: Params) -> tuple[Params, np.ndarray]:
         lo += a.size
         return flat[lo - a.size : lo].reshape(a.shape)
 
-    n_dense = sum(a.size for a in params.dense_blocks())
+    n_dense = sum(a.size for a in params.dense_blocks()) + 1
     return params.like(view), flat[flat.size - n_dense :]
 
 
-def _adam_rows(state, theta, g, m, v, rows, c1, c2):
-    """Lazy Adam on table rows ``rows``; ``g`` is compact, one entry per row.
+def _step(state: OptimizerState, g: np.ndarray, m=None, v=None) -> np.ndarray:
+    """The amount to subtract from the parameters whose gradient is ``g``.
 
-    ``np.take`` gathers the rows: the same values as ``m[rows]``, faster.
+    SGD: lr g. Adam advances its moments ``m`` and ``v`` in place,
+    m = _B1 m + (1 - _B1) g and v = _B2 v + (1 - _B2) g^2, and returns
+    lr (m / c1) / (sqrt(v / c2) + _EPS) with c = 1 - _B^t.
     """
-    mr = _B1 * np.take(m, rows, axis=0) + (1.0 - _B1) * g
-    vr = _B2 * np.take(v, rows, axis=0) + (1.0 - _B2) * (g * g)
-    m[rows] = mr
-    v[rows] = vr
-    theta[rows] = np.take(theta, rows, axis=0) - state.lr * (mr / c1) / (
-        np.sqrt(vr / c2) + _EPS)
-
-
-def _adam_dense(state, blocks, grads, c1, c2):
-    """Adam over every dense block at once, through the flat moments.
-
-    Per element this is the same arithmetic as the table rule above:
-    m = _B1 m + (1 - _B1) g, v = _B2 v + (1 - _B2) g^2, and
-    theta -= lr (m / c1) / (sqrt(v / c2) + _EPS).
-    """
-    g = np.concatenate([a.ravel() for a in grads])
-    m, v = state.m_dense, state.v_dense
+    if state.kind == "sgd":
+        return state.lr * g
+    t = state.step_count
     m *= _B1
     m += (1.0 - _B1) * g
     v *= _B2
-    g *= g
-    g *= 1.0 - _B2
-    v += g
-    step = m / c1
+    g2 = g * g
+    g2 *= 1.0 - _B2
+    v += g2
+    step = m / (1.0 - _B1**t)
     step *= state.lr
-    den = v / c2
+    den = v / (1.0 - _B2**t)
     np.sqrt(den, out=den)
     den += _EPS
     step /= den
-    lo = 0
-    for theta in blocks:
-        theta -= step[lo : lo + theta.size].reshape(theta.shape)
-        lo += theta.size
+    return step
+
+
+def _tables(p) -> tuple:
+    return (None, None) if p is None else (p.linear, p.emb)
 
 
 def apply_update(
     state: OptimizerState, params: Params, grads: Grads
 ) -> tuple[Params, OptimizerState]:
-    """One optimizer step, in place; returns (params, state) for chaining."""
+    """One optimizer step, in place; returns (params, state) for chaining.
+
+    The dense blocks and the bias take one step over one flat vector; each
+    table takes one over the rows of the batch, so (lazy Adam) the moments
+    of the other rows stay as they are.
+    """
     if (grads.linear is None) != (params.linear is None) or (
         (grads.emb is None) != (params.emb is None)
     ):
         raise ValueError("gradient shape does not match parameters")
     state.step_count += 1
+
+    g = np.concatenate([a.ravel() for a in grads.dense_blocks()] + [[grads.bias]])
+    step = _step(state, g, state.m_dense, state.v_dense)
+    lo = 0
+    for theta in params.dense_blocks():
+        theta -= step[lo : lo + theta.size].reshape(theta.shape)
+        lo += theta.size
+    params.bias -= step[lo]
+
+    # np.take gathers the same values as fancy indexing, faster
     rows = grads.rows
-    if state.kind == "sgd":
-        params.bias -= state.lr * grads.bias
-        if params.linear is not None:
-            params.linear[rows] -= state.lr * grads.linear
-        if params.emb is not None:
-            params.emb[rows] -= state.lr * grads.emb
-        for theta, g in zip(params.dense_blocks(), grads.dense_blocks()):
-            theta -= state.lr * g
-        return params, state
-
-    t = state.step_count
-    c1 = 1.0 - _B1**t
-    c2 = 1.0 - _B2**t
-    m, v = state.m, state.v
-
-    # scalar bias as a 0-d special case of the dense rule
-    m.bias = _B1 * m.bias + (1.0 - _B1) * grads.bias
-    v.bias = _B2 * v.bias + (1.0 - _B2) * grads.bias**2
-    params.bias -= state.lr * (m.bias / c1) / (np.sqrt(v.bias / c2) + _EPS)
-
-    if params.linear is not None:
-        _adam_rows(state, params.linear, grads.linear, m.linear, v.linear, rows, c1, c2)
-    if params.emb is not None:
-        _adam_rows(state, params.emb, grads.emb, m.emb, v.emb, rows, c1, c2)
-    blocks = params.dense_blocks()
-    if blocks:
-        _adam_dense(state, blocks, grads.dense_blocks(), c1, c2)
+    for theta, g, m, v in zip(*map(_tables, (params, grads, state.m, state.v))):
+        if theta is None:
+            continue
+        moments = [np.take(a, rows, axis=0) for a in (m, v) if a is not None]
+        theta[rows] = np.take(theta, rows, axis=0) - _step(state, g, *moments)
+        for a, a_rows in zip((m, v), moments):
+            a[rows] = a_rows
     return params, state
 
 

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 import reloop.cli
 import reloop.loop
+from reloop.checkpoint import save_checkpoint
 from reloop.cli import main
-from reloop.features import SyntheticSpec, generate_synthetic_csv
+from reloop.features import SyntheticSpec, generate_synthetic_csv, ingest_csv
 from reloop.loop import ScoreLog, mean_report_metrics
 from reloop.losses import LOSS_KINDS, LossConfig
-from reloop.models import MODEL_KINDS
+from reloop.metrics import evaluate
+from reloop.models import MODEL_KINDS, ModelConfig, init_params, predict_batch
 from reloop.optim import OPTIMIZER_KINDS
 
 
@@ -403,6 +405,47 @@ class TestEval:
         assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 12) == 1
         captured = capsys.readouterr()
         assert f"{ckpt}: parameter block linear is not finite" in captured.err
+        assert "logloss" not in captured.out and "Traceback" not in captured.err
+
+    @staticmethod
+    def _checkpoint(tmp_path, kind, set_params):
+        """A 400-row one-field CSV and a checkpoint of ``kind`` over it, whose
+        params ``set_params(params, tokens, ds)`` fills in."""
+        rng = np.random.default_rng(5)
+        tokens = np.arange(400) % 40
+        labels = (rng.random(400) < (tokens + 1) / 41).astype(int)
+        data = tmp_path / "d.csv"
+        data.write_text("label,f0\n" + "".join(f"{y},{t}\n" for y, t in zip(labels, tokens)))
+        schema = reloop.cli._schema_from_csv(str(data), 1000, [])
+        ds = ingest_csv(data, schema)
+        params = init_params(schema, ModelConfig(kind, embed_dim=2), seed=0)
+        set_params(params, tokens, ds)
+        save_checkpoint(params, tmp_path / "c.ckpt")
+        return data, tmp_path / "c.ckpt", params, ds
+
+    def test_checkpoint_mode_scores_raw_probabilities(self, tmp_path, capsys):
+        # every probability rounds to the clip bound 1 - 1e-7; the raw ones
+        # still rank the rows
+        def near_one(params, tokens, ds):
+            params.bias = 25.0
+            params.linear[ds.indices[:, 0]] = tokens / 10
+
+        data, ckpt, params, ds = self._checkpoint(tmp_path, "lr", near_one)
+        want = evaluate(ds.labels, predict_batch(params, ds))
+        assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 1000) == 0
+        printed = dict(kv.split("=") for kv in capsys.readouterr().out.split())
+        assert printed["auc"] == f"{want.auc:.6f}" != "0.500000"
+        assert printed["logloss"] == f"{want.logloss:.6f}"
+
+    def test_non_finite_predictions_exit_one(self, tmp_path, capsys):
+        # a finite checkpoint whose interactions overflow to inf - inf
+        def huge(params, tokens, ds):
+            params.emb[:] = 1e200
+
+        data, ckpt, _, _ = self._checkpoint(tmp_path, "fm", huge)
+        assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 1000) == 1
+        captured = capsys.readouterr()
+        assert "error: 400 of 400 scores are not finite" in captured.err
         assert "logloss" not in captured.out and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("case", ["missing", "foreign-schema"])

@@ -90,6 +90,12 @@ class TestLogloss:
         assert np.isfinite(logloss([1, 0], [0.0, 1.0]))
 
 
+@pytest.mark.parametrize("metric", [auc, logloss])
+def test_non_finite_scores_raise_with_their_count(metric):
+    with pytest.raises(ValueError, match="2 of 4 scores are not finite"):
+        metric([1, 0, 1, 0], [0.9, np.nan, 0.8, np.inf])
+
+
 class TestReport:
     def test_counts_and_fields(self):
         rep = evaluate([1, 0, 1, 0], [0.9, 0.2, 0.8, 0.4])

@@ -104,9 +104,9 @@ class TestAdam:
         assert lr_params.linear[2] == 0.0
 
 
-def random_grads(params, rng):
-    """Grads with random dense blocks and compact table rows 1, 4 and 6."""
-    rows = np.array([1, 4, 6], dtype=np.int64)
+def random_grads(params, rng, rows=(1, 4, 6)):
+    """Grads with random dense blocks and compact table rows ``rows``."""
+    rows = np.array(rows, dtype=np.int64)
     k = params.embed_dim
     return Grads(
         bias=float(rng.normal()),
@@ -168,8 +168,108 @@ class TestFlatDenseAdam:
         state.m_dense[:] = np.arange(state.m_dense.size)
         flat = np.concatenate([a.ravel() for pair in state.m.mlp + state.m.cross
                                for a in pair] + [state.m.head])
-        assert np.array_equal(flat, state.m_dense)
+        # the dense blocks, then one last slot for the bias
+        assert np.array_equal(flat, state.m_dense[:-1])
+        assert state.m_dense.size == flat.size + 1
+        assert state.m_dense.base is state.m.emb.base
         assert state.m.emb.shape == params.emb.shape and not state.m.emb.any()
+
+
+def reference_steps(cfg, params, grads_seq):
+    """``grads_seq`` applied to ``params`` through one rule per block kind,
+    step by step: the bias as a Python scalar, each table over its rows with
+    gathers, each dense block in place. Returns the params and Adam's
+    moments as {name: array}, the bias under "bias"."""
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.lr
+    tables = [n for n in ("linear", "emb") if getattr(params, n) is not None]
+    dense = params.dense_blocks()
+    m = {n: np.zeros_like(getattr(params, n)) for n in tables}
+    v = {n: np.zeros_like(getattr(params, n)) for n in tables}
+    md, vd = [np.zeros_like(a) for a in dense], [np.zeros_like(a) for a in dense]
+    mb = vb = 0.0
+    for t, g in enumerate(grads_seq, start=1):
+        rows = g.rows
+        if cfg.optimizer == "sgd":
+            params.bias -= lr * g.bias
+            for n in tables:
+                getattr(params, n)[rows] -= lr * getattr(g, n)
+            for theta, gb in zip(dense, g.dense_blocks()):
+                theta -= lr * gb
+            continue
+        c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+        mb = b1 * mb + (1.0 - b1) * g.bias
+        vb = b2 * vb + (1.0 - b2) * (g.bias * g.bias)
+        params.bias -= lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        for n in tables:
+            theta, gr = getattr(params, n), getattr(g, n)
+            mr = b1 * np.take(m[n], rows, axis=0) + (1.0 - b1) * gr
+            vr = b2 * np.take(v[n], rows, axis=0) + (1.0 - b2) * (gr * gr)
+            m[n][rows] = mr
+            v[n][rows] = vr
+            theta[rows] = np.take(theta, rows, axis=0) - lr * (mr / c1) / (
+                np.sqrt(vr / c2) + eps)
+        for theta, gb, mi, vi in zip(dense, g.dense_blocks(), md, vd):
+            mi *= b1
+            mi += (1.0 - b1) * gb
+            vi *= b2
+            vi += (1.0 - b2) * (gb * gb)
+            theta -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+    for i, (mi, vi) in enumerate(zip(md, vd)):
+        m[f"dense[{i}]"], v[f"dense[{i}]"] = mi, vi
+    m["bias"], v["bias"] = np.float64(mb), np.float64(vb)
+    return params, m, v
+
+
+def _moments(state, params):
+    """Adam's moments by the names ``reference_steps`` gives them."""
+    out = []
+    for s, flat in ((state.m, state.m_dense), (state.v, state.v_dense)):
+        d = {n: getattr(s, n) for n in ("linear", "emb") if getattr(params, n) is not None}
+        for i, a in enumerate(s.dense_blocks()):
+            d[f"dense[{i}]"] = a
+        d["bias"] = flat[-1]
+        out.append(d)
+    return out
+
+
+class TestOneRule:
+    """``apply_update`` against ``reference_steps``, bit for bit; table rows
+    0, 4 and 23 sit out later steps."""
+
+    ROWS = [(1, 4, 6), (0, 1, 6), (1, 4, 6, 23), (6,)]
+
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    @pytest.mark.parametrize("kind", ["lr", "fm", "mlp", "deepfm", "dcn"])
+    def test_bitwise_equal_to_per_block_rules(self, small_schema, kind, optimizer):
+        params = init_params(small_schema, ModelConfig(kind, embed_dim=3, mlp_widths=(5, 4)),
+                             seed=1)
+        params.bias = 0.25
+        ref = params.copy()
+        cfg = TrainConfig(optimizer=optimizer, lr=0.01)
+        state = OptimizerState.for_params(cfg, params)
+        rng = np.random.default_rng(3)
+        seq = [random_grads(params, rng, rows) for rows in self.ROWS]
+        for g in seq:
+            apply_update(state, params, g)
+        ref, m, v = reference_steps(cfg, ref, seq)
+        assert np.float64(params.bias).tobytes() == np.float64(ref.bias).tobytes()
+        for (name, a), (_, b) in zip(params.blocks(), ref.blocks(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
+        if optimizer == "sgd":
+            assert state.m is None and state.v is None
+            return
+        for got, want in zip(_moments(state, params), (m, v)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert np.asarray(got[name]).tobytes() == want[name].tobytes(), name
+
+    def test_bias_is_squared_by_multiplication(self, lr_params):
+        # g ** 2 goes through libm's pow, which rounds this square one ulp
+        # away from the correctly rounded g * g that every block uses
+        g = 0.3624182010806754
+        state = OptimizerState.for_params(TrainConfig(optimizer="adam"), lr_params)
+        apply_update(state, lr_params, lr_grads(lr_params, bias=g))
+        assert state.v_dense[-1] == (1.0 - 0.999) * (g * g)
 
 
 def per_batch_train(params, dataset, cfg):
