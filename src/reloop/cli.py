@@ -39,10 +39,12 @@ from .features import (
     ingest_csv,
 )
 from .loop import (
+    BLAS_THREAD_VARS,
     LoopConfig,
     NotAScoreLogError,
     ScoreLog,
     mean_report_metrics,
+    phase_processes,
     reloop_losses,
     run_continual,
     run_continual_arms,
@@ -297,6 +299,13 @@ def _resolve(command: str, values: dict, source: str, flags: dict) -> dict:
     return resolved
 
 
+def _blas_build():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        return None
+
+
 def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | None) -> None:
     digest = None
     if config:
@@ -309,6 +318,12 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
         "config_digest": digest,
         "seed": resolved.get("seed"),
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        # the environment a replay may differ in; rerun reads none of it
+        "numpy_version": np.__version__,
+        "blas": _blas_build(),
+        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "processes": phase_processes(len(resolved["alphas"]))
+        if command == "sweep-alpha" else 1,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
@@ -640,6 +655,16 @@ def main(argv=None) -> int:
         return 2
     except (DataError, LossInputError, CheckpointError, DivergenceError, ValueError,
             OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 1
+    except Exception as exc:
+        # a sweep worker killed from outside; the pool module loads with the first pool
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,11 +24,16 @@ provenance records in LoopState make that auditable.
 functions as the two protocols for several losses, but run the phases no
 loss reaches once: the static prior and its scores, and continual version 1
 with its report row and its scores on window 2. The continual alpha sweep is
-``run_continual_arms`` over ``reloop_losses``.
+``run_continual_arms`` over ``reloop_losses``. The per-loss phases that
+follow depend only on their inputs and on seeds derived from the phase name,
+so ``_map_phases`` may run them in forked worker processes, on the CPUs the
+BLAS thread count leaves free; every result is the same bytes either way.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -251,6 +256,83 @@ def _evaluate_on(params: Params, split: Dataset) -> MetricsReport:
     return evaluate(split.labels, predict_batch(params, split))
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")  # read in this order
+
+
+def _process_count(n_items: int, usable_cpus: int, environ) -> int:
+    """Processes for ``n_items`` independent phases: as many as the usable CPUs
+    hold at the BLAS thread count each, at most one per item, at least one.
+
+    The BLAS thread count is the first positive integer in OPENBLAS_NUM_THREADS
+    or OMP_NUM_THREADS; with neither, it is the CPU count, OpenBLAS's default,
+    so an unpinned BLAS keeps every phase in this process.
+    """
+    blas = usable_cpus
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = threads
+            break
+    return max(1, min(n_items, usable_cpus // blas))
+
+
+def phase_processes(n_items: int) -> int:
+    """``_process_count`` over this process's CPUs and environment; 1 where
+    ``fork`` is not a start method."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n = _process_count(n_items, cpus, os.environ)
+    if n > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return n
+
+
+_MAPPED = None  # (fn, items) of the running _map_phases; its forked workers inherit it
+
+
+def _mapped(i: int):
+    fn, items = _MAPPED
+    return fn(items[i])
+
+
+def _map_phases(fn, items: list) -> list:
+    """``[fn(x) for x in items]``, run in ``phase_processes(len(items))`` processes.
+
+    Forked workers inherit ``fn`` and the items, so only an index goes out and
+    only a result comes back; a spawned worker would need ``fn``, a closure
+    over the training data, pickled. Every worker is joined before this
+    returns. A failure raises the exception of the first failing item in item
+    order, with its type and message, and cancels the items not yet started.
+    """
+    global _MAPPED
+    n = phase_processes(len(items))
+    if n == 1:
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    # a worker flushes its inherited buffers when it exits: empty them first
+    sys.stdout.flush()
+    sys.stderr.flush()
+    _MAPPED = (fn, items)
+    try:
+        with ProcessPoolExecutor(n, mp_context=get_context("fork")) as pool:
+            futures = [pool.submit(_mapped, i) for i in range(len(items))]
+            try:
+                return [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    finally:
+        _MAPPED = None
+
+
 def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
     if cfg.checkpoint_dir is None:
         return None
@@ -363,14 +445,14 @@ def sweep_alpha_static(
 
     Each report equals the one a reloop run at that alpha writes: the prior
     trains and scores once, and the baseline, which no alpha changes, is not
-    trained; ``cfg.train.loss`` is not read.
+    trained; ``cfg.train.loss`` is not read. The alphas train and evaluate
+    through ``_map_phases``.
     """
     _check_static(cfg, train_set, test_set)
     prior = _train_prior(cfg, train_set)
-    return [
-        _evaluate_on(_train_current(_with_loss(cfg, loss), prior), test_set)
-        for loss in reloop_losses(alphas)
-    ]
+    return _map_phases(
+        lambda loss: _evaluate_on(_train_current(_with_loss(cfg, loss), prior), test_set),
+        reloop_losses(alphas))
 
 
 def _check_continual(cfg: LoopConfig, windows: list[Dataset]) -> None:
@@ -440,7 +522,7 @@ def _continual_version(
     warm = cfg.warm_start and prev is not None
     params = _train_phase(cfg, train_part, loss, t, start=prev if warm else None)
     state.versions.append(_record(cfg, params, t, loss, version=t, source=y_source,
-                                  rows=n_train, scored=train_part.y_last is not None,
+                                  rows=n_train, scored=y_source is not None,
                                   warm=warm))
     if final:
         report = _evaluate_on(params, window.tail(n_tail))
@@ -484,18 +566,22 @@ def run_continual_arms(
 
     Version 1 trains with cross-entropy whatever the loss, so it, its report
     row and its score log on window 2 are computed once; versions 2..T run
-    once per loss. With a ``checkpoint_dir`` every arm writes its files there,
-    and the last arm's remain.
+    once per loss, through ``_map_phases``. The arms would write checkpoints
+    of one name into one directory, so a ``checkpoint_dir`` is a ValueError.
     """
+    if cfg.checkpoint_dir is not None:
+        raise ValueError("run_continual_arms writes no checkpoints; "
+                         "its arms would share one checkpoint_dir")
     _check_continual(cfg, windows)
     first = LoopState(mode="continual")
     v1 = _continual_version(cfg, windows, 1, None, first)
-    return [
-        _continual_versions(_with_loss(cfg, loss), windows, replace(
+
+    def arm(loss: LossConfig) -> LoopState:
+        return _continual_versions(_with_loss(cfg, loss), windows, replace(
             first, versions=list(first.versions), reports=list(first.reports),
             score_logs=dict(first.score_logs)), v1)
-        for loss in losses
-    ]
+
+    return _map_phases(arm, list(losses))
 
 
 def mean_report_metrics(state: LoopState) -> tuple[float, float]:

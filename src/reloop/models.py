@@ -498,6 +498,9 @@ def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:
     """Probabilities for every row of a dataset, in row order.
 
     Rows are scored in blocks (``features.by_row_blocks``); see the scoring
-    contract in the module docstring.
+    contract in the module docstring. An overflow is not warned about: the
+    metrics reject non-finite scores with their count, and training checks
+    for divergence.
     """
-    return by_row_blocks(lambda rows: forward_batch(params, rows)[1], dataset.indices)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return by_row_blocks(lambda rows: forward_batch(params, rows)[1], dataset.indices)

@@ -3,11 +3,13 @@
 import copy
 import dataclasses
 import json
+import multiprocessing
 import os
 import shutil
 import tempfile
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +281,7 @@ class TestSweepAlpha:
 
         monkeypatch.setattr(reloop.loop, "train_epochs", train)
         monkeypatch.setattr(reloop.cli, "ingest_csv", ingest)
+        monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: 1)  # observed here
         k = 3
         assert run("sweep-alpha", *self.inputs(data_dir, three_windows, mode),
                    "--alphas", "0,0.5,1", "--out", tmp_path / "x") == 0
@@ -301,6 +304,40 @@ class TestSweepAlpha:
         assert code == 1
         assert f"error: {phase}: training diverged: epoch 1 of 2" in capsys.readouterr().err
         assert not (out / "alpha_sweep.csv").exists()
+
+    def test_out_of_memory_exits_one(self, data_dir, three_windows, tmp_path, capsys,
+                                     monkeypatch):
+        def train(*args):
+            raise MemoryError("Unable to allocate 8.00 TiB")
+
+        monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        assert run("sweep-alpha", *self.inputs(data_dir, three_windows, "static"),
+                   "--alphas", "0,0.5", "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 8.00 TiB\n"
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    @pytest.mark.parametrize("mode", ["static", "continual"])
+    def test_killed_worker_exits_one(self, data_dir, three_windows, tmp_path, capsys,
+                                     monkeypatch, mode):
+        parent = os.getpid()
+        real = reloop.loop._train_phase
+
+        def train(cfg, dataset, loss, phase, start=None):
+            if os.getpid() != parent:  # a worker dies as if the OS killed it
+                os._exit(1)
+            return real(cfg, dataset, loss, phase, start)
+
+        monkeypatch.setattr(reloop.loop, "_train_phase", train)
+        monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: min(n, 2))
+        assert run("sweep-alpha", *self.inputs(data_dir, three_windows, mode),
+                   "--alphas", "0,0.5", "--out", tmp_path / "x") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "terminated abruptly" in err
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "x" / "alpha_sweep.csv").exists()
 
 
     def test_diverged_sweep_prints_no_numpy_warnings(self, data_dir, tmp_path):
@@ -443,7 +480,10 @@ class TestEval:
             params.emb[:] = 1e200
 
         data, ckpt, _, _ = self._checkpoint(tmp_path, "fm", huge)
-        assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 1000) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("eval", "--data", data, "--checkpoint", ckpt, "--buckets", 1000) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         captured = capsys.readouterr()
         assert "error: 400 of 400 scores are not finite" in captured.err
         assert "logloss" not in captured.out and "Traceback" not in captured.err
@@ -712,6 +752,29 @@ class TestTrainSmoke:
         auc = float((out / "metrics.csv").read_text().splitlines()[1].split(",")[3])
         assert auc > 0.5
         assert elapsed < 120.0
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", ["gen-data", "sweep-alpha"])
+    def test_records_numpy_blas_threads_and_processes(self, data_dir, tmp_path,
+                                                      monkeypatch, command):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        out = tmp_path / "o"
+        if command == "gen-data":
+            args = ["--rows", 30, "--fields", 2, "--buckets", 4]
+            processes = 1
+        else:
+            args = ["--mode", "static", "--data", data_dir / "single" / "window_000.csv",
+                    "--alphas", "0,0.5", "--model", "lr", "--epochs", 1, "--buckets", 12]
+            processes = reloop.loop.phase_processes(2)
+        assert run(command, *args, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["blas"] == np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": None,
+                                            "OMP_NUM_THREADS": "1"}
+        assert manifest["processes"] == processes
 
 
 class TestRerun:

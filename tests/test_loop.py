@@ -1,5 +1,7 @@
 """Loop driver: protocols, provenance, scoring, and degeneracies."""
 
+import multiprocessing
+import os
 import tempfile
 import weakref
 from dataclasses import replace
@@ -38,7 +40,7 @@ from reloop.loop import (
 from reloop.losses import LossConfig
 from reloop.metrics import evaluate
 from reloop.models import ModelConfig, init_params
-from reloop.optim import TrainConfig, train_epochs
+from reloop.optim import DivergenceError, TrainConfig, train_epochs
 from reloop.rng import derive_seed
 
 
@@ -201,6 +203,22 @@ class TestContinual:
         ]
         assert [r.window for r in state.reports] == [2, 3, 4, 4]
 
+    @pytest.mark.parametrize("mode", ["static_prior", "continual"])
+    def test_cross_entropy_first_version_counts_no_y_last(self, mode):
+        """A y_last column in the data does not count for the version that
+        trains with cross-entropy, the static prior or continual version 1."""
+        cfg = loop_config(mode, LossConfig("reloop", alpha=0.2))
+        if mode == "static_prior":
+            train, valid, test = splits()
+            train = train.with_y_last(np.full(len(train), 0.5))
+            first, later = run_static_prior(cfg, train, valid, test).versions
+        else:
+            windows = [w.with_y_last(np.full(len(w), 0.5)) for w in small_windows(2)]
+            first, later = run_continual(cfg, windows).versions
+        assert first.loss_kind == "ce" and first.y_last_source is None
+        assert first.n_with_y_last == 0
+        assert later.n_with_y_last == later.n_train_rows > 0
+
     def test_causality_provenance(self):
         windows = small_windows(4)
         cfg = loop_config("continual", LossConfig("reloop", alpha=0.2))
@@ -314,6 +332,7 @@ class TestContinual:
             return params, log
 
         monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: 1)  # observed here
         cfg = loop_config("continual", LossConfig("reloop", alpha=0.3), warm_start=warm)
         windows = small_windows(4)
         if arms:  # trains v1, then v2..v4 of one arm, then of the other
@@ -373,6 +392,99 @@ class TestContinualArms:
             assert state.versions == ref.versions
             for key, log in ref.score_logs.items():
                 assert state.score_logs[key].scores.tobytes() == log.scores.tobytes()
+
+    def test_checkpoint_dir_rejected(self, tmp_path):
+        cfg = loop_config("continual", LossConfig(), checkpoint_dir=tmp_path / "c")
+        with pytest.raises(ValueError, match="share one checkpoint_dir"):
+            run_continual_arms(cfg, small_windows(2), reloop_losses((0.2, 0.4)))
+        assert not (tmp_path / "c").exists()
+
+
+def _forced_processes(monkeypatch, n=2):
+    monkeypatch.setattr(reloop.loop, "phase_processes", lambda k: min(k, n))
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+
+
+def _same_states(a, b):
+    assert a.report_rows() == b.report_rows()
+    assert a.versions == b.versions
+    assert [r.report for r in a.reports] == [r.report for r in b.reports]
+    assert a.score_logs.keys() == b.score_logs.keys()
+    for key, log in a.score_logs.items():
+        assert log.row_ids.tobytes() == b.score_logs[key].row_ids.tobytes()
+        assert log.scores.tobytes() == b.score_logs[key].scores.tobytes()
+
+
+class TestMapPhases:
+    @pytest.mark.parametrize("n_items, cpus, environ, expected", [
+        (4, 2, {}, 1),  # unpinned BLAS takes every CPU
+        (4, 2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (4, 2, {"OMP_NUM_THREADS": "1"}, 2),
+        (1, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (0, 2, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (3, 1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (16, 64, {"OPENBLAS_NUM_THREADS": "1"}, 16),
+        (4, 2, {"OPENBLAS_NUM_THREADS": "3"}, 1),  # more threads than CPUs
+        (4, 8, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        (4, 8, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 4),
+        (4, 8, {"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, 2),
+        (4, 8, {"OPENBLAS_NUM_THREADS": "-1"}, 1),
+        (4, 8, {"MKL_NUM_THREADS": "1"}, 1),
+    ])
+    def test_count_rule(self, n_items, cpus, environ, expected):
+        assert reloop.loop._process_count(n_items, cpus, environ) == expected
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_items_run_in_workers_in_item_order(self, monkeypatch):
+        _forced_processes(monkeypatch)
+        out = reloop.loop._map_phases(lambda x: (x, os.getpid()), list(range(5)))
+        assert [x for x, _ in out] == list(range(5))
+        assert os.getpid() not in {pid for _, pid in out}
+        assert reloop.loop._MAPPED is None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than 2 CPUs")
+    @needs_fork
+    def test_two_processes_equal_one_bitwise(self, monkeypatch):
+        windows = small_windows(3)
+        train, _, test = splits()
+        alphas = (0.0, 0.4, 1.0)
+        static_cfg = loop_config("static_prior", LossConfig())
+        runs = {}
+        for n in (1, 2):
+            _forced_processes(monkeypatch, n)
+            runs[n] = (sweep_alpha_static(static_cfg, train, test, alphas), [
+                run_continual_arms(loop_config("continual", LossConfig(), warm_start=warm),
+                                   windows, reloop_losses(alphas))
+                for warm in (False, True)])
+        (serial, serial_arms), (pooled, pooled_arms) = runs[1], runs[2]
+        assert [repr(r) for r in pooled] == [repr(r) for r in serial]
+        for states, ref_states in zip(pooled_arms, serial_arms):
+            for state, ref in zip(states, ref_states, strict=True):
+                _same_states(state, ref)
+
+    @needs_fork
+    def test_first_failing_arm_raises_in_item_order(self, monkeypatch):
+        _forced_processes(monkeypatch)
+        real = reloop.loop._train_phase
+
+        def train(cfg, dataset, loss, phase, start=None):
+            if loss.alpha in (0.6, 0.9) and phase == 3:
+                raise DivergenceError(f"alpha {loss.alpha}: boom")
+            return real(cfg, dataset, loss, phase, start)
+
+        monkeypatch.setattr(reloop.loop, "_train_phase", train)
+        cfg = loop_config("continual", LossConfig())
+        with pytest.raises(DivergenceError) as info:
+            run_continual_arms(cfg, small_windows(3), reloop_losses((0.3, 0.6, 0.9)))
+        assert type(info.value) is DivergenceError
+        assert str(info.value) == "alpha 0.6: boom"
+        assert multiprocessing.active_children() == []
+        assert reloop.loop._MAPPED is None
 
 
 class TestStaticDirectional:
