@@ -404,6 +404,7 @@ def _forced_processes(monkeypatch, n=2):
     monkeypatch.setattr(reloop.loop, "phase_processes", lambda k: min(k, n))
 
 
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
 
@@ -447,7 +448,7 @@ class TestMapPhases:
         assert reloop.loop._MAPPED is None
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="fewer than 2 CPUs")
+    @pytest.mark.skipif(_CPUS < 2, reason="fewer than 2 CPUs")
     @needs_fork
     def test_two_processes_equal_one_bitwise(self, monkeypatch):
         windows = small_windows(3)
