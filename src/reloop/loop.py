@@ -162,7 +162,6 @@ class ReportRow:
 class LoopState:
     """Everything one loop run produced: versions, score logs, reports."""
 
-    mode: str
     versions: list[VersionRecord] = field(default_factory=list)
     reports: list[ReportRow] = field(default_factory=list)
     score_logs: dict[tuple[int, int], ScoreLog] = field(default_factory=dict)
@@ -191,7 +190,7 @@ def _predict_scored(params: Params, dataset: Dataset) -> tuple[np.ndarray, Score
     """
     check_schema(params, dataset.schema)
     p = predict_batch(params, dataset)
-    return p, ScoreLog(dataset.row_ids.copy(), clip_prob(p))
+    return p, ScoreLog(dataset.row_ids, clip_prob(p))
 
 
 def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
@@ -384,7 +383,7 @@ def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
     prior_split = train_set.head(n_prior)
     prior = _train_phase(cfg, prior_split, _CE, "prior")
     log = infer_scores(prior, train_set)
-    return _StaticPrior(prior, prior_split.row_ids.copy(), log,
+    return _StaticPrior(prior, prior_split.row_ids, log,
                         train_set.with_y_last(log.scores))
 
 
@@ -411,7 +410,7 @@ def run_static_prior(
     baseline = _train_phase(cfg, train_set, _CE, "current")
     current = _train_current(cfg, prior)
 
-    state = LoopState(mode="static_prior", prior_row_ids=prior.row_ids)
+    state = LoopState(prior_row_ids=prior.row_ids)
     state.score_logs[(0, 0)] = prior.log
     # saved once all three phases have trained
     state.versions.append(_record(cfg, prior.params, "prior", _CE, version=0, source=None,
@@ -556,7 +555,7 @@ def run_continual(cfg: LoopConfig, windows: list[Dataset]) -> LoopState:
     the score logs each version produced for its successor.
     """
     _check_continual(cfg, windows)
-    return _continual_versions(cfg, windows, LoopState(mode="continual"), None)
+    return _continual_versions(cfg, windows, LoopState(), None)
 
 
 def run_continual_arms(
@@ -573,7 +572,7 @@ def run_continual_arms(
         raise ValueError("run_continual_arms writes no checkpoints; "
                          "its arms would share one checkpoint_dir")
     _check_continual(cfg, windows)
-    first = LoopState(mode="continual")
+    first = LoopState()
     v1 = _continual_version(cfg, windows, 1, None, first)
 
     def arm(loss: LossConfig) -> LoopState:

@@ -149,11 +149,6 @@ class Params(_Blocks):
     cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     head: np.ndarray | None = None
 
-    def like(self, make) -> "Params":
-        """Params of this layout with a zero bias, each block made by
-        ``make(name, block)`` in layout order."""
-        return replace(self, bias=0.0, **_each_block(self, make))
-
     def copy(self) -> "Params":
         return replace(self, **_each_block(self, lambda _, a: a.copy()))
 

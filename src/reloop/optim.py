@@ -1,17 +1,16 @@
 """Parameter updates (SGD, Adam) and the deterministic mini-batch trainer.
 
 Each optimizer's rule is written once, in ``_step``, and each step applies
-it twice: to one flat vector of the dense blocks (perceptron and cross
-layers, head) followed by the bias, which update densely every step; and to
-each table (linear, embedding) over the batch's unique rows only. The model
-hands back compact table gradients over those rows (``Grads.rows``), so SGD
-and lazy Adam touch only them. Moments of rows a batch never touched are
-neither decayed nor bias-corrected away, the standard treatment for large
-sparse tables. Adam keeps each moment in one flat array, every block a view
-into it in layout order and the bias in one last slot; the dense vector's
-moments (``OptimizerState.m_dense``/``v_dense``) are the tail of that
-array. Adam's decay rates and denominator floor are the fixed constants
-below.
+it once per step group: to one flat vector of the dense blocks (perceptron
+and cross layers, head) followed by the bias, which update densely every
+step; then to each table (linear, embedding) over the batch's unique rows
+only. The model hands back compact table gradients over those rows
+(``Grads.rows``), so SGD and lazy Adam touch only them. Moments of rows a
+batch never touched are neither decayed nor bias-corrected away, the
+standard treatment for large sparse tables. Adam's state is one (m, v)
+pair of moments per step group, in step order
+(``OptimizerState.moments``). Adam's decay rates and denominator floor are
+the fixed constants below.
 
 ``train_epochs`` trains a sub-table: the linear and embedding rows the
 dataset touches, copied out in row order, with the dense blocks shared. So
@@ -71,49 +70,32 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Update rule plus Adam moment accumulators shaped like the params.
+    """Update rule, step count and Adam's moments.
 
-    Each of ``m`` and ``v`` has its blocks as views into one flat array, in
-    layout order, and the bias in the array's last slot; ``m_dense`` and
-    ``v_dense`` are the tails of those arrays that hold the dense blocks
-    (mlp, cross, head) and the bias.
+    ``moments`` holds one (m, v) pair per step group, in the order
+    ``apply_update`` steps them: the dense vector (the dense blocks in layout
+    order, then the bias), then each table the params hold (linear, then
+    emb), shaped like that table. SGD keeps no moments, so its list is empty.
+    Build a state with ``for_params``.
     """
 
     kind: str
     lr: float
     step_count: int = 0
-    m: Params | None = None
-    v: Params | None = None
-    m_dense: np.ndarray | None = None
-    v_dense: np.ndarray | None = None
+    moments: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.kind not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer {self.kind!r}")
 
     @classmethod
     def for_params(cls, cfg: TrainConfig, params: Params) -> "OptimizerState":
         state = cls(kind=cfg.optimizer, lr=cfg.lr)
         if state.kind == "adam":
-            state.m, state.m_dense = _flat_zeros(params)
-            state.v, state.v_dense = _flat_zeros(params)
+            shapes = [sum(a.size for a in params.dense_blocks()) + 1]
+            shapes += [t.shape for t in _tables(params) if t is not None]
+            state.moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
         return state
-
-
-def _flat_zeros(params: Params) -> tuple[Params, np.ndarray]:
-    """Zeros shaped like ``params`` whose blocks are consecutive views of one
-    flat array with one more slot at its end, for the bias; and that array's
-    tail of dense blocks and the bias slot.
-
-    ``np.zeros`` hands out untouched zero pages, so a table costs memory only
-    where it is later written, as lazy Adam's moments are.
-    """
-    flat = np.zeros(sum(a.size for _, a in params.blocks()) + 1, dtype=np.float64)
-    lo = 0
-
-    def view(_, a):
-        nonlocal lo
-        lo += a.size
-        return flat[lo - a.size : lo].reshape(a.shape)
-
-    n_dense = sum(a.size for a in params.dense_blocks()) + 1
-    return params.like(view), flat[flat.size - n_dense :]
 
 
 def _step(state: OptimizerState, g: np.ndarray, m=None, v=None) -> np.ndarray:
@@ -142,7 +124,7 @@ def _step(state: OptimizerState, g: np.ndarray, m=None, v=None) -> np.ndarray:
 
 
 def _tables(p) -> tuple:
-    return (None, None) if p is None else (p.linear, p.emb)
+    return (p.linear, p.emb)
 
 
 def apply_update(
@@ -152,16 +134,30 @@ def apply_update(
 
     The dense blocks and the bias take one step over one flat vector; each
     table takes one over the rows of the batch, so (lazy Adam) the moments
-    of the other rows stay as they are.
-    """
-    if (grads.linear is None) != (params.linear is None) or (
-        (grads.emb is None) != (params.emb is None)
-    ):
-        raise ValueError("gradient shape does not match parameters")
-    state.step_count += 1
+    of the other rows stay as they are. Each step group takes the next
+    (m, v) pair of ``state.moments``.
 
+    Raises:
+        ValueError: the gradients hold other tables than the params, or the
+            state's moments do not fit the params (it was not built by
+            ``OptimizerState.for_params`` for them); raised before any change.
+    """
+    if [t is None for t in _tables(params)] != [t is None for t in _tables(grads)]:
+        raise ValueError("gradient shape does not match parameters")
+    tables = [(theta, g) for theta, g in zip(_tables(params), _tables(grads))
+              if theta is not None]
     g = np.concatenate([a.ravel() for a in grads.dense_blocks()] + [[grads.bias]])
-    step = _step(state, g, state.m_dense, state.v_dense)
+    want = [g.shape] + [t.shape for t, _ in tables] if state.kind == "adam" else []
+    got = [(m.shape, v.shape) for m, v in state.moments]
+    if got != [(s, s) for s in want]:
+        raise ValueError(
+            f"{state.kind} state has moment shapes {got}, the params need {want} "
+            "for m and v each; build it with OptimizerState.for_params"
+        )
+    state.step_count += 1
+    pairs = iter(state.moments)
+
+    step = _step(state, g, *next(pairs, ()))
     lo = 0
     for theta in params.dense_blocks():
         theta -= step[lo : lo + theta.size].reshape(theta.shape)
@@ -170,12 +166,11 @@ def apply_update(
 
     # np.take gathers the same values as fancy indexing, faster
     rows = grads.rows
-    for theta, g, m, v in zip(*map(_tables, (params, grads, state.m, state.v))):
-        if theta is None:
-            continue
-        moments = [np.take(a, rows, axis=0) for a in (m, v) if a is not None]
-        theta[rows] = np.take(theta, rows, axis=0) - _step(state, g, *moments)
-        for a, a_rows in zip((m, v), moments):
+    for theta, g in tables:
+        pair = next(pairs, ())
+        at_rows = [np.take(a, rows, axis=0) for a in pair]
+        theta[rows] = np.take(theta, rows, axis=0) - _step(state, g, *at_rows)
+        for a, a_rows in zip(pair, at_rows):
             a[rows] = a_rows
     return params, state
 

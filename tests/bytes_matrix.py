@@ -1,13 +1,15 @@
 """Run a fixed matrix of CLI runs and hash every output file.
 
-    python tests/bytes_matrix.py [--tiny]
+    python tests/bytes_matrix.py [--tiny] [--files]
 
 prints two lines ``<n_files> <sha256>``, one for the matrix and one for the
 row-block runs: the number of output files and one sha256 over their
 relative paths and bytes, ``manifest.json`` excluded (it holds wall-clock).
 A change that keeps training, inference and every writer bitwise the same
-prints the same lines before and after. The hash is not a golden value: it
-depends on the BLAS build, so compare two trees on one machine.
+prints the same lines before and after. ``--files`` follows each line with
+one indented ``<sha256> <path>`` line per output file, so a diff of two
+trees' listings names the files whose bytes moved. The hash is not a golden
+value: it depends on the BLAS build, so compare two trees on one machine.
 
 The matrix: every model kind x {adam, sgd} x {ce, reloop, kd} x {static,
 continual cold, continual warm} ``loop`` runs; static, continual-cold and
@@ -97,16 +99,21 @@ def block_runs(root: Path, tiny: bool = False) -> list[list[str]]:
     ]
 
 
+def tree_files(root: Path) -> list[tuple[str, str]]:
+    """(relative path, sha256 of the bytes) of each output file in path
+    order, manifests excluded."""
+    return [(p.relative_to(root).as_posix(), hashlib.sha256(p.read_bytes()).hexdigest())
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "manifest.json"]
+
+
 def tree_digest(root: Path) -> tuple[int, str]:
-    """(file count, sha256 over relative paths and bytes), manifests excluded."""
+    """(file count, sha256 over ``tree_files``' relative paths and hashes)."""
+    files = tree_files(root)
     h = hashlib.sha256()
-    n = 0
-    for p in sorted(root.rglob("*")):
-        if p.is_file() and p.name != "manifest.json":
-            rel = p.relative_to(root).as_posix()
-            h.update(f"{rel}\0{hashlib.sha256(p.read_bytes()).hexdigest()}\n".encode())
-            n += 1
-    return n, h.hexdigest()
+    for rel, digest in files:
+        h.update(f"{rel}\0{digest}\n".encode())
+    return len(files), h.hexdigest()
 
 
 def run_matrix(root: Path, tiny: bool = False, runs=matrix_runs) -> tuple[int, str]:
@@ -122,11 +129,17 @@ def run_matrix(root: Path, tiny: bool = False, runs=matrix_runs) -> tuple[int, s
 def _main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tiny", action="store_true", help="small data and models")
+    ap.add_argument("--files", action="store_true",
+                    help="also print each output file's sha256 and relative path")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         for runs in (matrix_runs, block_runs):
-            n, digest = run_matrix(Path(tmp) / runs.__name__, args.tiny, runs)
+            root = Path(tmp) / runs.__name__
+            n, digest = run_matrix(root, args.tiny, runs)
             print(n, digest, flush=True)
+            if args.files:
+                for rel, file_digest in tree_files(root):
+                    print(f"  {file_digest} {runs.__name__}/{rel}", flush=True)
     return 0
 
 

@@ -1,6 +1,8 @@
 """The same-bytes matrix (tests/bytes_matrix.py) digests its outputs reproducibly."""
 
-from bytes_matrix import block_runs, run_matrix
+import hashlib
+
+from bytes_matrix import block_runs, run_matrix, tree_digest, tree_files
 
 
 def test_tiny_matrix_twice_same_digest(tmp_path):
@@ -15,3 +17,17 @@ def test_tiny_block_runs_twice_same_digest(tmp_path):
     second = run_matrix(tmp_path / "b", tiny=True, runs=block_runs)
     assert first[0] == 3 + 3 * 6  # 3 windows; per run a report, 3 checkpoints, 2 score logs
     assert first == second
+
+
+def test_tree_digest_hashes_tree_files(tmp_path):
+    (tmp_path / "runs" / "a").mkdir(parents=True)
+    (tmp_path / "runs" / "a" / "report.csv").write_bytes(b"v,auc\n1,0.5\n")
+    (tmp_path / "runs" / "a" / "manifest.json").write_text("{}")
+    (tmp_path / "data.csv").write_bytes(b"y\n1\n")
+    files = tree_files(tmp_path)
+    assert [rel for rel, _ in files] == ["data.csv", "runs/a/report.csv"]
+    assert files[0][1] == hashlib.sha256(b"y\n1\n").hexdigest()
+    h = hashlib.sha256()
+    for rel, digest in files:
+        h.update(f"{rel}\0{digest}\n".encode())
+    assert tree_digest(tmp_path) == (2, h.hexdigest())

@@ -9,6 +9,7 @@ from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from reloop.metrics import logloss
 from reloop.models import (
+    MODEL_KINDS,
     DimensionError,
     Grads,
     ModelConfig,
@@ -95,11 +96,12 @@ class TestAdam:
     def test_lazy_rows_keep_stale_moments(self, lr_params):
         cfg = TrainConfig(optimizer="adam", lr=0.01)
         state = OptimizerState.for_params(cfg, lr_params)
+        _, (m_linear, _) = state.moments
         apply_update(state, lr_params, lr_grads(lr_params, table={0: 1.0}))
-        m_before = state.m.linear[1]
+        m_before = m_linear[1]
         apply_update(state, lr_params, lr_grads(lr_params, table={1: 1.0}))
         # row 0 untouched by the second step: neither decayed nor updated
-        assert state.m.linear[0] == pytest.approx(0.1, abs=1e-15)
+        assert m_linear[0] == pytest.approx(0.1, abs=1e-15)
         assert m_before == 0.0
         assert lr_params.linear[2] == 0.0
 
@@ -134,6 +136,17 @@ def reference_dense_adam(cfg, theta, grads_seq):
     return theta, m, v
 
 
+def split_dense(flat, params):
+    """A dense moment vector cut into blocks shaped like
+    ``params.dense_blocks()``; the last slot, the bias's, is left off."""
+    out, lo = [], 0
+    for a in params.dense_blocks():
+        out.append(flat[lo : lo + a.size].reshape(a.shape))
+        lo += a.size
+    assert lo == flat.size - 1
+    return out
+
+
 class TestFlatDenseAdam:
     @pytest.mark.parametrize("kind", ["deepfm", "mlp", "dcn"])
     def test_bitwise_equal_to_per_block_recurrence(self, small_schema, kind):
@@ -146,33 +159,57 @@ class TestFlatDenseAdam:
         seq = [random_grads(params, rng) for _ in range(3)]
         for g in seq:
             apply_update(state, params, g)
-        blocks = [("head", lambda p: p.head)] if kind == "dcn" else []
-        for i in range(len(params.mlp)):
-            for j in range(2):
-                blocks.append((f"mlp[{i}][{j}]", lambda p, i=i, j=j: p.mlp[i][j]))
-        for i in range(len(params.cross)):
-            for j in range(2):
-                blocks.append((f"cross[{i}][{j}]", lambda p, i=i, j=j: p.cross[i][j]))
-        assert blocks
-        for name, get in blocks:
-            theta, m, v = reference_dense_adam(
-                cfg, get(before).copy(), [get(g) for g in seq])
-            assert get(params).tobytes() == theta.tobytes(), name
-            assert get(state.m).tobytes() == m.tobytes(), name
-            assert get(state.v).tobytes() == v.tobytes(), name
+        (m, v), *_ = state.moments
+        blocks = zip(params.dense_blocks(), before.dense_blocks(),
+                     split_dense(m, params), split_dense(v, params), strict=True)
+        assert params.dense_blocks()
+        for i, (got, init, got_m, got_v) in enumerate(blocks):
+            theta, want_m, want_v = reference_dense_adam(
+                cfg, init.copy(), [g.dense_blocks()[i] for g in seq])
+            assert got.tobytes() == theta.tobytes(), i
+            assert got_m.tobytes() == want_m.tobytes(), i
+            assert got_v.tobytes() == want_v.tobytes(), i
 
-    def test_moment_blocks_are_views_of_one_flat_array(self, small_schema):
-        params = init_params(small_schema, ModelConfig("dcn", embed_dim=3, mlp_widths=(5,)),
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_one_moment_pair_per_step_group(self, small_schema, kind):
+        params = init_params(small_schema, ModelConfig(kind, embed_dim=3, mlp_widths=(5,)),
                              seed=1)
         state = OptimizerState.for_params(TrainConfig(optimizer="adam"), params)
-        state.m_dense[:] = np.arange(state.m_dense.size)
-        flat = np.concatenate([a.ravel() for pair in state.m.mlp + state.m.cross
-                               for a in pair] + [state.m.head])
-        # the dense blocks, then one last slot for the bias
-        assert np.array_equal(flat, state.m_dense[:-1])
-        assert state.m_dense.size == flat.size + 1
-        assert state.m_dense.base is state.m.emb.base
-        assert state.m.emb.shape == params.emb.shape and not state.m.emb.any()
+        # the dense blocks and the bias slot, then each table the kind holds
+        n_dense = sum(a.size for a in params.dense_blocks())
+        tables = [t for t in (params.linear, params.emb) if t is not None]
+        shapes = [(n_dense + 1,)] + [t.shape for t in tables]
+        assert [m.shape for m, _ in state.moments] == shapes
+        assert [v.shape for _, v in state.moments] == shapes
+        for m, v in state.moments:
+            assert not m.any() and not v.any()
+            assert not np.shares_memory(m, v)
+        sgd = OptimizerState.for_params(TrainConfig(optimizer="sgd"), params)
+        assert sgd.moments == []
+
+
+class TestMisbuiltState:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown optimizer 'bogus'"):
+            OptimizerState(kind="bogus", lr=0.1)
+
+    # no pairs; two pairs for three step groups; three pairs, the dense one
+    # sized for another model
+    @pytest.mark.parametrize("built_for", [None, "lr", "deepfm"])
+    def test_adam_moments_that_do_not_fit_rejected(self, small_schema, built_for):
+        params = init_params(small_schema, ModelConfig("fm", embed_dim=3), seed=1)
+        if built_for is None:
+            state = OptimizerState(kind="adam", lr=0.1)
+        else:
+            other = init_params(small_schema, ModelConfig(built_for, embed_dim=3), seed=1)
+            state = OptimizerState.for_params(TrainConfig(optimizer="adam"), other)
+        before = params.copy()
+        grads = random_grads(params, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"OptimizerState\.for_params"):
+            apply_update(state, params, grads)
+        assert state.step_count == 0 and params.bias == before.bias
+        for (name, a), (_, b) in zip(params.blocks(), before.blocks(), strict=True):
+            assert a.tobytes() == b.tobytes(), name
 
 
 def reference_steps(cfg, params, grads_seq):
@@ -222,10 +259,12 @@ def reference_steps(cfg, params, grads_seq):
 
 def _moments(state, params):
     """Adam's moments by the names ``reference_steps`` gives them."""
+    tables = [n for n in ("linear", "emb") if getattr(params, n) is not None]
+    dense, *table_pairs = state.moments
     out = []
-    for s, flat in ((state.m, state.m_dense), (state.v, state.v_dense)):
-        d = {n: getattr(s, n) for n in ("linear", "emb") if getattr(params, n) is not None}
-        for i, a in enumerate(s.dense_blocks()):
+    for j, flat in enumerate(dense):
+        d = {n: pair[j] for n, pair in zip(tables, table_pairs, strict=True)}
+        for i, a in enumerate(split_dense(flat, params)):
             d[f"dense[{i}]"] = a
         d["bias"] = flat[-1]
         out.append(d)
@@ -256,7 +295,7 @@ class TestOneRule:
         for (name, a), (_, b) in zip(params.blocks(), ref.blocks(), strict=True):
             assert a.tobytes() == b.tobytes(), name
         if optimizer == "sgd":
-            assert state.m is None and state.v is None
+            assert state.moments == []
             return
         for got, want in zip(_moments(state, params), (m, v)):
             assert got.keys() == want.keys()
@@ -269,7 +308,8 @@ class TestOneRule:
         g = 0.3624182010806754
         state = OptimizerState.for_params(TrainConfig(optimizer="adam"), lr_params)
         apply_update(state, lr_params, lr_grads(lr_params, bias=g))
-        assert state.v_dense[-1] == (1.0 - 0.999) * (g * g)
+        (_, v_dense), _ = state.moments
+        assert v_dense[-1] == (1.0 - 0.999) * (g * g)
 
 
 def per_batch_train(params, dataset, cfg):
@@ -388,9 +428,9 @@ class TestSubTable:
         train_epochs(p, sparse_dataset, cfg)
         used = np.unique(sparse_dataset.indices).size
         (state,) = states
-        for moment in (state.m, state.v):
-            assert moment.linear.shape == (used,)
-            assert moment.emb.shape == (used, 3)
+        _, linear, emb = state.moments
+        assert [a.shape for a in linear] == [(used,)] * 2
+        assert [a.shape for a in emb] == [(used, 3)] * 2
         assert p.emb.shape == (64 * 4, 3)  # the caller's table keeps its size
 
     # sgd diverges in epoch 2, adam in epoch 1
