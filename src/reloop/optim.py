@@ -92,9 +92,7 @@ class OptimizerState:
     def for_params(cls, cfg: TrainConfig, params: Params) -> "OptimizerState":
         state = cls(kind=cfg.optimizer, lr=cfg.lr)
         if state.kind == "adam":
-            shapes = [sum(a.size for a in params.dense_blocks()) + 1]
-            shapes += [t.shape for t in _tables(params) if t is not None]
-            state.moments = [(np.zeros(s), np.zeros(s)) for s in shapes]
+            state.moments = [(np.zeros(s), np.zeros(s)) for s in _moment_shapes(params)]
         return state
 
 
@@ -127,6 +125,13 @@ def _tables(p) -> tuple:
     return (p.linear, p.emb)
 
 
+def _moment_shapes(params: Params) -> list[tuple[int, ...]]:
+    """The shape of each step group, in step order: the dense vector (the
+    dense blocks, then the bias slot), then each table the params hold."""
+    n_dense = sum(a.size for a in params.dense_blocks())
+    return [(n_dense + 1,)] + [t.shape for t in _tables(params) if t is not None]
+
+
 def apply_update(
     state: OptimizerState, params: Params, grads: Grads
 ) -> tuple[Params, OptimizerState]:
@@ -138,16 +143,19 @@ def apply_update(
     (m, v) pair of ``state.moments``.
 
     Raises:
-        ValueError: the gradients hold other tables than the params, or the
-            state's moments do not fit the params (it was not built by
-            ``OptimizerState.for_params`` for them); raised before any change.
+        ValueError: the gradients hold other tables or another dense size
+            than the params, or the state's moments do not fit the params
+            (it was not built by ``OptimizerState.for_params`` for them);
+            raised before any change.
     """
-    if [t is None for t in _tables(params)] != [t is None for t in _tables(grads)]:
+    shapes = _moment_shapes(params)
+    g = np.concatenate([a.ravel() for a in grads.dense_blocks()] + [[grads.bias]])
+    if (g.shape != shapes[0]
+            or [t is None for t in _tables(params)] != [t is None for t in _tables(grads)]):
         raise ValueError("gradient shape does not match parameters")
     tables = [(theta, g) for theta, g in zip(_tables(params), _tables(grads))
               if theta is not None]
-    g = np.concatenate([a.ravel() for a in grads.dense_blocks()] + [[grads.bias]])
-    want = [g.shape] + [t.shape for t, _ in tables] if state.kind == "adam" else []
+    want = shapes if state.kind == "adam" else []
     got = [(m.shape, v.shape) for m, v in state.moments]
     if got != [(s, s) for s in want]:
         raise ValueError(

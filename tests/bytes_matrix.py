@@ -1,12 +1,12 @@
 """Run a fixed matrix of CLI runs and hash every output file.
 
-    python tests/bytes_matrix.py [--tiny] [--files]
+    python tests/bytes_matrix.py [--tiny]
 
 prints two lines ``<n_files> <sha256>``, one for the matrix and one for the
 row-block runs: the number of output files and one sha256 over their
 relative paths and bytes, ``manifest.json`` excluded (it holds wall-clock).
 A change that keeps training, inference and every writer bitwise the same
-prints the same lines before and after. ``--files`` follows each line with
+prints the same lines before and after. Each line is followed on stderr by
 one indented ``<sha256> <path>`` line per output file, so a diff of two
 trees' listings names the files whose bytes moved. The hash is not a golden
 value: it depends on the BLAS build, so compare two trees on one machine.
@@ -129,17 +129,14 @@ def run_matrix(root: Path, tiny: bool = False, runs=matrix_runs) -> tuple[int, s
 def _main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tiny", action="store_true", help="small data and models")
-    ap.add_argument("--files", action="store_true",
-                    help="also print each output file's sha256 and relative path")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         for runs in (matrix_runs, block_runs):
             root = Path(tmp) / runs.__name__
             n, digest = run_matrix(root, args.tiny, runs)
             print(n, digest, flush=True)
-            if args.files:
-                for rel, file_digest in tree_files(root):
-                    print(f"  {file_digest} {runs.__name__}/{rel}", flush=True)
+            for rel, file_digest in tree_files(root):
+                print(f"  {file_digest} {runs.__name__}/{rel}", file=sys.stderr)
     return 0
 
 

@@ -1,7 +1,9 @@
 """The same-bytes matrix (tests/bytes_matrix.py) digests its outputs reproducibly."""
 
 import hashlib
+import sys
 
+import bytes_matrix
 from bytes_matrix import block_runs, run_matrix, tree_digest, tree_files
 
 
@@ -31,3 +33,25 @@ def test_tree_digest_hashes_tree_files(tmp_path):
     for rel, digest in files:
         h.update(f"{rel}\0{digest}\n".encode())
     assert tree_digest(tmp_path) == (2, h.hexdigest())
+
+
+def test_main_prints_digests_and_lists_files_on_stderr(monkeypatch, capsys):
+    def writes(name, body):
+        def runs(root, tiny):
+            root.mkdir(parents=True)
+            (root / "report.csv").write_bytes(body)
+            return []
+        runs.__name__ = name
+        return runs
+
+    bodies = {"matrix_runs": b"a\n", "block_runs": b"b\n"}
+    for name, body in bodies.items():
+        monkeypatch.setattr(bytes_matrix, name, writes(name, body))
+    monkeypatch.setattr(sys, "argv", ["bytes_matrix.py", "--tiny"])
+    assert bytes_matrix._main() == 0
+    out, err = capsys.readouterr()
+    files = {name: hashlib.sha256(body).hexdigest() for name, body in bodies.items()}
+    trees = [hashlib.sha256(f"report.csv\0{d}\n".encode()).hexdigest()
+             for d in files.values()]
+    assert out.splitlines() == [f"1 {t}" for t in trees]
+    assert err.splitlines() == [f"  {d} {name}/report.csv" for name, d in files.items()]

@@ -19,6 +19,7 @@ from reloop.models import (
     predict_batch,
 )
 from reloop.optim import (
+    OPTIMIZER_KINDS,
     DivergenceError,
     OptimizerState,
     TrainConfig,
@@ -210,6 +211,17 @@ class TestMisbuiltState:
         assert state.step_count == 0 and params.bias == before.bias
         for (name, a), (_, b) in zip(params.blocks(), before.blocks(), strict=True):
             assert a.tobytes() == b.tobytes(), name
+
+    # the gradients, not a state built for the params, are at fault
+    @pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+    def test_gradients_of_another_dense_size_rejected(self, small_schema, kind):
+        params = init_params(small_schema, ModelConfig("fm", embed_dim=3), seed=1)
+        other = init_params(small_schema, ModelConfig("deepfm", embed_dim=3), seed=1)
+        state = OptimizerState.for_params(TrainConfig(optimizer=kind), params)
+        grads = random_grads(other, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="gradient shape does not match parameters"):
+            apply_update(state, params, grads)
+        assert state.step_count == 0
 
 
 def reference_steps(cfg, params, grads_seq):
