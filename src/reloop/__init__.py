@@ -36,6 +36,7 @@ from .loop import (
     infer_scores,
     run_continual,
     run_continual_arms,
+    run_static_arms,
     run_static_prior,
     write_loop_report,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "predict_batch",
     "run_continual",
     "run_continual_arms",
+    "run_static_arms",
     "run_static_prior",
     "save_checkpoint",
     "train_epochs",

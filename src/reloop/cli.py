@@ -48,8 +48,8 @@ from .loop import (
     reloop_losses,
     run_continual,
     run_continual_arms,
+    run_static_arms,
     run_static_prior,
-    sweep_alpha_static,
     write_loop_report,
 )
 from .losses import LOSS_KINDS, LossConfig, LossInputError, emit_loss_curves, write_loss_curves
@@ -322,8 +322,9 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
         "numpy_version": np.__version__,
         "blas": _blas_build(),
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "processes": phase_processes(len(resolved["alphas"]))
-        if command == "sweep-alpha" else 1,
+        # the arms a run maps: a sweep's alphas, a static loop's baseline and current
+        "processes": phase_processes(len(resolved["alphas"]) if command == "sweep-alpha"
+                                     else 2 if resolved.get("mode") == "static" else 1),
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
@@ -497,7 +498,8 @@ def _cmd_sweep_alpha(res: dict) -> None:
     cfg, data = _loop_setup(res, LossConfig(), checkpoint_dir=None)
     if cfg.mode == "static_prior":
         train, _, test = data
-        heads = [(r.auc, r.logloss) for r in sweep_alpha_static(cfg, train, test, alphas)]
+        arms = [(loss, "current") for loss in reloop_losses(alphas)]
+        heads = [(r.auc, r.logloss) for _, (r,) in run_static_arms(cfg, train, [test], arms)]
     else:
         states = run_continual_arms(cfg, data, reloop_losses(alphas))
         heads = [mean_report_metrics(s) for s in states]
@@ -661,7 +663,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except Exception as exc:
-        # a sweep worker killed from outside; the pool module loads with the first pool
+        # a phase worker killed from outside; the pool module loads with the first pool
         pool = sys.modules.get("concurrent.futures.process")
         if pool is None or not isinstance(exc, pool.BrokenProcessPool):
             raise

@@ -20,14 +20,15 @@ Two protocols are implemented:
 Every y_last is produced by the immediately preceding version only, and
 provenance records in LoopState make that auditable.
 
-``sweep_alpha_static`` and ``run_continual_arms`` run the same phase
-functions as the two protocols for several losses, but run the phases no
-loss reaches once: the static prior and its scores, and continual version 1
-with its report row and its scores on window 2. The continual alpha sweep is
-``run_continual_arms`` over ``reloop_losses``. The per-loss phases that
-follow depend only on their inputs and on seeds derived from the phase name,
-so ``_map_phases`` may run them in forked worker processes, on the CPUs the
-BLAS thread count leaves free; every result is the same bytes either way.
+Each protocol has one arms function. ``run_static_arms`` trains and scores
+with the prior once, then one model per ``(loss, checkpoint name)`` arm;
+``run_static_prior`` is its ``baseline`` (cross-entropy) and ``current``
+arms plus the prior's record and reports. ``run_continual_arms`` runs
+version 1 once, then versions 2..T once per loss; ``run_continual`` is one
+arm. An alpha sweep is either over ``reloop_losses``. The arms depend only
+on their inputs and on seeds derived from the phase name, so ``_map_phases``
+may run them in forked worker processes, on the CPUs the BLAS thread count
+leaves free; every result is the same bytes either way.
 """
 
 from __future__ import annotations
@@ -137,8 +138,7 @@ class ScoreLog:
 class VersionRecord:
     """Provenance for one trained model version."""
 
-    version: int
-    trained_window: int  # 1-based window; 0 for the static prior subset
+    version: int  # continual: the 1-based window it trained on; static: 0 prior, 1 arms
     loss_kind: str
     alpha: float
     y_last_source: int | None  # predecessor version, None for cold starts
@@ -243,10 +243,6 @@ def reloop_losses(alphas) -> list[LossConfig]:
     return [LossConfig("reloop", alpha=a) for a in alphas]
 
 
-def _with_loss(cfg: LoopConfig, loss: LossConfig) -> LoopConfig:
-    return replace(cfg, train=replace(cfg.train, loss=loss))
-
-
 def _alpha_of(loss: LossConfig) -> float:
     return loss.alpha if loss.kind == "reloop" else 0.0
 
@@ -345,11 +341,11 @@ def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
 def _record(cfg: LoopConfig, params: Params, phase: str | int, loss: LossConfig, *,
             version: int, source: int | None, rows: int, scored: bool,
             warm: bool = False) -> VersionRecord:
-    """Version ``version``'s provenance, trained on window ``version`` (0 for
-    the static prior), ``rows`` rows, each with a y_last if ``scored``. Saves
-    the checkpoint, named after ``phase``, when the config has a directory."""
+    """Version ``version``'s provenance, trained on ``rows`` rows, each with a
+    y_last if ``scored``. Saves the checkpoint, named after ``phase``, when the
+    config has a directory."""
     return VersionRecord(
-        version=version, trained_window=version, loss_kind=loss.kind,
+        version=version, loss_kind=loss.kind,
         alpha=_alpha_of(loss), y_last_source=source, n_train_rows=rows,
         n_with_y_last=rows if scored else 0, warm_started=warm,
         checkpoint_path=_save(cfg, params, f"{_phase_name(phase)}.ckpt"))
@@ -357,7 +353,7 @@ def _record(cfg: LoopConfig, params: Params, phase: str | int, loss: LossConfig,
 
 @dataclass
 class _StaticPrior:
-    """The alpha-independent phase of the static protocol."""
+    """The loss-independent phase of the static protocol."""
 
     params: Params
     row_ids: np.ndarray  # the leading training rows the prior saw
@@ -365,12 +361,15 @@ class _StaticPrior:
     scored_train: Dataset  # the training split carrying those scores as y_last
 
 
-def _check_static(cfg: LoopConfig, train_set: Dataset, test_set: Dataset) -> None:
+def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list) -> None:
     if cfg.mode != "static_prior":
         raise ValueError("config mode is not static_prior")
-    for name, ds in (("train", train_set), ("test", test_set)):
+    for name, ds in (("train", train_set), *(("evaluation", s) for s in splits)):
         if ds is None or len(ds) == 0:
             raise DataError(f"static prior protocol: empty {name} split")
+    names = [name for _, name in arms]
+    if cfg.checkpoint_dir is not None and len(set(names)) < len(names):
+        raise ValueError(f"static arms {names} would write one checkpoint file twice")
 
 
 def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
@@ -387,8 +386,40 @@ def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
                         train_set.with_y_last(log.scores))
 
 
-def _train_current(cfg: LoopConfig, prior: _StaticPrior) -> Params:
-    return _train_phase(cfg, prior.scored_train, cfg.train.loss, "current")
+def _static_arms(
+    cfg: LoopConfig, prior: _StaticPrior, splits: list, arms: list
+) -> list[tuple[VersionRecord, list[MetricsReport]]]:
+    """Train one model per ``(loss, name)`` arm on the prior's scored split,
+    through ``_map_phases``. Each arm draws the ``current`` phase's seeds, so
+    a cross-entropy arm, which reads no y_last, is the plain baseline. An arm
+    saves ``<name>.ckpt`` and evaluates on ``splits`` where it trained; only
+    its record and reports come back."""
+    n = len(prior.scored_train)
+
+    def arm(item: tuple[LossConfig, str]):
+        loss, name = item
+        params = _train_phase(cfg, prior.scored_train, loss, "current")
+        return (_record(cfg, params, name, loss, version=1, source=0, rows=n, scored=True),
+                [_evaluate_on(params, split) for split in splits])
+
+    return _map_phases(arm, arms)
+
+
+def run_static_arms(
+    cfg: LoopConfig, train_set: Dataset, splits: list[Dataset], arms
+) -> list[tuple[VersionRecord, list[MetricsReport]]]:
+    """The static protocol once per ``(loss, checkpoint name)`` arm: each
+    arm's record and its reports on ``splits``.
+
+    The prior trains and scores the training split once, and is not
+    evaluated; ``cfg.train.loss`` is not read. Each arm's record and reports
+    equal those of ``current`` in a ``run_static_prior`` at its loss. Two arms
+    of one name would write one checkpoint file, so with a ``checkpoint_dir``
+    they are a ValueError, raised before anything trains.
+    """
+    arms = list(arms)
+    _check_static(cfg, train_set, splits, arms)
+    return _static_arms(cfg, _train_prior(cfg, train_set), splits, arms)
 
 
 def run_static_prior(
@@ -399,59 +430,32 @@ def run_static_prior(
 ) -> LoopState:
     """Offline emulation of the loop with a single prior model.
 
-    Trains the prior on exactly the first round(prior_fraction * n) rows,
-    attaches its scores to the whole training split, then trains the
-    cross-entropy baseline and the configured current model from one shared
-    initialization. Reports prior/baseline/current on the test split (and on
-    the validation split when given, as *_valid phases).
+    Trains the prior on exactly the first round(prior_fraction * n) rows and
+    attaches its scores to the whole training split. The cross-entropy
+    baseline and the configured current model then train on that split as
+    two static arms, from one shared initialization. Reports
+    prior/baseline/current on the test split (and on the validation split
+    when given, as *_valid phases).
     """
-    _check_static(cfg, train_set, test_set)
+    splits = [test_set]
+    if valid_set is not None and len(valid_set) > 0:
+        splits.append(valid_set)
+    arms = [(_CE, "baseline"), (cfg.train.loss, "current")]
+    _check_static(cfg, train_set, splits, arms)
     prior = _train_prior(cfg, train_set)
-    baseline = _train_phase(cfg, train_set, _CE, "current")
-    current = _train_current(cfg, prior)
-
-    state = LoopState(prior_row_ids=prior.row_ids)
-    state.score_logs[(0, 0)] = prior.log
-    # saved once all three phases have trained
+    state = LoopState(prior_row_ids=prior.row_ids, score_logs={(0, 0): prior.log})
     state.versions.append(_record(cfg, prior.params, "prior", _CE, version=0, source=None,
                                   rows=len(prior.row_ids), scored=False))
-    state.versions.append(_record(cfg, current, "current", cfg.train.loss, version=1,
-                                  source=0, rows=len(train_set), scored=True))
-    _save(cfg, baseline, "baseline.ckpt")
-
-    evals = [("test", test_set)]
-    if valid_set is not None and len(valid_set) > 0:
-        evals.append(("valid", valid_set))
-    cur_loss = cfg.train.loss
-    models = [
-        (0, "prior", "ce", 0.0, prior.params),
-        (1, "baseline", "ce", 0.0, baseline),
-        (1, "current", cur_loss.kind, _alpha_of(cur_loss), current),
-    ]
-    for split_name, split in evals:
-        for version, phase, loss_kind, alpha, model in models:
-            name = phase if split_name == "test" else f"{phase}_valid"
-            state.reports.append(
-                ReportRow(version, 0, name, loss_kind, alpha, _evaluate_on(model, split))
-            )
+    prior_reports = [_evaluate_on(prior.params, split) for split in splits]
+    (_, baseline), (current, reports) = _static_arms(cfg, prior, splits, arms)
+    state.versions.append(current)
+    rows = [(0, "prior", _CE, prior_reports), (1, "baseline", _CE, baseline),
+            (1, "current", cfg.train.loss, reports)]
+    for i, suffix in enumerate(("", "_valid")[:len(splits)]):
+        for version, name, loss, reports in rows:
+            state.reports.append(ReportRow(version, 0, name + suffix, loss.kind,
+                                           _alpha_of(loss), reports[i]))
     return state
-
-
-def sweep_alpha_static(
-    cfg: LoopConfig, train_set: Dataset, test_set: Dataset, alphas
-) -> list[MetricsReport]:
-    """The ``current`` test-split report of ``run_static_prior`` per alpha.
-
-    Each report equals the one a reloop run at that alpha writes: the prior
-    trains and scores once, and the baseline, which no alpha changes, is not
-    trained; ``cfg.train.loss`` is not read. The alphas train and evaluate
-    through ``_map_phases``.
-    """
-    _check_static(cfg, train_set, test_set)
-    prior = _train_prior(cfg, train_set)
-    return _map_phases(
-        lambda loss: _evaluate_on(_train_current(_with_loss(cfg, loss), prior), test_set),
-        reloop_losses(alphas))
 
 
 def _check_continual(cfg: LoopConfig, windows: list[Dataset]) -> None:
@@ -486,18 +490,19 @@ def _continual_version(
     cfg: LoopConfig,
     windows: list[Dataset],
     t: int,
+    loss: LossConfig,
     prev: Params | None,
     state: LoopState,
 ) -> Params | None:
-    """Train, record and evaluate version t.
+    """Train version t with ``loss``, record and evaluate it.
 
-    Version 1 trains with cross-entropy from a fresh init. Version t > 1 trains
-    with the configured loss, warm-started from version t-1 if so configured.
-    Its y_last is the score log version t-1 left in ``state``. Version t's
-    next-window predictions are its successor's y_last: one prediction pass
-    over window t+1 yields its ``next_window`` report (on the raw
-    probabilities) and the score log (on the clipped ones). The final version
-    is evaluated on the held-out tail of its window and logs nothing.
+    Version 1 trains from a fresh init. Version t > 1 is warm-started from
+    version t-1 if so configured, and its y_last is the score log version
+    t-1 left in ``state``. Version t's next-window predictions are its
+    successor's y_last: one prediction pass over window t+1 yields its
+    ``next_window`` report (on the raw probabilities) and the score log (on
+    the clipped ones). The final version is evaluated on the held-out tail of
+    its window and logs nothing.
 
     Returns version t's params if its successor warm-starts from them, else
     None: a cold successor reads only the score log, so a cold loop frees
@@ -505,16 +510,10 @@ def _continual_version(
     """
     window = windows[t - 1]
     final = t == len(windows)
-    if final:
-        n_tail = _holdout_rows(cfg, window)
-        n_train = len(window) - n_tail
-    else:
-        n_train = len(window)
-
-    if t == 1:
-        loss, y_source = _CE, None
-    else:
-        loss, y_source = cfg.train.loss, t - 1
+    n_tail = _holdout_rows(cfg, window) if final else 0
+    n_train = len(window) - n_tail
+    y_source = t - 1 if t > 1 else None
+    if y_source is not None:
         window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
     train_part = window.head(n_train)
 
@@ -532,30 +531,19 @@ def _continual_version(
         report = evaluate(nxt.labels, p)
         _log_scores(cfg, state, t, log)
         eval_window, eval_phase = t + 1, "next_window"
-    state.reports.append(
-        ReportRow(t, eval_window, eval_phase, loss.kind, _alpha_of(loss), report)
-    )
+    state.reports.append(ReportRow(t, eval_window, eval_phase, loss.kind,
+                                   _alpha_of(loss), report))
     return params if cfg.warm_start else None
 
 
-def _continual_versions(
-    cfg: LoopConfig, windows: list[Dataset], state: LoopState, prev: Params | None
-) -> LoopState:
-    """Run the versions after the last one ``state`` holds, through the final window."""
-    for t in range(len(state.versions) + 1, len(windows) + 1):
-        prev = _continual_version(cfg, windows, t, prev, state)
-    return state
-
-
 def run_continual(cfg: LoopConfig, windows: list[Dataset]) -> LoopState:
-    """Sliding-window loop over ordered data windows.
+    """Sliding-window loop over ordered data windows: one continual arm.
 
     Returns a LoopState with one version per window, prequential reports
     (phase ``next_window``, or ``holdout_tail`` for the final version), and
     the score logs each version produced for its successor.
     """
-    _check_continual(cfg, windows)
-    return _continual_versions(cfg, windows, LoopState(), None)
+    return run_continual_arms(cfg, windows, [cfg.train.loss])[0]
 
 
 def run_continual_arms(
@@ -565,22 +553,29 @@ def run_continual_arms(
 
     Version 1 trains with cross-entropy whatever the loss, so it, its report
     row and its score log on window 2 are computed once; versions 2..T run
-    once per loss, through ``_map_phases``. The arms would write checkpoints
-    of one name into one directory, so a ``checkpoint_dir`` is a ValueError.
+    once per loss, through ``_map_phases``. Several arms would write
+    checkpoints of one name into one directory, so a ``checkpoint_dir`` with
+    more than one loss is a ValueError.
     """
-    if cfg.checkpoint_dir is not None:
-        raise ValueError("run_continual_arms writes no checkpoints; "
+    losses = list(losses)
+    if cfg.checkpoint_dir is not None and len(losses) > 1:
+        raise ValueError("run_continual_arms writes no checkpoints for several losses; "
                          "its arms would share one checkpoint_dir")
     _check_continual(cfg, windows)
     first = LoopState()
-    v1 = _continual_version(cfg, windows, 1, None, first)
+    # one reference to version 1 per arm, which the arm drops as it takes it,
+    # so the last arm to start frees version 1 once version 2 has trained
+    starts = [_continual_version(cfg, windows, 1, _CE, None, first)] * len(losses)
 
-    def arm(loss: LossConfig) -> LoopState:
-        return _continual_versions(_with_loss(cfg, loss), windows, replace(
-            first, versions=list(first.versions), reports=list(first.reports),
-            score_logs=dict(first.score_logs)), v1)
+    def arm(i: int) -> LoopState:
+        state = replace(first, versions=list(first.versions), reports=list(first.reports),
+                        score_logs=dict(first.score_logs))
+        prev, starts[i] = starts[i], None
+        for t in range(2, len(windows) + 1):
+            prev = _continual_version(cfg, windows, t, losses[i], prev, state)
+        return state
 
-    return _map_phases(arm, list(losses))
+    return _map_phases(arm, list(range(len(losses))))
 
 
 def mean_report_metrics(state: LoopState) -> tuple[float, float]:

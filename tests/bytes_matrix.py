@@ -11,6 +11,11 @@ one indented ``<sha256> <path>`` line per output file, so a diff of two
 trees' listings names the files whose bytes moved. The hash is not a golden
 value: it depends on the BLAS build, so compare two trees on one machine.
 
+Run it also with BLAS pinned below the CPU count (``OPENBLAS_NUM_THREADS=1``
+on two or more CPUs). Then the ``sweep-alpha`` runs and the static ``loop``
+runs, whose baseline and current arms are two phases, train their per-loss
+phases in forked worker processes; the digests must not move.
+
 The matrix: every model kind x {adam, sgd} x {ce, reloop, kd} x {static,
 continual cold, continual warm} ``loop`` runs; static, continual-cold and
 continual-warm ``sweep-alpha`` at alphas 0,0.3,1 per kind; and per kind one

@@ -26,7 +26,7 @@ from reloop.loop import ScoreLog, mean_report_metrics
 from reloop.losses import LOSS_KINDS, LossConfig
 from reloop.metrics import evaluate
 from reloop.models import MODEL_KINDS, ModelConfig, init_params, predict_batch
-from reloop.optim import OPTIMIZER_KINDS
+from reloop.optim import OPTIMIZER_KINDS, DivergenceError
 
 
 def run(*argv):
@@ -180,6 +180,36 @@ class TestLoop:
         assert (out / "checkpoints" / "current.ckpt").exists()
         assert (out / "checkpoints" / "prior.ckpt").exists()
 
+    @pytest.mark.parametrize("processes", [
+        1, pytest.param(2, marks=pytest.mark.skipif(
+            "fork" not in multiprocessing.get_all_start_methods(),
+            reason="no fork start method"))])
+    def test_static_diverged_current_arm_exits_one(self, data_dir, tmp_path, capsys,
+                                                   monkeypatch, processes):
+        """The error names the arm that diverged, and neither the report nor
+        that arm's checkpoint is written. Phases that trained before it keep
+        their checkpoints, as a continual loop keeps v001.ckpt."""
+        real = reloop.loop.train_epochs
+
+        def train(params, dataset, cfg):
+            if cfg.loss.kind == "reloop":
+                raise DivergenceError("training diverged: epoch 1 of 2")
+            return real(params, dataset, cfg)
+
+        monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: min(n, processes))
+        out = tmp_path / "static"
+        assert run("loop", "--mode", "static",
+                   "--data", data_dir / "single" / "window_000.csv",
+                   "--model", "fm", "--embed-dim", 3, "--loss", "reloop",
+                   "--alpha", "0.2", "--epochs", 2, "--buckets", 12,
+                   "--seed", 3, "--out", out) == 1
+        assert capsys.readouterr().err == "error: current: training diverged: epoch 1 of 2\n"
+        assert not (out / "loop_report.csv").exists()
+        assert not (out / "checkpoints" / "current.ckpt").exists()
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
+            "baseline.ckpt", "prior.ckpt"]
+
     def test_continual_version_rows(self, data_dir, tmp_path):
         out = tmp_path / "cont"
         code = run("loop", "--mode", "continual",
@@ -288,6 +318,10 @@ class TestSweepAlpha:
         if mode == "static":
             assert len(trained) == 1 + k
             assert ingested == [data_dir / "single" / "window_000.csv"]
+            trained.clear()  # a static loop: prior, baseline and current, each once
+            assert run("loop", *self.inputs(data_dir, three_windows, mode),
+                       "--loss", "reloop", "--alpha", "0.5", "--out", tmp_path / "l") == 0
+            assert len(trained) == 3
         else:
             assert len(trained) == 1 + k * (len(three_windows) - 1)
             assert ingested == sorted(three_windows)
@@ -318,9 +352,16 @@ class TestSweepAlpha:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork start method")
-    @pytest.mark.parametrize("mode", ["static", "continual"])
+    @pytest.mark.parametrize("command, mode, extra, output", [
+        pytest.param("sweep-alpha", "static", ["--alphas", "0,0.5"], "alpha_sweep.csv",
+                     id="static"),
+        pytest.param("sweep-alpha", "continual", ["--alphas", "0,0.5"], "alpha_sweep.csv",
+                     id="continual"),
+        pytest.param("loop", "static", ["--loss", "reloop"], "loop_report.csv",
+                     id="loop-static"),
+    ])
     def test_killed_worker_exits_one(self, data_dir, three_windows, tmp_path, capsys,
-                                     monkeypatch, mode):
+                                     monkeypatch, command, mode, extra, output):
         parent = os.getpid()
         real = reloop.loop._train_phase
 
@@ -331,13 +372,13 @@ class TestSweepAlpha:
 
         monkeypatch.setattr(reloop.loop, "_train_phase", train)
         monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: min(n, 2))
-        assert run("sweep-alpha", *self.inputs(data_dir, three_windows, mode),
-                   "--alphas", "0,0.5", "--out", tmp_path / "x") == 1
+        assert run(command, *self.inputs(data_dir, three_windows, mode), *extra,
+                   "--out", tmp_path / "x") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "terminated abruptly" in err
         assert multiprocessing.active_children() == []
-        assert not (tmp_path / "x" / "alpha_sweep.csv").exists()
+        assert not (tmp_path / "x" / output).exists()
 
 
     def test_diverged_sweep_prints_no_numpy_warnings(self, data_dir, tmp_path):
@@ -755,19 +796,28 @@ class TestTrainSmoke:
 
 
 class TestManifest:
-    @pytest.mark.parametrize("command", ["gen-data", "sweep-alpha"])
+    @pytest.mark.parametrize("command, mode", [
+        pytest.param("gen-data", None, id="gen-data"),
+        pytest.param("sweep-alpha", "static", id="sweep-alpha"),
+        pytest.param("loop", "static", id="loop-static"),
+        pytest.param("loop", "continual", id="loop-continual"),
+    ])
     def test_records_numpy_blas_threads_and_processes(self, data_dir, tmp_path,
-                                                      monkeypatch, command):
+                                                      monkeypatch, command, mode):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         out = tmp_path / "o"
+        inputs = {"static": ["--data", data_dir / "single" / "window_000.csv"],
+                  "continual": ["--windows", data_dir / "windows" / "window_*.csv"]}
         if command == "gen-data":
             args = ["--rows", 30, "--fields", 2, "--buckets", 4]
             processes = 1
-        else:
-            args = ["--mode", "static", "--data", data_dir / "single" / "window_000.csv",
-                    "--alphas", "0,0.5", "--model", "lr", "--epochs", 1, "--buckets", 12]
-            processes = reloop.loop.phase_processes(2)
+        else:  # a static loop maps its baseline and current arms, a sweep its alphas
+            args = ["--mode", mode, *inputs[mode], "--model", "lr", "--epochs", 1,
+                    "--buckets", 12]
+            if command == "sweep-alpha":
+                args += ["--alphas", "0,0.5"]
+            processes = reloop.loop.phase_processes(2) if mode == "static" else 1
         assert run(command, *args, "--out", out) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["numpy_version"] == np.__version__

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import shutil
 import tempfile
 import weakref
 from dataclasses import replace
@@ -33,13 +34,13 @@ from reloop.loop import (
     reloop_losses,
     run_continual,
     run_continual_arms,
+    run_static_arms,
     run_static_prior,
-    sweep_alpha_static,
     write_loop_report,
 )
 from reloop.losses import LossConfig
 from reloop.metrics import evaluate
-from reloop.models import ModelConfig, init_params
+from reloop.models import ModelConfig, init_params, predict_batch
 from reloop.optim import DivergenceError, TrainConfig, train_epochs
 from reloop.rng import derive_seed
 
@@ -320,7 +321,8 @@ class TestContinual:
     def test_dead_versions_freed_before_training(self, monkeypatch, warm, arms):
         """When version t starts training, a cold loop holds no earlier
         version's table; a warm one holds version t-1's, its start, and the
-        arms also the shared version 1, every arm's start."""
+        arms also the shared version 1, every arm's start, until the last arm
+        has taken it."""
         tables = []  # a weak reference to each trained version's emb, in order
         live_at_start = []
         real_train = reloop.loop.train_epochs
@@ -337,7 +339,7 @@ class TestContinual:
         windows = small_windows(4)
         if arms:  # trains v1, then v2..v4 of one arm, then of the other
             run_continual_arms(cfg, windows, reloop_losses((0.3, 0.6)))
-            warm_live = [[], [0], [0, 1], [0, 2], [0], [0, 4], [0, 5]]
+            warm_live = [[], [0], [0, 1], [0, 2], [0], [4], [5]]
         else:
             run_continual(cfg, windows)
             warm_live = [[], [0], [1], [2]]
@@ -357,12 +359,14 @@ class TestAlphaSweep:
     def test_static_reports_equal_separate_runs(self):
         train, valid, test = splits()
         alphas = (0.0, 0.5)
-        reports = sweep_alpha_static(
-            loop_config("static_prior", LossConfig()), train, test, alphas)
-        for alpha, report in zip(alphas, reports):
+        arms = [(loss, "current") for loss in reloop_losses(alphas)]
+        results = run_static_arms(
+            loop_config("static_prior", LossConfig()), train, [test], arms)
+        for alpha, (record, (report,)) in zip(alphas, results, strict=True):
             cfg = loop_config("static_prior", LossConfig("reloop", alpha=alpha))
             ref = run_static_prior(cfg, train, valid, test)
             assert report == next(r.report for r in ref.reports if r.phase == "current")
+            assert record == ref.versions[1]
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_continual_states_equal_separate_runs(self, warm):
@@ -397,6 +401,44 @@ class TestContinualArms:
         cfg = loop_config("continual", LossConfig(), checkpoint_dir=tmp_path / "c")
         with pytest.raises(ValueError, match="share one checkpoint_dir"):
             run_continual_arms(cfg, small_windows(2), reloop_losses((0.2, 0.4)))
+        assert not (tmp_path / "c").exists()
+
+
+class TestStaticArms:
+    @pytest.mark.parametrize("kind", ["fm", "dcn"])
+    @pytest.mark.parametrize("y_last", [False, True])
+    def test_ce_arm_equals_plain_ce_training_bitwise(self, tmp_path, kind, y_last):
+        """A cross-entropy arm on the prior-scored split trains to the bytes of
+        cross-entropy on the unscored split from the ``current`` seeds, whether
+        or not the split carries a y_last column of its own."""
+        train, _, test = splits()
+        if y_last:
+            train = train.with_y_last(np.full(len(train), 0.5))
+        cfg = replace(loop_config("static_prior", LossConfig("kd"), checkpoint_dir=tmp_path),
+                      model=ModelConfig(kind, embed_dim=3, mlp_widths=(4,)))
+        ((record, (report,)),) = run_static_arms(cfg, train, [test],
+                                                 [(LossConfig("ce"), "base")])
+        seed = cfg.train.seed
+        ref = init_params(train.schema, cfg.model, derive_seed(seed, "init", "current"))
+        ref, _ = train_epochs(ref, train, replace(
+            cfg.train, loss=LossConfig("ce"), seed=derive_seed(seed, "train", "current")))
+        saved = load_checkpoint(tmp_path / "base.ckpt")
+        assert params_to_vector(saved).tobytes() == params_to_vector(ref).tobytes()
+        assert record.checkpoint_path == str(tmp_path / "base.ckpt")
+        assert (record.loss_kind, record.y_last_source) == ("ce", 0)
+        assert report == evaluate(test.labels, predict_batch(ref, test))
+
+    def test_shared_name_with_checkpoint_dir_rejected_before_training(
+        self, tmp_path, monkeypatch
+    ):
+        trained = []
+        monkeypatch.setattr(reloop.loop, "train_epochs", lambda *a: trained.append(a))
+        train, _, test = splits()
+        cfg = loop_config("static_prior", LossConfig(), checkpoint_dir=tmp_path / "c")
+        arms = [(LossConfig("ce"), "a"), (LossConfig("kd"), "a")]
+        with pytest.raises(ValueError, match="one checkpoint file"):
+            run_static_arms(cfg, train, [test], arms)
+        assert trained == []
         assert not (tmp_path / "c").exists()
 
 
@@ -450,23 +492,38 @@ class TestMapPhases:
 
     @pytest.mark.skipif(_CPUS < 2, reason="fewer than 2 CPUs")
     @needs_fork
-    def test_two_processes_equal_one_bitwise(self, monkeypatch):
+    def test_two_processes_equal_one_bitwise(self, monkeypatch, tmp_path):
         windows = small_windows(3)
-        train, _, test = splits()
+        train, valid, test = splits()
         alphas = (0.0, 0.4, 1.0)
         static_cfg = loop_config("static_prior", LossConfig())
-        runs = {}
+        arms = [(loss, "current") for loss in reloop_losses(alphas)]
+        ckpt = tmp_path / "ckpt"  # one path for both runs: records name their files
+        runs, files = {}, {}
         for n in (1, 2):
             _forced_processes(monkeypatch, n)
-            runs[n] = (sweep_alpha_static(static_cfg, train, test, alphas), [
-                run_continual_arms(loop_config("continual", LossConfig(), warm_start=warm),
-                                   windows, reloop_losses(alphas))
-                for warm in (False, True)])
-        (serial, serial_arms), (pooled, pooled_arms) = runs[1], runs[2]
+            states = [state for warm in (False, True) for state in run_continual_arms(
+                loop_config("continual", LossConfig(), warm_start=warm),
+                windows, reloop_losses(alphas))]
+            states.append(run_static_prior(
+                loop_config("static_prior", LossConfig("reloop", alpha=0.4),
+                            checkpoint_dir=ckpt / "static"), train, valid, test))
+            states.append(run_continual(
+                loop_config("continual", LossConfig("kd"), warm_start=True,
+                            checkpoint_dir=ckpt / "continual"), windows))
+            runs[n] = (run_static_arms(static_cfg, train, [test], arms), states)
+            files[n] = {str(p.relative_to(ckpt)): p.read_bytes()
+                        for p in sorted(ckpt.rglob("*")) if p.is_file()}
+            shutil.rmtree(ckpt)
+        (serial, serial_states), (pooled, pooled_states) = runs[1], runs[2]
         assert [repr(r) for r in pooled] == [repr(r) for r in serial]
-        for states, ref_states in zip(pooled_arms, serial_arms):
-            for state, ref in zip(states, ref_states, strict=True):
-                _same_states(state, ref)
+        for state, ref in zip(pooled_states, serial_states, strict=True):
+            _same_states(state, ref)
+        assert sorted(files[1]) == [
+            "continual/scores_v001_w002.csv", "continual/scores_v002_w003.csv",
+            "continual/v001.ckpt", "continual/v002.ckpt", "continual/v003.ckpt",
+            "static/baseline.ckpt", "static/current.ckpt", "static/prior.ckpt"]
+        assert files[2] == files[1]
 
     @needs_fork
     def test_first_failing_arm_raises_in_item_order(self, monkeypatch):
