@@ -449,34 +449,25 @@ def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
     Returns the loop config and its data: the (train, valid, test) split in
     static mode, the ordered windows in continual mode.
     """
-    model_cfg = _model_config(res)
-    train_cfg = _train_config(res, loss)
-    if res["mode"] == "static":
+    static = res["mode"] == "static"
+    cfg = LoopConfig(
+        mode="static_prior" if static else "continual",
+        model=_model_config(res),
+        train=_train_config(res, loss),
+        warm_start=res["warm_start"],
+        prior_fraction=res["prior_fraction"],
+        holdout_fraction=res["holdout_fraction"],
+        checkpoint_dir=checkpoint_dir,
+    )
+    if static:
         _require(res.get("data"), "static mode requires --data")
         schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
-        splits = _split_811(ingest_csv(res["data"], schema))
-        cfg = LoopConfig(
-            mode="static_prior",
-            model=model_cfg,
-            train=train_cfg,
-            prior_fraction=res["prior_fraction"],
-            checkpoint_dir=checkpoint_dir,
-        )
-        return cfg, splits
+        return cfg, _split_811(ingest_csv(res["data"], schema))
     _require(res.get("windows"), "continual mode requires --windows GLOB")
     paths = sorted(globmod.glob(res["windows"]))
     _require(len(paths) >= 2, f"--windows {res['windows']!r} must match >= 2 files")
     schema = _schema_from_csv(paths[0], res["buckets"], res["numerical"])
-    windows = [ingest_csv(p, schema) for p in paths]
-    cfg = LoopConfig(
-        mode="continual",
-        model=model_cfg,
-        train=train_cfg,
-        warm_start=res["warm_start"],
-        holdout_fraction=res["holdout_fraction"],
-        checkpoint_dir=checkpoint_dir,
-    )
-    return cfg, windows
+    return cfg, [ingest_csv(p, schema) for p in paths]
 
 
 def _cmd_loop(res: dict) -> None:

@@ -18,7 +18,9 @@ Two protocols are implemented:
                 warm-start from their predecessor or re-initialize.
 
 Every y_last is produced by the immediately preceding version only, and
-provenance records in LoopState make that auditable.
+provenance records in LoopState make that auditable. ``_train_version``
+makes every model version, the prior included: it trains, saves and fills
+the version's record from what it trained on.
 
 Each protocol has one arms function. ``run_static_arms`` trains and scores
 with the prior once, then one model per ``(loss, checkpoint name)`` arm;
@@ -26,7 +28,8 @@ with the prior once, then one model per ``(loss, checkpoint name)`` arm;
 arms plus the prior's record and reports. ``run_continual_arms`` runs
 version 1 once, then versions 2..T once per loss; ``run_continual`` is one
 arm. An alpha sweep is either over ``reloop_losses``. The arms depend only
-on their inputs and on seeds derived from the phase name, so ``_map_phases``
+on their inputs and on seeds derived from a seed key (``prior``, ``current``
+or the window t), not from the model's name, so ``_map_phases``
 may run them in forked worker processes, on the CPUs the BLAS thread count
 leaves free; every result is the same bytes either way.
 """
@@ -203,48 +206,12 @@ def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
     return _predict_scored(params, dataset)[1]
 
 
-def _train_phase(
-    cfg: LoopConfig,
-    dataset: Dataset,
-    loss: LossConfig,
-    phase: str | int,
-    start: Params | None = None,
-) -> Params:
-    """Train one version; fresh init unless a warm-start parent is given.
-
-    The init and shuffle seeds derive from the phase alone, so a phase trains
-    to the same bytes whichever other phases run beside it.
-    """
-    if start is None:
-        params = init_params(
-            dataset.schema, cfg.model, derive_seed(cfg.train.seed, "init", phase)
-        )
-    else:
-        params = start.copy()
-    train_cfg = replace(
-        cfg.train, loss=loss, seed=derive_seed(cfg.train.seed, "train", phase)
-    )
-    try:
-        params, _ = train_epochs(params, dataset, train_cfg)
-    except DivergenceError as exc:
-        raise DivergenceError(f"{_phase_name(phase)}: {exc}") from None
-    return params
-
-
-def _phase_name(phase: str | int) -> str:
-    return phase if isinstance(phase, str) else f"v{phase:03d}"
-
-
 _CE = LossConfig("ce")  # the alpha-independent phases: prior, baseline, v1
 
 
 def reloop_losses(alphas) -> list[LossConfig]:
     """The reloop loss at each blend weight."""
     return [LossConfig("reloop", alpha=a) for a in alphas]
-
-
-def _alpha_of(loss: LossConfig) -> float:
-    return loss.alpha if loss.kind == "reloop" else 0.0
 
 
 def _evaluate_on(params: Params, split: Dataset) -> MetricsReport:
@@ -328,27 +295,50 @@ def _map_phases(fn, items: list) -> list:
         _MAPPED = None
 
 
-def _save(cfg: LoopConfig, params: Params, name: str) -> str | None:
+def _artifact(cfg: LoopConfig, name: str) -> Path | None:
+    """The path of file ``name`` in the checkpoint directory, which is made if
+    missing; None when the config has no directory."""
     if cfg.checkpoint_dir is None:
         return None
     ckpt_dir = Path(cfg.checkpoint_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    path = ckpt_dir / name
-    save_checkpoint(params, path)
-    return str(path)
+    return ckpt_dir / name
 
 
-def _record(cfg: LoopConfig, params: Params, phase: str | int, loss: LossConfig, *,
-            version: int, source: int | None, rows: int, scored: bool,
-            warm: bool = False) -> VersionRecord:
-    """Version ``version``'s provenance, trained on ``rows`` rows, each with a
-    y_last if ``scored``. Saves the checkpoint, named after ``phase``, when the
-    config has a directory."""
-    return VersionRecord(
+def _train_version(
+    cfg: LoopConfig, dataset: Dataset, loss: LossConfig, key: str | int, name: str, *,
+    version: int, source: int | None = None, start: Params | None = None,
+) -> tuple[Params, VersionRecord]:
+    """Train model version ``version`` on ``dataset``, save it and record it.
+
+    The init and shuffle seeds derive from ``key`` alone (``"prior"``,
+    ``"current"`` or the window t), so a version trains to the same bytes
+    whichever others run beside it. It starts from a copy of ``start`` if
+    given, else from a fresh init. ``name`` names the checkpoint
+    ``<name>.ckpt``, saved when the config has a directory, and prefixes a
+    DivergenceError. Every row carries a y_last from version ``source``,
+    unless that is None.
+    """
+    if start is None:
+        params = init_params(dataset.schema, cfg.model,
+                             derive_seed(cfg.train.seed, "init", key))
+    else:
+        params = start.copy()
+    train_cfg = replace(cfg.train, loss=loss, seed=derive_seed(cfg.train.seed, "train", key))
+    try:
+        params, _ = train_epochs(params, dataset, train_cfg)
+    except DivergenceError as exc:
+        raise DivergenceError(f"{name}: {exc}") from None
+    path = _artifact(cfg, f"{name}.ckpt")
+    if path is not None:
+        save_checkpoint(params, path)
+    n = len(dataset)
+    return params, VersionRecord(
         version=version, loss_kind=loss.kind,
-        alpha=_alpha_of(loss), y_last_source=source, n_train_rows=rows,
-        n_with_y_last=rows if scored else 0, warm_started=warm,
-        checkpoint_path=_save(cfg, params, f"{_phase_name(phase)}.ckpt"))
+        alpha=loss.alpha if loss.kind == "reloop" else 0.0, y_last_source=source,
+        n_train_rows=n, n_with_y_last=0 if source is None else n,
+        warm_started=start is not None,
+        checkpoint_path=None if path is None else str(path))
 
 
 @dataclass
@@ -356,6 +346,7 @@ class _StaticPrior:
     """The loss-independent phase of the static protocol."""
 
     params: Params
+    record: VersionRecord
     row_ids: np.ndarray  # the leading training rows the prior saw
     log: ScoreLog  # the prior's scores on the whole training split
     scored_train: Dataset  # the training split carrying those scores as y_last
@@ -364,12 +355,14 @@ class _StaticPrior:
 def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list) -> None:
     if cfg.mode != "static_prior":
         raise ValueError("config mode is not static_prior")
+    if not arms:
+        raise ValueError("static protocol: no arms to train")
     for name, ds in (("train", train_set), *(("evaluation", s) for s in splits)):
         if ds is None or len(ds) == 0:
             raise DataError(f"static prior protocol: empty {name} split")
-    names = [name for _, name in arms]
+    names = ["prior", *(name for _, name in arms)]
     if cfg.checkpoint_dir is not None and len(set(names)) < len(names):
-        raise ValueError(f"static arms {names} would write one checkpoint file twice")
+        raise ValueError(f"static models {names} would write one checkpoint file twice")
 
 
 def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
@@ -380,27 +373,27 @@ def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
     if n_prior < 1 or n_prior > n:
         raise DataError("prior_fraction leaves no rows for the prior model")
     prior_split = train_set.head(n_prior)
-    prior = _train_phase(cfg, prior_split, _CE, "prior")
-    log = infer_scores(prior, train_set)
-    return _StaticPrior(prior, prior_split.row_ids, log,
+    params, record = _train_version(cfg, prior_split, _CE, "prior", "prior", version=0)
+    log = infer_scores(params, train_set)
+    return _StaticPrior(params, record, prior_split.row_ids, log,
                         train_set.with_y_last(log.scores))
 
 
 def _static_arms(
     cfg: LoopConfig, prior: _StaticPrior, splits: list, arms: list
 ) -> list[tuple[VersionRecord, list[MetricsReport]]]:
-    """Train one model per ``(loss, name)`` arm on the prior's scored split,
-    through ``_map_phases``. Each arm draws the ``current`` phase's seeds, so
-    a cross-entropy arm, which reads no y_last, is the plain baseline. An arm
-    saves ``<name>.ckpt`` and evaluates on ``splits`` where it trained; only
-    its record and reports come back."""
-    n = len(prior.scored_train)
+    """Train version 1 once per ``(loss, name)`` arm on the prior's scored
+    split, through ``_map_phases``. Each arm draws the ``current`` seeds, so a
+    cross-entropy arm, which reads no y_last, is the plain baseline. An arm is
+    named ``name``: it saves ``<name>.ckpt`` and a DivergenceError names it.
+    It evaluates on ``splits`` where it trained; only its record and reports
+    come back."""
 
     def arm(item: tuple[LossConfig, str]):
         loss, name = item
-        params = _train_phase(cfg, prior.scored_train, loss, "current")
-        return (_record(cfg, params, name, loss, version=1, source=0, rows=n, scored=True),
-                [_evaluate_on(params, split) for split in splits])
+        params, record = _train_version(cfg, prior.scored_train, loss, "current", name,
+                                        version=1, source=0)
+        return record, [_evaluate_on(params, split) for split in splits]
 
     return _map_phases(arm, arms)
 
@@ -413,9 +406,10 @@ def run_static_arms(
 
     The prior trains and scores the training split once, and is not
     evaluated; ``cfg.train.loss`` is not read. Each arm's record and reports
-    equal those of ``current`` in a ``run_static_prior`` at its loss. Two arms
-    of one name would write one checkpoint file, so with a ``checkpoint_dir``
-    they are a ValueError, raised before anything trains.
+    equal those of ``current`` in a ``run_static_prior`` at its loss. With a
+    ``checkpoint_dir`` the prior saves ``prior.ckpt`` and each arm
+    ``<name>.ckpt``, so two arms of one name, or an arm named ``prior``, are
+    a ValueError, raised before anything trains; so is an empty list of arms.
     """
     arms = list(arms)
     _check_static(cfg, train_set, splits, arms)
@@ -443,18 +437,16 @@ def run_static_prior(
     arms = [(_CE, "baseline"), (cfg.train.loss, "current")]
     _check_static(cfg, train_set, splits, arms)
     prior = _train_prior(cfg, train_set)
-    state = LoopState(prior_row_ids=prior.row_ids, score_logs={(0, 0): prior.log})
-    state.versions.append(_record(cfg, prior.params, "prior", _CE, version=0, source=None,
-                                  rows=len(prior.row_ids), scored=False))
     prior_reports = [_evaluate_on(prior.params, split) for split in splits]
-    (_, baseline), (current, reports) = _static_arms(cfg, prior, splits, arms)
-    state.versions.append(current)
-    rows = [(0, "prior", _CE, prior_reports), (1, "baseline", _CE, baseline),
-            (1, "current", cfg.train.loss, reports)]
+    (baseline, baseline_reports), (current, reports) = _static_arms(cfg, prior, splits, arms)
+    state = LoopState(versions=[prior.record, current], prior_row_ids=prior.row_ids,
+                      score_logs={(0, 0): prior.log})
+    rows = [("prior", prior.record, prior_reports), ("baseline", baseline, baseline_reports),
+            ("current", current, reports)]
     for i, suffix in enumerate(("", "_valid")[:len(splits)]):
-        for version, name, loss, reports in rows:
-            state.reports.append(ReportRow(version, 0, name + suffix, loss.kind,
-                                           _alpha_of(loss), reports[i]))
+        for phase, record, per_split in rows:
+            state.reports.append(ReportRow(record.version, 0, phase + suffix,
+                                           record.loss_kind, record.alpha, per_split[i]))
     return state
 
 
@@ -480,10 +472,9 @@ def _log_scores(cfg: LoopConfig, state: LoopState, t: int, log: ScoreLog) -> Non
     """Keep version t's scores on window t+1 for its successor, and save them
     beside the checkpoints."""
     state.score_logs[(t, t + 1)] = log
-    if cfg.checkpoint_dir is not None:
-        log_dir = Path(cfg.checkpoint_dir)
-        log_dir.mkdir(parents=True, exist_ok=True)
-        log.save(log_dir / f"scores_v{t:03d}_w{t + 1:03d}.csv")
+    path = _artifact(cfg, f"scores_v{t:03d}_w{t + 1:03d}.csv")
+    if path is not None:
+        log.save(path)
 
 
 def _continual_version(
@@ -496,13 +487,13 @@ def _continual_version(
 ) -> Params | None:
     """Train version t with ``loss``, record and evaluate it.
 
-    Version 1 trains from a fresh init. Version t > 1 is warm-started from
-    version t-1 if so configured, and its y_last is the score log version
-    t-1 left in ``state``. Version t's next-window predictions are its
-    successor's y_last: one prediction pass over window t+1 yields its
-    ``next_window`` report (on the raw probabilities) and the score log (on
-    the clipped ones). The final version is evaluated on the held-out tail of
-    its window and logs nothing.
+    Version t starts from ``prev``, version t-1's params, which is None (a
+    fresh init) unless the loop warm-starts. For t > 1 its y_last is the
+    score log version t-1 left in ``state``. Version t's next-window
+    predictions are its successor's y_last: one prediction pass over window
+    t+1 yields its ``next_window`` report (on the raw probabilities) and the
+    score log (on the clipped ones). The final version is evaluated on the
+    held-out tail of its window and logs nothing.
 
     Returns version t's params if its successor warm-starts from them, else
     None: a cold successor reads only the score log, so a cold loop frees
@@ -517,11 +508,9 @@ def _continual_version(
         window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
     train_part = window.head(n_train)
 
-    warm = cfg.warm_start and prev is not None
-    params = _train_phase(cfg, train_part, loss, t, start=prev if warm else None)
-    state.versions.append(_record(cfg, params, t, loss, version=t, source=y_source,
-                                  rows=n_train, scored=y_source is not None,
-                                  warm=warm))
+    params, record = _train_version(cfg, train_part, loss, t, f"v{t:03d}", version=t,
+                                    source=y_source, start=prev)
+    state.versions.append(record)
     if final:
         report = _evaluate_on(params, window.tail(n_tail))
         eval_window, eval_phase = t, "holdout_tail"
@@ -531,8 +520,8 @@ def _continual_version(
         report = evaluate(nxt.labels, p)
         _log_scores(cfg, state, t, log)
         eval_window, eval_phase = t + 1, "next_window"
-    state.reports.append(ReportRow(t, eval_window, eval_phase, loss.kind,
-                                   _alpha_of(loss), report))
+    state.reports.append(ReportRow(t, eval_window, eval_phase, record.loss_kind,
+                                   record.alpha, report))
     return params if cfg.warm_start else None
 
 
@@ -555,9 +544,12 @@ def run_continual_arms(
     row and its score log on window 2 are computed once; versions 2..T run
     once per loss, through ``_map_phases``. Several arms would write
     checkpoints of one name into one directory, so a ``checkpoint_dir`` with
-    more than one loss is a ValueError.
+    more than one loss is a ValueError; so is an empty list of losses. Both
+    are raised before anything trains.
     """
     losses = list(losses)
+    if not losses:
+        raise ValueError("run_continual_arms: no losses to train")
     if cfg.checkpoint_dir is not None and len(losses) > 1:
         raise ValueError("run_continual_arms writes no checkpoints for several losses; "
                          "its arms would share one checkpoint_dir")

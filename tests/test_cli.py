@@ -180,19 +180,27 @@ class TestLoop:
         assert (out / "checkpoints" / "current.ckpt").exists()
         assert (out / "checkpoints" / "prior.ckpt").exists()
 
+    @pytest.mark.parametrize("arm", ["current", "baseline"])
     @pytest.mark.parametrize("processes", [
         1, pytest.param(2, marks=pytest.mark.skipif(
             "fork" not in multiprocessing.get_all_start_methods(),
             reason="no fork start method"))])
-    def test_static_diverged_current_arm_exits_one(self, data_dir, tmp_path, capsys,
-                                                   monkeypatch, processes):
-        """The error names the arm that diverged, and neither the report nor
-        that arm's checkpoint is written. Phases that trained before it keep
-        their checkpoints, as a continual loop keeps v001.ckpt."""
+    def test_static_diverged_arm_exits_one(self, data_dir, tmp_path, capsys,
+                                           monkeypatch, processes, arm):
+        """The error names the arm that diverged, not the seeds it drew, and
+        neither the report nor that arm's checkpoint is written. Models that
+        trained before it keep their checkpoints, as a continual loop keeps
+        v001.ckpt. The prior trains on unscored rows, so only the baseline's
+        cross-entropy sees a y_last."""
         real = reloop.loop.train_epochs
 
+        def diverges(dataset, cfg):
+            if arm == "current":
+                return cfg.loss.kind == "reloop"
+            return cfg.loss.kind == "ce" and dataset.y_last is not None
+
         def train(params, dataset, cfg):
-            if cfg.loss.kind == "reloop":
+            if diverges(dataset, cfg):
                 raise DivergenceError("training diverged: epoch 1 of 2")
             return real(params, dataset, cfg)
 
@@ -204,11 +212,16 @@ class TestLoop:
                    "--model", "fm", "--embed-dim", 3, "--loss", "reloop",
                    "--alpha", "0.2", "--epochs", 2, "--buckets", 12,
                    "--seed", 3, "--out", out) == 1
-        assert capsys.readouterr().err == "error: current: training diverged: epoch 1 of 2\n"
+        assert capsys.readouterr().err == f"error: {arm}: training diverged: epoch 1 of 2\n"
         assert not (out / "loop_report.csv").exists()
-        assert not (out / "checkpoints" / "current.ckpt").exists()
-        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == [
-            "baseline.ckpt", "prior.ckpt"]
+        assert not (out / "checkpoints" / f"{arm}.ckpt").exists()
+        written = sorted(p.name for p in (out / "checkpoints").iterdir())
+        if arm == "current":
+            assert written == ["baseline.ckpt", "prior.ckpt"]
+        elif processes == 1:
+            assert written == ["prior.ckpt"]
+        else:  # the current arm may have trained beside the baseline
+            assert "prior.ckpt" in written
 
     def test_continual_version_rows(self, data_dir, tmp_path):
         out = tmp_path / "cont"
@@ -363,14 +376,14 @@ class TestSweepAlpha:
     def test_killed_worker_exits_one(self, data_dir, three_windows, tmp_path, capsys,
                                      monkeypatch, command, mode, extra, output):
         parent = os.getpid()
-        real = reloop.loop._train_phase
+        real = reloop.loop._train_version
 
-        def train(cfg, dataset, loss, phase, start=None):
+        def train(*args, **kwargs):
             if os.getpid() != parent:  # a worker dies as if the OS killed it
                 os._exit(1)
-            return real(cfg, dataset, loss, phase, start)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(reloop.loop, "_train_phase", train)
+        monkeypatch.setattr(reloop.loop, "_train_version", train)
         monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: min(n, 2))
         assert run(command, *self.inputs(data_dir, three_windows, mode), *extra,
                    "--out", tmp_path / "x") == 1

@@ -403,6 +403,13 @@ class TestContinualArms:
             run_continual_arms(cfg, small_windows(2), reloop_losses((0.2, 0.4)))
         assert not (tmp_path / "c").exists()
 
+    def test_no_losses_rejected_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(reloop.loop, "train_epochs", lambda *a: trained.append(a))
+        with pytest.raises(ValueError, match="no losses"):
+            run_continual_arms(loop_config("continual", LossConfig()), small_windows(2), [])
+        assert trained == []
+
 
 class TestStaticArms:
     @pytest.mark.parametrize("kind", ["fm", "dcn"])
@@ -440,6 +447,43 @@ class TestStaticArms:
             run_static_arms(cfg, train, [test], arms)
         assert trained == []
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("checkpoint_dir, arms, match", [
+        pytest.param(False, [], "no arms", id="no-arms"),
+        pytest.param(True, [(LossConfig("ce"), "prior")], "one checkpoint file",
+                     id="arm-named-prior"),
+    ])
+    def test_rejected_before_training(self, tmp_path, monkeypatch, checkpoint_dir, arms,
+                                      match):
+        """The prior saves ``prior.ckpt``, so an arm of that name would write
+        the prior's file; and no arms leave nothing to train the prior for."""
+        trained = []
+        monkeypatch.setattr(reloop.loop, "train_epochs", lambda *a: trained.append(a))
+        train, _, test = splits()
+        ckpt = tmp_path / "c" if checkpoint_dir else None
+        cfg = loop_config("static_prior", LossConfig(), checkpoint_dir=ckpt)
+        with pytest.raises(ValueError, match=match):
+            run_static_arms(cfg, train, [test], arms)
+        assert trained == []
+        assert not (tmp_path / "c").exists()
+
+    def test_saves_the_files_of_run_static_prior(self, tmp_path):
+        """Over the baseline and current arms, ``run_static_arms`` saves the
+        prior's checkpoint and the arms' checkpoints with the bytes
+        ``run_static_prior`` writes."""
+        train, valid, test = splits()
+        loss = LossConfig("reloop", alpha=0.4)
+        files = {}
+        for name in ("arms", "prior"):
+            cfg = loop_config("static_prior", loss, checkpoint_dir=tmp_path / name)
+            if name == "arms":
+                run_static_arms(cfg, train, [test],
+                                [(LossConfig("ce"), "baseline"), (loss, "current")])
+            else:
+                run_static_prior(cfg, train, valid, test)
+            files[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        assert sorted(files["arms"]) == ["baseline.ckpt", "current.ckpt", "prior.ckpt"]
+        assert files["arms"] == files["prior"]
 
 
 def _forced_processes(monkeypatch, n=2):
@@ -528,14 +572,14 @@ class TestMapPhases:
     @needs_fork
     def test_first_failing_arm_raises_in_item_order(self, monkeypatch):
         _forced_processes(monkeypatch)
-        real = reloop.loop._train_phase
+        real = reloop.loop._train_version
 
-        def train(cfg, dataset, loss, phase, start=None):
-            if loss.alpha in (0.6, 0.9) and phase == 3:
+        def train(cfg, dataset, loss, key, name, **kwargs):
+            if loss.alpha in (0.6, 0.9) and key == 3:
                 raise DivergenceError(f"alpha {loss.alpha}: boom")
-            return real(cfg, dataset, loss, phase, start)
+            return real(cfg, dataset, loss, key, name, **kwargs)
 
-        monkeypatch.setattr(reloop.loop, "_train_phase", train)
+        monkeypatch.setattr(reloop.loop, "_train_version", train)
         cfg = loop_config("continual", LossConfig())
         with pytest.raises(DivergenceError) as info:
             run_continual_arms(cfg, small_windows(3), reloop_losses((0.3, 0.6, 0.9)))
