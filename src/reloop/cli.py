@@ -52,7 +52,7 @@ from .loop import (
     run_static_prior,
     write_loop_report,
 )
-from .losses import LOSS_KINDS, LossConfig, LossInputError, emit_loss_curves, write_loss_curves
+from .losses import LOSS_KINDS, LossConfig, emit_loss_curves, write_loss_curves
 from .metrics import METRICS_CSV_HEADER, evaluate
 from .models import MODEL_KINDS, ModelConfig, init_params, predict_batch
 from .optim import OPTIMIZER_KINDS, DivergenceError, TrainConfig, train_epochs
@@ -646,19 +646,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, LossInputError, CheckpointError, DivergenceError, ValueError,
-            OSError) as exc:
+    except (CheckpointError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
-        return 1
-    except Exception as exc:
-        # a phase worker killed from outside; the pool module loads with the first pool
-        pool = sys.modules.get("concurrent.futures.process")
-        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
-            raise
-        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

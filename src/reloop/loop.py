@@ -25,7 +25,8 @@ the version's record from what it trained on.
 Each protocol has one arms function. ``run_static_arms`` trains and scores
 with the prior once, then one model per ``(loss, checkpoint name)`` arm;
 ``run_static_prior`` is its ``baseline`` (cross-entropy) and ``current``
-arms plus the prior's record and reports. ``run_continual_arms`` runs
+arms plus the prior's record and reports. Only the prior's record, reports
+and scores outlive it, so no arm trains while the prior's params are held. ``run_continual_arms`` runs
 version 1 once, then versions 2..T once per loss; ``run_continual`` is one
 arm. An alpha sweep is either over ``reloop_losses``. The arms depend only
 on their inputs and on seeds derived from a seed key (``prior``, ``current``
@@ -153,11 +154,11 @@ class VersionRecord:
 
 @dataclass
 class ReportRow:
-    version: int
+    """One evaluation of a version: its record, the window and phase, the metrics."""
+
+    record: VersionRecord
     window: int
     phase: str
-    loss_kind: str
-    alpha: float
     report: MetricsReport
 
 
@@ -173,8 +174,9 @@ class LoopState:
     def report_rows(self) -> list[str]:
         rows = [LOOP_REPORT_HEADER]
         for r in self.reports:
+            v = r.record
             rows.append(
-                f"{r.version},{r.window},{r.phase},{r.loss_kind},{r.alpha:g},"
+                f"{v.version},{r.window},{r.phase},{v.loss_kind},{v.alpha:g},"
                 f"{r.report.auc:.6f},{r.report.logloss:.6f}"
             )
         return rows
@@ -270,13 +272,15 @@ def _map_phases(fn, items: list) -> list:
     only a result comes back; a spawned worker would need ``fn``, a closure
     over the training data, pickled. Every worker is joined before this
     returns. A failure raises the exception of the first failing item in item
-    order, with its type and message, and cancels the items not yet started.
+    order, with its type and message, and cancels the items not yet started;
+    a worker killed from outside raises ChildProcessError, an OSError.
     """
     global _MAPPED
     n = phase_processes(len(items))
     if n == 1:
         return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     # a worker flushes its inherited buffers when it exits: empty them first
@@ -285,11 +289,13 @@ def _map_phases(fn, items: list) -> list:
     _MAPPED = (fn, items)
     try:
         with ProcessPoolExecutor(n, mp_context=get_context("fork")) as pool:
-            futures = [pool.submit(_mapped, i) for i in range(len(items))]
             try:
+                futures = [pool.submit(_mapped, i) for i in range(len(items))]
                 return [f.result() for f in futures]
-            except BaseException:
+            except BaseException as exc:
                 pool.shutdown(cancel_futures=True)
+                if isinstance(exc, BrokenProcessPool):
+                    raise ChildProcessError(str(exc)) from exc
                 raise
     finally:
         _MAPPED = None
@@ -341,17 +347,6 @@ def _train_version(
         checkpoint_path=None if path is None else str(path))
 
 
-@dataclass
-class _StaticPrior:
-    """The loss-independent phase of the static protocol."""
-
-    params: Params
-    record: VersionRecord
-    row_ids: np.ndarray  # the leading training rows the prior saw
-    log: ScoreLog  # the prior's scores on the whole training split
-    scored_train: Dataset  # the training split carrying those scores as y_last
-
-
 def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list) -> None:
     if cfg.mode != "static_prior":
         raise ValueError("config mode is not static_prior")
@@ -365,33 +360,36 @@ def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list)
         raise ValueError(f"static models {names} would write one checkpoint file twice")
 
 
-def _train_prior(cfg: LoopConfig, train_set: Dataset) -> _StaticPrior:
-    """Train the prior on the first round(prior_fraction * n) rows, then score
-    the whole training split with it."""
+def _train_prior(
+    cfg: LoopConfig, train_set: Dataset, splits: list
+) -> tuple[VersionRecord, list[MetricsReport], ScoreLog]:
+    """Train the prior on the first round(prior_fraction * n) rows, evaluate it
+    on ``splits`` and score the whole training split with it. Only its record,
+    reports and score log come back, so the prior is freed before any arm
+    trains."""
     n = len(train_set)
     n_prior = int(round(cfg.prior_fraction * n))
     if n_prior < 1 or n_prior > n:
         raise DataError("prior_fraction leaves no rows for the prior model")
-    prior_split = train_set.head(n_prior)
-    params, record = _train_version(cfg, prior_split, _CE, "prior", "prior", version=0)
-    log = infer_scores(params, train_set)
-    return _StaticPrior(params, record, prior_split.row_ids, log,
-                        train_set.with_y_last(log.scores))
+    params, record = _train_version(cfg, train_set.head(n_prior), _CE, "prior", "prior",
+                                    version=0)
+    reports = [_evaluate_on(params, split) for split in splits]
+    return record, reports, infer_scores(params, train_set)
 
 
 def _static_arms(
-    cfg: LoopConfig, prior: _StaticPrior, splits: list, arms: list
+    cfg: LoopConfig, scored_train: Dataset, splits: list, arms: list
 ) -> list[tuple[VersionRecord, list[MetricsReport]]]:
-    """Train version 1 once per ``(loss, name)`` arm on the prior's scored
-    split, through ``_map_phases``. Each arm draws the ``current`` seeds, so a
-    cross-entropy arm, which reads no y_last, is the plain baseline. An arm is
-    named ``name``: it saves ``<name>.ckpt`` and a DivergenceError names it.
-    It evaluates on ``splits`` where it trained; only its record and reports
-    come back."""
+    """Train version 1 once per ``(loss, name)`` arm on ``scored_train``, the
+    training split carrying the prior's scores, through ``_map_phases``. Each
+    arm draws the ``current`` seeds, so a cross-entropy arm, which reads no
+    y_last, is the plain baseline. An arm is named ``name``: it saves
+    ``<name>.ckpt`` and a DivergenceError names it. It evaluates on ``splits``
+    where it trained; only its record and reports come back."""
 
     def arm(item: tuple[LossConfig, str]):
         loss, name = item
-        params, record = _train_version(cfg, prior.scored_train, loss, "current", name,
+        params, record = _train_version(cfg, scored_train, loss, "current", name,
                                         version=1, source=0)
         return record, [_evaluate_on(params, split) for split in splits]
 
@@ -413,7 +411,8 @@ def run_static_arms(
     """
     arms = list(arms)
     _check_static(cfg, train_set, splits, arms)
-    return _static_arms(cfg, _train_prior(cfg, train_set), splits, arms)
+    _, _, log = _train_prior(cfg, train_set, [])
+    return _static_arms(cfg, train_set.with_y_last(log.scores), splits, arms)
 
 
 def run_static_prior(
@@ -436,17 +435,16 @@ def run_static_prior(
         splits.append(valid_set)
     arms = [(_CE, "baseline"), (cfg.train.loss, "current")]
     _check_static(cfg, train_set, splits, arms)
-    prior = _train_prior(cfg, train_set)
-    prior_reports = [_evaluate_on(prior.params, split) for split in splits]
-    (baseline, baseline_reports), (current, reports) = _static_arms(cfg, prior, splits, arms)
-    state = LoopState(versions=[prior.record, current], prior_row_ids=prior.row_ids,
-                      score_logs={(0, 0): prior.log})
-    rows = [("prior", prior.record, prior_reports), ("baseline", baseline, baseline_reports),
+    prior, prior_reports, log = _train_prior(cfg, train_set, splits)
+    (baseline, baseline_reports), (current, reports) = _static_arms(
+        cfg, train_set.with_y_last(log.scores), splits, arms)
+    state = LoopState(versions=[prior, current], score_logs={(0, 0): log},
+                      prior_row_ids=train_set.row_ids[:prior.n_train_rows])
+    rows = [("prior", prior, prior_reports), ("baseline", baseline, baseline_reports),
             ("current", current, reports)]
     for i, suffix in enumerate(("", "_valid")[:len(splits)]):
         for phase, record, per_split in rows:
-            state.reports.append(ReportRow(record.version, 0, phase + suffix,
-                                           record.loss_kind, record.alpha, per_split[i]))
+            state.reports.append(ReportRow(record, 0, phase + suffix, per_split[i]))
     return state
 
 
@@ -520,8 +518,7 @@ def _continual_version(
         report = evaluate(nxt.labels, p)
         _log_scores(cfg, state, t, log)
         eval_window, eval_phase = t + 1, "next_window"
-    state.reports.append(ReportRow(t, eval_window, eval_phase, record.loss_kind,
-                                   record.alpha, report))
+    state.reports.append(ReportRow(record, eval_window, eval_phase, report))
     return params if cfg.warm_start else None
 
 

@@ -204,23 +204,18 @@ class Trace:
     z: np.ndarray  # (B,)
     emb_rows: np.ndarray | None = None  # (B, F, K) the fields' embedding rows
     fm_sum: np.ndarray | None = None  # (B, K)
-    x0: np.ndarray | None = None  # (B, F*K)
     mlp_inputs: list[np.ndarray] = field(default_factory=list)
     mlp_preacts: list[np.ndarray] = field(default_factory=list)
     cross_xs: list[np.ndarray] = field(default_factory=list)  # x_0 .. x_L
     cross_ss: list[np.ndarray] = field(default_factory=list)  # (B,) per layer
-    deep_out: np.ndarray | None = None
+    head_in: np.ndarray | None = None  # dcn: concat(x_L, deep branch output)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Numerically stable logistic function."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 def build_params(kind: str, n_fields: int, n_features: int, embed_dim: int,
@@ -354,7 +349,6 @@ def forward_batch(
             z += 0.5 * ((s * s).sum(axis=1) - (e * e).sum(axis=(1, 2)))
         if params.kind in _WITH_MLP:
             x0 = e.reshape(n, -1)
-            trace.x0 = x0
             if params.kind == "dcn":
                 xs, ss = [x0], []
                 x = x0
@@ -365,10 +359,11 @@ def forward_batch(
                     ss.append(s_l)
                 trace.cross_xs = xs
                 trace.cross_ss = ss
-                deep = _mlp_forward(params, x0, trace) if params.mlp else None
-                trace.deep_out = deep
-                combined = xs[-1] if deep is None else np.concatenate([xs[-1], deep], axis=1)
-                z += combined @ params.head
+                head_in = xs[-1]
+                if params.mlp:
+                    head_in = np.concatenate([head_in, _mlp_forward(params, x0, trace)], axis=1)
+                trace.head_in = head_in
+                z += head_in @ params.head
             else:
                 out = _mlp_forward(params, x0, trace)
                 z += out[:, 0]
@@ -452,16 +447,10 @@ def _cross_backward(
     params: Params, trace: Trace, dl: np.ndarray, grads: Grads
 ) -> np.ndarray:
     """Backprop dcn's head, cross stack and deep branch into ``grads``; returns dL/dx0."""
-    x0 = trace.x0
+    x0 = trace.cross_xs[0]
     d = x0.shape[1]
     g_cross = dl[:, None] * params.head[None, :d]
-    if trace.deep_out is not None:
-        g_deep = dl[:, None] * params.head[None, d:]
-        combined = np.concatenate([trace.cross_xs[-1], trace.deep_out], axis=1)
-    else:
-        g_deep = None
-        combined = trace.cross_xs[-1]
-    grads.head = combined.T @ dl
+    grads.head = trace.head_in.T @ dl
     grads.cross = [None] * len(params.cross)
     dx0 = None
     g = g_cross
@@ -475,8 +464,8 @@ def _cross_backward(
         grads.cross[layer] = (x_l.T @ ds, gb)
         g = g + ds[:, None] * w[None, :]
     dx0 = _accumulate(dx0, g)
-    if g_deep is not None:
-        dx_deep, grads.mlp = _mlp_backward(params, trace, g_deep)
+    if params.mlp:
+        dx_deep, grads.mlp = _mlp_backward(params, trace, dl[:, None] * params.head[None, d:])
         dx0 += dx_deep
     return dx0
 

@@ -79,6 +79,31 @@ class TestGenData:
     def test_bad_flag_exits_two(self):
         assert run("gen-data", "--nope", "1") == 2
 
+    def test_out_of_memory_leaves_no_directory(self, tmp_path):
+        """A window that cannot be allocated exits 1 and makes no output
+        directory. The child runs under a 3 GiB address-space limit, so the
+        5.82 TiB window fails to allocate instead of being attempted."""
+        resource = pytest.importorskip("resource")
+        limit = 3 * 2**30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        out = tmp_path / "x"
+        proc = subprocess.run(
+            [sys.executable, "-m", "reloop.cli", "gen-data", "--rows", "100000000000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert not out.exists()
+
     def test_drift_out_of_range(self, tmp_path):
         assert run("gen-data", "--out", tmp_path / "x", "--drift", "1.5") == 2
 

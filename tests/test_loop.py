@@ -74,6 +74,25 @@ def loop_config(mode, loss, seed=3, **kw):
     )
 
 
+def _live_tables_at_training_start(monkeypatch) -> list[list[int]]:
+    """Spy on ``train_epochs``: the returned list gets, at each training start,
+    the indices (in training order) of the trained models whose emb table is
+    still alive. Every phase runs in this process, where the spy sees it."""
+    tables = []  # a weak reference to each trained model's emb, in order
+    live_at_start = []
+    real_train = reloop.loop.train_epochs
+
+    def train(params, dataset, cfg):
+        live_at_start.append([i for i, ref in enumerate(tables) if ref() is not None])
+        params, log = real_train(params, dataset, cfg)
+        tables.append(weakref.ref(params.emb))
+        return params, log
+
+    monkeypatch.setattr(reloop.loop, "train_epochs", train)
+    monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: 1)
+    return live_at_start
+
+
 class TestInferScores:
     def test_zero_lr_scores_half(self, tiny_dataset):
         p = init_params(tiny_dataset.schema, ModelConfig("lr"), seed=0)
@@ -323,18 +342,7 @@ class TestContinual:
         version's table; a warm one holds version t-1's, its start, and the
         arms also the shared version 1, every arm's start, until the last arm
         has taken it."""
-        tables = []  # a weak reference to each trained version's emb, in order
-        live_at_start = []
-        real_train = reloop.loop.train_epochs
-
-        def train(params, dataset, cfg):
-            live_at_start.append([i for i, ref in enumerate(tables) if ref() is not None])
-            params, log = real_train(params, dataset, cfg)
-            tables.append(weakref.ref(params.emb))
-            return params, log
-
-        monkeypatch.setattr(reloop.loop, "train_epochs", train)
-        monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: 1)  # observed here
+        live_at_start = _live_tables_at_training_start(monkeypatch)
         cfg = loop_config("continual", LossConfig("reloop", alpha=0.3), warm_start=warm)
         windows = small_windows(4)
         if arms:  # trains v1, then v2..v4 of one arm, then of the other
@@ -466,6 +474,20 @@ class TestStaticArms:
             run_static_arms(cfg, train, [test], arms)
         assert trained == []
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("arms", [False, True])
+    def test_prior_freed_before_arms_train(self, monkeypatch, arms):
+        """When an arm starts training, the prior's table is freed: only its
+        record, reports and scores outlive it."""
+        live_at_start = _live_tables_at_training_start(monkeypatch)
+        train, valid, test = splits()
+        cfg = loop_config("static_prior", LossConfig("reloop", alpha=0.3))
+        if arms:
+            run_static_arms(cfg, train, [test],
+                            [(loss, "current") for loss in reloop_losses((0.3, 0.6))])
+        else:
+            run_static_prior(cfg, train, valid, test)
+        assert live_at_start == [[], [], []]
 
     def test_saves_the_files_of_run_static_prior(self, tmp_path):
         """Over the baseline and current arms, ``run_static_arms`` saves the

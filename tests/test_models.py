@@ -35,6 +35,7 @@ from reloop.models import (
     forward_batch,
     init_params,
     predict_batch,
+    sigmoid,
     unique_rows,
 )
 
@@ -145,6 +146,26 @@ class TestForward:
             forward_batch(p, np.zeros((1, 3), dtype=np.int64))
         with pytest.raises(DimensionError):
             forward_batch(p, np.array([[0, 1, 2, 99]]))
+
+
+class TestSigmoid:
+    @staticmethod
+    def two_branch(z):
+        """1 / (1 + e^-z) where z >= 0, else e^z / (1 + e^z), element by element."""
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_bitwise_equal_to_two_branch_formula(self):
+        rng = np.random.default_rng(11)
+        mag = 10.0 ** rng.uniform(-8, 5, size=200_000)
+        z = np.concatenate([mag * rng.choice([-1.0, 1.0], size=mag.size),
+                            [0.0, -0.0, np.inf, -np.inf, 709.0, -745.0, 1e300, -1e300]])
+        assert sigmoid(z).tobytes() == self.two_branch(z).tobytes()
+        assert sigmoid(-3.0).shape == ()
 
 
 class TestInit:
