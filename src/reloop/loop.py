@@ -26,13 +26,14 @@ Each protocol has one arms function. ``run_static_arms`` trains and scores
 with the prior once, then one model per ``(loss, checkpoint name)`` arm;
 ``run_static_prior`` is its ``baseline`` (cross-entropy) and ``current``
 arms plus the prior's record and reports. Only the prior's record, reports
-and scores outlive it, so no arm trains while the prior's params are held. ``run_continual_arms`` runs
-version 1 once, then versions 2..T once per loss; ``run_continual`` is one
-arm. An alpha sweep is either over ``reloop_losses``. The arms depend only
-on their inputs and on seeds derived from a seed key (``prior``, ``current``
-or the window t), not from the model's name, so ``_map_phases``
-may run them in forked worker processes, on the CPUs the BLAS thread count
-leaves free; every result is the same bytes either way.
+and scores outlive it, so no arm trains while the prior's params are held.
+``run_continual_arms`` runs version 1 once, then versions 2..T once per
+loss; ``run_continual`` is one arm. An alpha sweep is either over
+``reloop_losses``. The arms depend only on their inputs and on seeds derived
+from a seed key (``prior``, ``current`` or the window t), not from the
+model's name, so ``_map_phases`` may run them in forked worker processes, on
+the CPUs the BLAS thread count leaves free; every result is the same bytes
+either way.
 """
 
 from __future__ import annotations
