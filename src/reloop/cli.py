@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,8 @@ from .features import (
     fnv1a64,
     generate_synthetic_csv,
     ingest_csv,
+    label_cell,
+    probability_cell,
 )
 from .loop import (
     BLAS_THREAD_VARS,
@@ -178,7 +181,7 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
         [
             _Opt("out", _text, None, "output directory"),
             _Opt("rows", _COUNT, 50000, "rows per window"),
-            _Opt("fields", _COUNT, 8, "number of fields"),
+            _Opt("fields", _number(int, 2), 8, "number of fields"),
             _Opt("buckets", _COUNT, 64, "hash buckets per field"),
             _Opt("latent-dim", _COUNT, 4, "hidden ground-truth latent dimension"),
             _Opt("windows", _COUNT, 1, "number of windows"),
@@ -501,42 +504,18 @@ def _cmd_sweep_alpha(res: dict) -> None:
     (out / "alpha_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _score_cell(cell: str, where: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise DataError(f"{where}: cannot parse score {cell!r}") from None
-    if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise DataError(f"{where}: score must be a finite value in [0, 1], got {cell!r}")
-    return value
-
-
-def _label_cell(cell: str, where: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        value = None
-    if value not in (0.0, 1.0):
-        raise DataError(f"{where}: label must be 0 or 1, got {cell!r}")
-    return value
-
-
 def _read_column(path: str, accepted_headers: tuple[str, ...], parse) -> np.ndarray:
-    """One value per non-blank line, after an optional header; ``parse(cell,
-    where)`` checks each value and raises DataError naming ``<file>:<line>``."""
+    """One value per line, after an optional header; blank lines are skipped.
+    ``parse(cell, where)`` checks each value; it and a line of more than one
+    cell raise DataError naming ``<file>:<line>``."""
     values = []
-    lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                cell = line.strip()
-                if not cell or (lineno == 1 and cell in accepted_headers):
-                    continue
-                values.append(parse(cell, f"{path}:{lineno}"))
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path}: not UTF-8 text after line {lineno}: {exc.reason}"
-            ) from None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        for line, cells in csv_rows(path, fh):
+            if len(cells) > 1:
+                raise DataError(f"{path}:{line}: expected one value, got {len(cells)} cells")
+            cell = cells[0] if cells else ""
+            if cell.strip() and not (line == 1 and cell in accepted_headers):
+                values.append(parse(cell, f"{path}:{line}"))
     if not values:
         raise DataError(f"{path}: no values found")
     return np.array(values, dtype=np.float64)
@@ -553,8 +532,9 @@ def _cmd_eval(res: dict) -> None:
         try:
             scores = ScoreLog.load(res["scores"]).scores
         except NotAScoreLogError:
-            scores = _read_column(res["scores"], ("score", "y_last"), _score_cell)
-        labels = _read_column(res["labels"], ("label",), _label_cell)
+            scores = _read_column(res["scores"], ("score", "y_last"),
+                                  partial(probability_cell, name="score"))
+        labels = _read_column(res["labels"], ("label",), label_cell)
         if labels.shape != scores.shape:
             raise DataError("labels and scores differ in length")
     else:

@@ -138,7 +138,8 @@ class FeatureSchema:
 
 
 class Dataset:
-    """Immutable column-wise store of encoded instances, in ingestion order."""
+    """Immutable column-wise store of encoded instances, in ingestion order. A
+    y_last column must lie in [0, 1] (DataError otherwise) and is clipped into (0, 1)."""
 
     __slots__ = ("schema", "labels", "indices", "row_ids", "y_last")
 
@@ -152,9 +153,12 @@ class Dataset:
         if row_ids.shape != (n,):
             raise DataError("row_ids shape mismatch")
         if y_last is not None:
-            y_last = np.ascontiguousarray(y_last, dtype=np.float64)
+            y_last = np.asarray(y_last, dtype=np.float64)
             if y_last.shape != (n,):
                 raise DataError("y_last shape mismatch")
+            if not np.all((y_last >= 0.0) & (y_last <= 1.0)):  # NaN fails too
+                raise DataError("y_last must lie in [0, 1]")
+            y_last = clip_prob(y_last)
             y_last.flags.writeable = False
         for arr in (labels, indices, row_ids):
             arr.flags.writeable = False
@@ -172,13 +176,9 @@ class Dataset:
         return self.schema.n_fields
 
     def take(self, sel) -> "Dataset":
-        return Dataset(
-            self.schema,
-            self.labels[sel],
-            self.indices[sel],
-            self.row_ids[sel],
-            None if self.y_last is None else self.y_last[sel],
-        )
+        y_last = None if self.y_last is None else self.y_last[sel]
+        return Dataset(self.schema, self.labels[sel], self.indices[sel], self.row_ids[sel],
+                       y_last)
 
     def head(self, n: int) -> "Dataset":
         return self.take(slice(0, n))
@@ -187,14 +187,8 @@ class Dataset:
         return self.take(slice(len(self) - n, len(self)))
 
     def with_y_last(self, scores: np.ndarray) -> "Dataset":
-        """New dataset carrying prior scores, clipped into (0, 1)."""
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (len(self),):
-            raise DataError("prior scores must align one-to-one with rows")
-        if not np.all((scores >= 0.0) & (scores <= 1.0)):  # NaN fails too
-            raise DataError("prior scores must lie in [0, 1]")
-        return Dataset(self.schema, self.labels, self.indices, self.row_ids,
-                       clip_prob(scores))
+        """New dataset carrying prior scores, one per row, clipped into (0, 1)."""
+        return Dataset(self.schema, self.labels, self.indices, self.row_ids, scores)
 
 
 def by_row_blocks(fn, rows: np.ndarray) -> np.ndarray:
@@ -232,6 +226,27 @@ def csv_rows(path: str | Path, fh):
         ) from None
 
 
+LABELS = {"0": 0.0, "1": 1.0}  # a label cell is spelled 0 or 1, in every file
+
+
+def label_cell(cell: str, where: str) -> float:
+    """``LABELS[cell]``; any other spelling raises DataError naming ``where``."""
+    if cell not in LABELS:
+        raise DataError(f"{where}: label must be 0 or 1, got {cell!r}")
+    return LABELS[cell]
+
+
+def probability_cell(cell: str, where: str, name: str) -> float:
+    """``cell`` as a probability in [0, 1], else DataError naming ``where`` and ``name``."""
+    try:
+        value = float(cell)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise DataError(f"{where}: {name} must lie in [0, 1], got {cell!r}")
+    return value
+
+
 def _encode_block(schema: FeatureSchema, block: list[list[str]]) -> np.ndarray:
     """(len(block), n_fields) indices of a block of CSV rows, field by field.
 
@@ -253,14 +268,13 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
 
     Expected header: ``label,<field1>,...,<fieldN>[,y_last]`` matching the
     schema's field names in order. Empty cells hash to the missing-value
-    sentinel. Row numbers in error messages are 1-based data rows. Rows are
-    checked one by one and encoded a block of ``ROW_BLOCK`` rows at a time;
-    a field's distinct cells are hashed once per block and nothing is kept
-    past the block, so besides the Dataset, ingest holds one block of rows.
+    sentinel. Rows are checked one by one and encoded a block of ``ROW_BLOCK``
+    rows at a time, so besides the Dataset, ingest holds one block of rows.
 
     Raises:
-        DataError: header mismatch, wrong column count, label outside {0,1},
-            y_last outside [0, 1], or a row csv cannot read.
+        DataError: header mismatch; or, naming ``<file>:<line>``, a wrong
+            column count, a label other than ``0`` or ``1``, y_last outside
+            [0, 1], or a row csv cannot read.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8", newline="") as fh:
@@ -275,43 +289,26 @@ def ingest_csv(path: str | Path, schema: FeatureSchema) -> Dataset:
                 f"{path}: header {header!r} does not match schema "
                 f"(expected {expected!r} with optional trailing 'y_last')"
             )
-        width = len(expected) + (1 if has_y_last else 0)
+        width = len(header)
 
         labels, y_last = [], [] if has_y_last else None
         block, encoded = [], []
-        for rownum, (_, cells) in enumerate(lines, start=1):
+        for line, cells in lines:
             if len(cells) != width:
-                raise DataError(
-                    f"{path}: row {rownum}: expected {width} columns, got {len(cells)}"
-                )
-            if cells[0] not in ("0", "1"):
-                raise DataError(
-                    f"{path}: row {rownum}: label must be 0 or 1, got {cells[0]!r}"
-                )
-            labels.append(float(cells[0]))
+                raise DataError(f"{path}:{line}: expected {width} columns, got {len(cells)}")
+            if cells[0] not in LABELS:  # label_cell's rule, with no call per row
+                label_cell(cells[0], f"{path}:{line}")  # raises
+            labels.append(LABELS[cells[0]])
             block.append(cells)
             if has_y_last:
-                try:
-                    score = float(cells[-1])
-                except ValueError:
-                    score = math.nan
-                if not 0.0 <= score <= 1.0:
-                    raise DataError(
-                        f"{path}: row {rownum}: y_last must lie in [0, 1], "
-                        f"got {cells[-1]!r}"
-                    )
-                y_last.append(score)
+                y_last.append(probability_cell(cells[-1], f"{path}:{line}", "y_last"))
             if len(block) == ROW_BLOCK:
                 encoded.append(_encode_block(schema, block))
                 block = []
         encoded.append(_encode_block(schema, block))
 
     n = len(labels)
-    indices = np.concatenate(encoded)
-    scores = None
-    if y_last is not None:
-        scores = clip_prob(np.array(y_last, dtype=np.float64))
-    return Dataset(schema, np.array(labels), indices, np.arange(n), scores)
+    return Dataset(schema, np.array(labels), np.concatenate(encoded), np.arange(n), y_last)
 
 
 @dataclass(frozen=True)
@@ -332,7 +329,9 @@ class SyntheticSpec:
     drift_rate: float = 0.0
 
     def __post_init__(self):
-        for attr in ("n_fields", "buckets_per_field", "latent_dim", "n_rows", "n_windows"):
+        if self.n_fields < 2:  # the hidden CTR is a sum over field pairs
+            raise DataError("SyntheticSpec.n_fields must be >= 2")
+        for attr in ("buckets_per_field", "latent_dim", "n_rows", "n_windows"):
             if getattr(self, attr) < 1:
                 raise DataError(f"SyntheticSpec.{attr} must be >= 1")
         if not 0.0 <= self.drift_rate <= 1.0:

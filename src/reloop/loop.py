@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import check_schema, load_checkpoint, save_checkpoint
-from .features import DataError, Dataset, csv_rows
+from .features import DataError, Dataset, csv_rows, probability_cell
 from .losses import LossConfig, clip_prob
 from .metrics import MetricsReport, evaluate
 from .models import ModelConfig, Params, init_params, predict_batch
@@ -111,15 +111,12 @@ class ScoreLog:
                         f"{where}: expected 2 cells (row_id,y_last), got {len(cells)}"
                     )
                 try:
-                    rid, score = int(cells[0]), float(cells[1])
+                    rid = int(cells[0])
                 except ValueError:
-                    raise DataError(f"{where}: cannot parse row {cells!r}") from None
+                    raise DataError(f"{where}: cannot parse row_id {cells[0]!r}") from None
                 if not -(2**63) <= rid < 2**63:
                     raise DataError(f"{where}: row_id {rid} is outside int64")
-                if not 0.0 <= score <= 1.0:
-                    raise DataError(
-                        f"{where}: y_last must lie in [0, 1], got {cells[1]!r}"
-                    )
+                score = probability_cell(cells[1], where, "y_last")
                 if rid in first_line:
                     raise DataError(f"{where}: row_id {rid} repeats line {first_line[rid]}")
                 first_line[rid] = line
@@ -258,7 +255,12 @@ def phase_processes(n_items: int) -> int:
     return n
 
 
-_MAPPED = None  # (fn, items) of the running _map_phases; its forked workers inherit it
+_MAPPED = None  # (fn, items) in a forked worker of _map_phases, set by _map_start
+
+
+def _map_start(fn, items: list) -> None:
+    global _MAPPED
+    _MAPPED = (fn, items)
 
 
 def _mapped(i: int):
@@ -276,7 +278,6 @@ def _map_phases(fn, items: list) -> list:
     order, with its type and message, and cancels the items not yet started;
     a worker killed from outside raises ChildProcessError, an OSError.
     """
-    global _MAPPED
     n = phase_processes(len(items))
     if n == 1:
         return [fn(x) for x in items]
@@ -287,19 +288,12 @@ def _map_phases(fn, items: list) -> list:
     # a worker flushes its inherited buffers when it exits: empty them first
     sys.stdout.flush()
     sys.stderr.flush()
-    _MAPPED = (fn, items)
     try:
-        with ProcessPoolExecutor(n, mp_context=get_context("fork")) as pool:
-            try:
-                futures = [pool.submit(_mapped, i) for i in range(len(items))]
-                return [f.result() for f in futures]
-            except BaseException as exc:
-                pool.shutdown(cancel_futures=True)
-                if isinstance(exc, BrokenProcessPool):
-                    raise ChildProcessError(str(exc)) from exc
-                raise
-    finally:
-        _MAPPED = None
+        with ProcessPoolExecutor(n, mp_context=get_context("fork"),
+                                 initializer=_map_start, initargs=(fn, items)) as pool:
+            return list(pool.map(_mapped, range(len(items))))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(str(exc)) from exc
 
 
 def _artifact(cfg: LoopConfig, name: str) -> Path | None:
@@ -348,6 +342,11 @@ def _train_version(
         checkpoint_path=None if path is None else str(path))
 
 
+def _check_two_classes(split: Dataset, name: str) -> None:
+    if split.labels.min() == split.labels.max():
+        raise DataError(f"{name} holds one class only, so its AUC is undefined")
+
+
 def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list) -> None:
     if cfg.mode != "static_prior":
         raise ValueError("config mode is not static_prior")
@@ -356,6 +355,8 @@ def _check_static(cfg: LoopConfig, train_set: Dataset, splits: list, arms: list)
     for name, ds in (("train", train_set), *(("evaluation", s) for s in splits)):
         if ds is None or len(ds) == 0:
             raise DataError(f"static prior protocol: empty {name} split")
+    for split in splits:
+        _check_two_classes(split, "static prior protocol: an evaluation split")
     names = ["prior", *(name for _, name in arms)]
     if cfg.checkpoint_dir is not None and len(set(names)) < len(names):
         raise ValueError(f"static models {names} would write one checkpoint file twice")
@@ -457,7 +458,10 @@ def _check_continual(cfg: LoopConfig, windows: list[Dataset]) -> None:
     for w, ds in enumerate(windows, start=1):
         if len(ds) == 0:
             raise DataError(f"continual mode: window {w} is empty")
-    _holdout_rows(cfg, windows[-1])
+        if w > 1:  # scored by version w - 1
+            _check_two_classes(ds, f"continual mode: window {w}")
+    tail = windows[-1].tail(_holdout_rows(cfg, windows[-1]))
+    _check_two_classes(tail, "continual mode: the final window's holdout tail")
 
 
 def _holdout_rows(cfg: LoopConfig, window: Dataset) -> int:

@@ -34,7 +34,10 @@ one block's activations whatever the dataset's size. The scores equal one
 whole-array ``forward_batch`` run with BLAS on one thread, bit for bit, and
 the tests check that at the thread count they run with. A whole-array pass
 on a multi-threaded BLAS is not a reference: it splits one large product
-across threads and can move the last bits.
+across threads and can move the last bits. Scores are not batch invariant:
+an mlp, deepfm or dcn row's score can depend on the row count of the block
+it is scored in, so the same row can score differently inside datasets of
+different sizes, such as a CSV and its first few rows.
 """
 
 from __future__ import annotations

@@ -107,6 +107,14 @@ class TestGenData:
     def test_drift_out_of_range(self, tmp_path):
         assert run("gen-data", "--out", tmp_path / "x", "--drift", "1.5") == 2
 
+    def test_one_field_usage_error(self, tmp_path, capsys):
+        # the hidden CTR is a sum over field pairs, so one field has none
+        assert run("gen-data", "--out", tmp_path / "x", "--rows", 10, "--fields", 1) == 2
+        err = capsys.readouterr().err
+        assert "--fields: expected int in [2, inf], got '1'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_ce_smoke_writes_artifacts(self, data_dir, tmp_path):
@@ -153,7 +161,7 @@ class TestTrain:
         [
             ("0,0.5\n1\n", ":3: expected 2 cells"),
             ("0,0.5\n1,0.5,7\n", ":3: expected 2 cells"),
-            ("0,0.5\n1,high\n", ":3: cannot parse"),
+            ("0,0.5\n1,high\n", ":3: y_last must lie in [0, 1], got 'high'"),
             ("0,0.5\n1,0.25\n0,0.75\n", ":4: row_id 0 repeats line 2"),
         ],
     )
@@ -442,8 +450,8 @@ class TestEval:
     def test_perfect_scores(self, tmp_path, capsys):
         labels = tmp_path / "labels.txt"
         scores = tmp_path / "scores.txt"
-        labels.write_text("label\n1\n0\n1\n0\n")
-        scores.write_text("score\n0.9\n0.1\n0.8\n0.2\n")
+        labels.write_text("label\n1\n0\n\n1\n0\n")  # blank and whitespace-only lines are skipped
+        scores.write_text("score\n0.9\n  \n0.1\n0.8\n0.2\n\n")
         assert run("eval", "--scores", scores, "--labels", labels) == 0
         out = capsys.readouterr().out
         assert "auc=1.000000" in out
@@ -468,9 +476,9 @@ class TestEval:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("scores, labels, bad, message", [
-        ("score\n0.9\nnan\n", "1\n0\n", "scores", ":3: score must be a finite value"),
-        ("0.9\nhigh\n", "1\n0\n", "scores", ":2: cannot parse score"),
-        ("0.9\n1.7\n", "1\n0\n", "scores", ":2: score must be a finite value in [0, 1]"),
+        ("score\n0.9\nnan\n", "1\n0\n", "scores", ":3: score must lie in [0, 1], got 'nan'"),
+        ("0.9\nhigh\n", "1\n0\n", "scores", ":2: score must lie in [0, 1], got 'high'"),
+        ("0.9\n1.7\n", "1\n0\n", "scores", ":2: score must lie in [0, 1], got '1.7'"),
         ("0.9\n0.1\n", "label\n1\n2\n", "labels", ":3: label must be 0 or 1"),
     ], ids=["nan-score", "unparsable-score", "score-above-one", "label-two"])
     def test_bad_plain_column_exit_one(self, tmp_path, capsys, scores, labels, bad, message):
@@ -776,6 +784,58 @@ class TestInputBoundaries:
         err = capsys.readouterr().err
         assert f"{bad}:" in err and "field larger than field limit" in err
         assert "Traceback" not in err
+
+    # the data CSV, read by ingest; a score log; eval's score and label columns
+    _GOOD = {"data": ["label,a,b,y_last", "1,x,y,0.5", "0,z,w,0.5", "1,x,w,0.5", "0,z,y,0.5"],
+             "log": ["row_id,y_last", "0,0.9", "1,0.1", "2,0.8", "3,0.2"],
+             "scores": ["score", "0.9", "0.1", "0.8", "0.2"],
+             "labels": ["label", "1", "0", "1", "0"]}
+
+    @pytest.mark.parametrize("file, line4, message", [
+        ("data", "1,x,w", "expected 4 columns, got 3"),
+        ("data", "2,x,w,0.5", "label must be 0 or 1, got '2'"),
+        ("data", "1,x,w,1.5", "y_last must lie in [0, 1], got '1.5'"),
+        ("data", f"1,{'x' * 131073},w,0.5", "field larger than field limit (131072)"),
+        ("log", "2,1.5", "y_last must lie in [0, 1], got '1.5'"),
+        ("scores", "1.5", "score must lie in [0, 1], got '1.5'"),
+        ("scores", "0.8,0.1", "expected one value, got 2 cells"),
+        ("labels", "2", "label must be 0 or 1, got '2'"),
+    ], ids=["csv-width", "csv-label", "csv-y_last", "csv-long-cell", "score-log",
+            "score-column", "score-column-width", "label-column"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, capsys, file, line4, message):
+        """Whichever reader meets the fault, the error names <file>:<line>."""
+        paths = {}
+        for name, lines in self._GOOD.items():
+            lines = [line4 if name == file and i == 3 else x for i, x in enumerate(lines)]
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text("\n".join(lines) + "\n")
+        if file == "data":
+            argv = ["train", "--data", paths["data"], "--model", "lr", "--epochs", 1,
+                    "--buckets", 8, "--out", tmp_path / "o"]
+        else:
+            scores = paths["log"] if file == "log" else paths["scores"]
+            argv = ["eval", "--scores", scores, "--labels", paths["labels"]]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[file]}:4: {message}\n"
+
+    @pytest.mark.parametrize("file", ["data", "labels"])
+    @pytest.mark.parametrize("spelling", ["1.0", "1e0", " 1"])
+    def test_label_is_spelled_0_or_1_in_every_file(self, tmp_path, capsys, file, spelling):
+        data, labels = tmp_path / "d.csv", tmp_path / "labels.txt"
+        data.write_text("label,a\n1,x\n0,y\n" + (f"{spelling},x\n" if file == "data" else ""))
+        labels.write_text("label\n1\n0\n" + (f"{spelling}\n" if file == "labels" else ""))
+        scores = tmp_path / "scores.txt"
+        scores.write_text("0.9\n0.1\n0.8\n")
+        if file == "data":
+            argv = ["train", "--data", data, "--model", "lr", "--epochs", 1,
+                    "--buckets", 8, "--out", tmp_path / "o"]
+        else:
+            argv = ["eval", "--scores", scores, "--labels", labels]
+        assert run(*argv) == 1
+        bad = data if file == "data" else labels
+        assert capsys.readouterr().err == (
+            f"error: {bad}:4: label must be 0 or 1, got {spelling!r}\n")
 
 
 def test_every_config_field_is_set_by_an_option():

@@ -186,7 +186,7 @@ class TestIngest:
 
     def test_wrong_column_count_names_row(self, tmp_path):
         p = self._write(tmp_path / "d.csv", "label,a,b\n1,x,y\n0,z\n")
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match=rf"^{re.escape(str(p))}:3: expected 3 columns"):
             ingest_csv(p, self._schema())
 
     def test_bad_label_rejected(self, tmp_path):
@@ -291,7 +291,7 @@ class TestIngestBlocks:
     ])
     def test_error_in_second_block_names_its_row(self, tmp_path, fault, message):
         rows = self._rows()
-        bad = ROW_BLOCK + 5  # 1-based data row in the second block
+        bad = ROW_BLOCK + 5  # 1-based data row in the second block, on line bad + 1
         row = rows[bad - 1]
         if fault == "label":
             row[0] = "2"
@@ -300,7 +300,7 @@ class TestIngestBlocks:
         else:
             row[4] = "1.5"
         path = self._write(tmp_path / "d.csv", rows)
-        with pytest.raises(DataError, match=rf"^{re.escape(f'{path}: row {bad}: {message}')}$"):
+        with pytest.raises(DataError, match=rf"^{re.escape(f'{path}:{bad + 1}: {message}')}$"):
             ingest_csv(path, self.SCHEMA)
 
     def test_peak_memory_grows_with_the_output_not_the_raw_rows(self, tmp_path):
@@ -380,6 +380,16 @@ class TestDataset:
         with pytest.raises(ValueError):
             tiny_dataset.labels[0] = 5.0
 
+    def test_y_last_outside_unit_interval_rejected(self, tiny_dataset):
+        ds, n = tiny_dataset, len(tiny_dataset)
+        for bad in (1.5, -0.5, np.nan):
+            y_last = np.full(n, 0.5)
+            y_last[n // 2] = bad
+            with pytest.raises(DataError, match=r"y_last must lie in \[0, 1\]"):
+                Dataset(ds.schema, ds.labels, ds.indices, ds.row_ids, y_last)
+        kept = Dataset(ds.schema, ds.labels, ds.indices, ds.row_ids, np.linspace(0, 1, n))
+        assert kept.y_last.tobytes() == clip_prob(np.linspace(0, 1, n)).tobytes()
+
     def test_with_y_last_validates_and_clips(self, tiny_dataset):
         n = len(tiny_dataset)
         scored = tiny_dataset.with_y_last(np.full(n, 1.0))
@@ -396,6 +406,8 @@ class TestSynthetic:
     def test_spec_validation(self):
         with pytest.raises(DataError):
             SyntheticSpec(0, 4, 2, 10, seed=1)
+        with pytest.raises(DataError, match="n_fields must be >= 2"):
+            SyntheticSpec(1, 4, 2, 10, seed=1)  # no field pairs: no hidden CTR
         with pytest.raises(DataError):
             SyntheticSpec(2, 4, 2, 10, seed=1, drift_rate=1.5)
 

@@ -212,6 +212,44 @@ class TestStaticPrior:
             run_static_prior(cfg, train, valid, test)
 
 
+def _one_class(ds: Dataset) -> Dataset:
+    return ds.take(ds.labels == 1.0)
+
+
+def _positives_last(ds: Dataset) -> Dataset:
+    return ds.take(np.argsort(ds.labels, kind="stable"))
+
+
+@pytest.mark.parametrize("split", ["static-test", "static-valid", "sweep-test",
+                                   "continual-window-2", "continual-holdout-tail"])
+def test_one_class_evaluation_split_rejected_before_training(tmp_path, monkeypatch, split):
+    """A split an AUC is taken on that holds one class fails before anything
+    trains or is written."""
+    monkeypatch.setattr(reloop.loop, "train_epochs", None)  # training would raise TypeError
+    ckpt = tmp_path / "ckpt"
+    train, valid, test = splits()
+    windows = small_windows(3)
+    if split == "continual-window-2":
+        windows[1] = _one_class(windows[1])
+    elif split == "continual-holdout-tail":  # the last fifth of window 3 is all positives
+        windows[2] = _positives_last(windows[2])
+        assert windows[2].labels.sum() > 0.2 * len(windows[2])
+    elif split == "static-valid":
+        valid = _one_class(valid)
+    else:
+        test = _one_class(test)
+    static_cfg = loop_config("static_prior", LossConfig(), checkpoint_dir=ckpt)
+    with pytest.raises(DataError, match="holds one class only, so its AUC is undefined"):
+        if split.startswith("continual"):
+            run_continual(loop_config("continual", LossConfig(), holdout_fraction=0.2,
+                                      checkpoint_dir=ckpt), windows)
+        elif split == "sweep-test":
+            run_static_arms(static_cfg, train, [test], [(LossConfig(), "current")])
+        else:
+            run_static_prior(static_cfg, train, valid, test)
+    assert not ckpt.exists()
+
+
 class TestContinual:
     def test_version_count_and_phases(self):
         windows = small_windows(4)
