@@ -144,9 +144,10 @@ class Dataset:
     __slots__ = ("schema", "labels", "indices", "row_ids", "y_last")
 
     def __init__(self, schema, labels, indices, row_ids, y_last=None):
-        labels = np.ascontiguousarray(labels, dtype=np.float64)
-        indices = np.ascontiguousarray(indices, dtype=np.int64)
-        row_ids = np.ascontiguousarray(row_ids, dtype=np.int64)
+        # views, so marking them read-only leaves the caller's arrays writeable
+        labels = np.ascontiguousarray(labels, dtype=np.float64).view()
+        indices = np.ascontiguousarray(indices, dtype=np.int64).view()
+        row_ids = np.ascontiguousarray(row_ids, dtype=np.int64).view()
         n = labels.shape[0]
         if indices.shape != (n, schema.n_fields):
             raise DataError("indices shape does not match schema arity")
@@ -422,7 +423,7 @@ def _raw_windows(spec: SyntheticSpec):
         tokens = np.minimum(
             np.searchsorted(cdf, u, side="right"), spec.buckets_per_field - 1
         )
-        indices = np.take_along_axis(table, tokens.T, axis=1).T
+        indices = table[np.arange(spec.n_fields), tokens]
         p = truth.ctr(indices)
         labels = (rng.random(spec.n_rows) < p).astype(np.float64)
         yield schema, tokens, indices, labels, truth

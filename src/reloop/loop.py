@@ -46,7 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import check_schema, load_checkpoint, save_checkpoint
-from .features import DataError, Dataset, csv_rows, probability_cell
+from .features import ROW_BLOCK, DataError, Dataset, csv_rows, probability_cell
 from .losses import LossConfig, clip_prob
 from .metrics import MetricsReport, evaluate
 from .models import ModelConfig, Params, init_params, predict_batch
@@ -83,16 +83,24 @@ class NotAScoreLogError(DataError):
 
 @dataclass
 class ScoreLog:
-    """Predicted probabilities keyed by row_id, clipped into (0, 1)."""
+    """Predicted probabilities keyed by row_id.
+
+    The loop's own logs hold scores clipped into (0, 1) (``_predict_scored``).
+    ``load`` keeps a file's values as written, any in [0, 1]; ``Dataset``
+    clips y_last when the scores are attached.
+    """
 
     row_ids: np.ndarray
     scores: np.ndarray
 
     def save(self, path: str | Path) -> None:
+        # one write per block of rows keeps the text's memory bounded
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("row_id,y_last\n")
-            for rid, s in zip(self.row_ids, self.scores):
-                fh.write(f"{int(rid)},{s:.9f}\n")
+            for lo in range(0, len(self.scores), ROW_BLOCK):
+                block = slice(lo, lo + ROW_BLOCK)
+                rows = zip(self.row_ids[block].tolist(), self.scores[block].tolist())
+                fh.write("".join(f"{rid},{s:.9f}\n" for rid, s in rows))
 
     @classmethod
     def load(cls, path: str | Path) -> "ScoreLog":

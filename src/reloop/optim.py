@@ -12,15 +12,17 @@ pair of moments per step group, in step order
 (``OptimizerState.moments``). Adam's decay rates and denominator floor are
 the fixed constants below.
 
-``train_epochs`` trains a sub-table: the linear and embedding rows the
-dataset touches, copied out in row order, with the dense blocks shared. So
-Adam's table moments have one row per row in use, not one per table row,
-and the trained rows are written back when training ends or diverges.
+``train_epochs`` is the one training loop. It trains a sub-table: the
+linear and embedding rows the dataset touches, copied out in row order, with
+the dense blocks shared. So Adam's table moments have one row per row in
+use, not one per table row, and the trained rows are written back when
+training ends or diverges.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
-Each epoch gathers its rows once, in shuffle order, and its mini-batches are
-contiguous slices of that copy. Per-batch gradients are reduced in batch
-index order, so training is bitwise reproducible for identical inputs.
+Each epoch gathers the columns its loss reads once, in shuffle order, and
+its mini-batches are contiguous slices of that copy. Per-batch gradients
+are reduced in batch index order, so training is bitwise reproducible for
+identical inputs.
 """
 
 from __future__ import annotations
@@ -202,6 +204,8 @@ def train_epochs(
     every sum and update is bitwise what a loop over the full table gives.
     Rows the data never touches keep their bytes. The trained rows and the
     bias are written back into ``params`` also when an error ends training.
+    An epoch shuffles only the columns the loss reads: indices, labels and,
+    for reloop and kd, y_last.
 
     Raises:
         DimensionError: an index is out of range; raised before any step.
@@ -214,12 +218,14 @@ def train_epochs(
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
-    if cfg.loss.needs_y_last and dataset.y_last is None:
-        rid = int(dataset.row_ids[0])
-        raise LossInputError(
-            f"loss kind {cfg.loss.kind!r} requires y_last on every training row; "
-            f"missing starting at row_id {rid}"
-        )
+    columns = [dataset.indices, dataset.labels]
+    if cfg.loss.needs_y_last:
+        if dataset.y_last is None:
+            raise LossInputError(
+                f"loss kind {cfg.loss.kind!r} requires y_last on every training row; "
+                f"missing starting at row_id {int(dataset.row_ids[0])}"
+            )
+        columns.append(dataset.y_last)
 
     # train a sub-table of the rows the data touches; dense blocks are shared
     check_indices(params, dataset.indices)
@@ -229,8 +235,36 @@ def train_epochs(
         linear=None if params.linear is None else params.linear[used],
         emb=None if params.emb is None else params.emb[used],
     )
+    state = OptimizerState.for_params(cfg, sub)
+    # one epoch's rows in shuffle order, gathered once into reused buffers
+    shuffled = [np.empty_like(c) for c in columns]
+    log: list[float] = []
     try:
-        log = _train_sub(sub, slot, dataset, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(cfg.epochs):
+                if cfg.shuffle:
+                    order = epoch_permutation(cfg.seed, epoch, n)
+                else:
+                    order = np.arange(n)
+                for c, out in zip(columns, shuffled):
+                    # order is a permutation, so "clip" never clips; unlike the
+                    # default "raise", it lets take write straight into out
+                    np.take(c, order, axis=0, out=out, mode="clip")
+                total = 0.0
+                for lo in range(0, n, cfg.batch_size):
+                    # y_last is [] for ce, so the losses see their default None
+                    idx, y, *y_last = (c[lo : lo + cfg.batch_size] for c in shuffled)
+                    _, p, trace = forward_batch(sub, slot[idx])
+                    total += float(combined_vec(cfg.loss, y, p, *y_last).sum())
+                    dl_dz = grad_z_vec(cfg.loss, y, p, *y_last) / len(y)
+                    apply_update(state, sub, backward_batch(sub, trace, dl_dz))
+                mean = total / n
+                if not np.isfinite(mean):
+                    raise DivergenceError(
+                        f"training diverged: epoch {epoch + 1} of {cfg.epochs} has mean "
+                        f"loss {mean}, which is not finite"
+                    )
+                log.append(mean)
     finally:
         # also on DivergenceError: params holds every step taken so far
         params.bias = sub.bias
@@ -239,48 +273,3 @@ def train_epochs(
         if params.emb is not None:
             params.emb[used] = sub.emb
     return params, log
-
-
-def _train_sub(params: Params, slot: np.ndarray, dataset: Dataset,
-               cfg: TrainConfig) -> list[float]:
-    """``train_epochs``' loop over the sub-table ``params``; ``slot`` maps a
-    dataset index to its sub-table row."""
-    n = len(dataset)
-    state = OptimizerState.for_params(cfg, params)
-    # one epoch's rows in shuffle order, gathered once into reused buffers
-    columns = [dataset.indices, dataset.labels]
-    if dataset.y_last is not None:
-        columns.append(dataset.y_last)
-    shuffled = [np.empty_like(c) for c in columns]
-    log: list[float] = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            if cfg.shuffle:
-                order = epoch_permutation(cfg.seed, epoch, n)
-            else:
-                order = np.arange(n)
-            for c, out in zip(columns, shuffled):
-                # order is a permutation, so "clip" never clips; unlike the
-                # default "raise", it lets take write straight into out
-                np.take(c, order, axis=0, out=out, mode="clip")
-            indices, labels, *rest = shuffled
-            y_last_all = rest[0] if rest else None
-            total = 0.0
-            for lo in range(0, n, cfg.batch_size):
-                hi = min(lo + cfg.batch_size, n)
-                y = labels[lo:hi]
-                y_last = None if y_last_all is None else y_last_all[lo:hi]
-                _, p, trace = forward_batch(params, slot[indices[lo:hi]])
-                losses = combined_vec(cfg.loss, y, p, y_last)
-                total += float(losses.sum())
-                dl_dz = grad_z_vec(cfg.loss, y, p, y_last) / (hi - lo)
-                grads = backward_batch(params, trace, dl_dz)
-                apply_update(state, params, grads)
-            mean = total / n
-            if not np.isfinite(mean):
-                raise DivergenceError(
-                    f"training diverged: epoch {epoch + 1} of {cfg.epochs} has mean "
-                    f"loss {mean}, which is not finite"
-                )
-            log.append(mean)
-    return log

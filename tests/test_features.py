@@ -380,6 +380,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             tiny_dataset.labels[0] = 5.0
 
+    def test_callers_arrays_stay_writeable(self, small_schema):
+        """The dataset holds read-only views of arrays it needs not convert,
+        and the caller's own arrays keep their flags."""
+        lab, idx, rid = np.array([1.0, 0.0]), np.arange(8).reshape(2, 4), np.arange(2)
+        ds = Dataset(small_schema, lab, idx, rid)
+        for mine, held in ((lab, ds.labels), (idx, ds.indices), (rid, ds.row_ids)):
+            assert mine.flags.writeable
+            assert not held.flags.writeable
+            assert np.shares_memory(mine, held)
+        lab[0] = 0.0  # no "assignment destination is read-only"
+
     def test_y_last_outside_unit_interval_rejected(self, tiny_dataset):
         ds, n = tiny_dataset, len(tiny_dataset)
         for bad in (1.5, -0.5, np.nan):

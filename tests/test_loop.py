@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import shutil
 import tempfile
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,7 @@ import reloop.loop
 from gradutils import params_to_vector
 from reloop.checkpoint import SchemaDigestError, load_checkpoint
 from reloop.features import (
+    ROW_BLOCK,
     DataError,
     Dataset,
     FeatureSchema,
@@ -710,6 +712,29 @@ def test_score_log_save_load_round_trip(log):
         back = ScoreLog.load(path)
     assert back.row_ids.tolist() == rids
     assert back.scores.tolist() == [float(f"{s:.9f}") for s in scores]
+
+
+def test_score_log_load_keeps_values_and_dataset_clips_them(tmp_path, tiny_dataset):
+    """A logged 1.0 or 0 loads as written; attaching it as y_last clips it."""
+    path = tmp_path / "scores.csv"
+    path.write_text("row_id,y_last\n0,1.0\n1,0\n", encoding="utf-8")
+    log = ScoreLog.load(path)
+    assert log.scores.tolist() == [1.0, 0.0]
+    scored = tiny_dataset.head(2).with_y_last(log.scores)
+    assert scored.y_last.tolist() == [1.0 - 1e-7, 1e-7]
+
+
+def test_score_log_save_holds_one_block_of_text(tmp_path):
+    """Saving builds the text of ROW_BLOCK rows at a time, not of the whole log."""
+    n = 16 * ROW_BLOCK
+    log = ScoreLog(np.arange(n), np.linspace(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        log.save(tmp_path / "scores.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * ROW_BLOCK, peak
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

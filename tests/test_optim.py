@@ -1,5 +1,7 @@
 """Optimizer rules and the deterministic trainer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -466,6 +468,31 @@ class TestSubTable:
         with pytest.raises(DimensionError, match="out of range"):
             train_epochs(p, ds, cfg)
         assert params_to_vector(p).tobytes() == before
+
+
+class TestLossColumns:
+    """An epoch shuffles only the columns its loss reads."""
+
+    @pytest.mark.parametrize("kind", ["fm", "deepfm"])
+    def test_ce_bitwise_equal_with_and_without_y_last(self, sparse_dataset, kind):
+        ds = sparse_dataset
+        runs = []
+        for data in (ds, Dataset(ds.schema, ds.labels, ds.indices, ds.row_ids)):
+            p, cfg = _sub_setup(data, kind, "adam")
+            p, log = train_epochs(p, data, replace(cfg, loss=LossConfig("ce")))
+            runs.append((params_to_vector(p).tobytes(), log))
+        assert runs[0] == runs[1]
+
+    def test_only_reloop_and_kd_gather_y_last(self, sparse_dataset):
+        """A y_last column too short to gather never reaches a ce epoch."""
+        ds = sparse_dataset
+        ds.y_last = np.empty(0)
+        p, cfg = _sub_setup(ds, "fm", "adam")
+        _, log = train_epochs(p, ds, replace(cfg, loss=LossConfig("ce")))
+        assert len(log) == cfg.epochs
+        for kind in ("reloop", "kd"):
+            with pytest.raises(ValueError):
+                train_epochs(p, ds, replace(cfg, loss=LossConfig(kind)))
 
 
 class TestTrainEpochs:
