@@ -233,7 +233,7 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
             _Opt("y", _one_of(0, 1), 1, "label of the scenario"),
             _Opt("y-last", _UNIT, 0.8, "previous model's score"),
             _Opt("grid", _COUNT, 99, "number of probability grid points"),
-            _Opt("out", _text, None, "output CSV file"),
+            _Opt("out", _text, None, "output directory"),
         ],
         "emit objective curves for one (label, prior score) scenario",
     ),
@@ -558,8 +558,8 @@ def _cmd_loss_curves(res: dict) -> None:
     n = res["grid"]
     grid = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
     table = emit_loss_curves(res["y"], res["y_last"], grid)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_loss_curves(out, table)
+    out.mkdir(parents=True, exist_ok=True)
+    write_loss_curves(out / "loss_curves.csv", table)
 
 
 _HANDLERS = {
@@ -571,22 +571,10 @@ _HANDLERS = {
     "loss-curves": _cmd_loss_curves,
 }
 
-# commands whose --out is a file, not a directory; their manifest sits alongside
-_FILE_OUT = ("loss-curves",)
-
-
-def _manifest_target(command: str, res: dict) -> Path | None:
-    out = res.get("out")
-    if not out:
-        return None
-    return Path(out).parent if command in _FILE_OUT else Path(out)
-
-
 def _dispatch(command: str, res: dict, config: str | None) -> None:
     _HANDLERS[command](res)
-    target = _manifest_target(command, res)
-    if target is not None:
-        _write_manifest(target, command, res, config)
+    if res.get("out"):
+        _write_manifest(Path(res["out"]), command, res, config)
 
 
 def _cmd_rerun(res: dict) -> None:

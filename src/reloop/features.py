@@ -407,6 +407,7 @@ def _raw_windows(spec: SyntheticSpec):
     latent = init_rng.normal(0.0, scale, size=(schema.n_features, spec.latent_dim))
     truth = SyntheticTruth(latent, _LOGIT_BIAS)
     table = _token_index_table(spec, schema)
+    cdf = np.cumsum(token_probabilities(spec.buckets_per_field))
 
     for w in range(spec.n_windows):
         if w > 0 and spec.drift_rate > 0.0:
@@ -418,7 +419,6 @@ def _raw_windows(spec: SyntheticSpec):
                     0.0, scale, size=(k, spec.latent_dim)
                 )
         rng = philox(spec.seed, 2, w)
-        cdf = np.cumsum(token_probabilities(spec.buckets_per_field))
         u = rng.random(size=(spec.n_rows, spec.n_fields))
         tokens = np.minimum(
             np.searchsorted(cdf, u, side="right"), spec.buckets_per_field - 1

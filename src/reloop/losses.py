@@ -71,9 +71,7 @@ def sc_vec(y: np.ndarray, p: np.ndarray, y_last: np.ndarray) -> np.ndarray:
 
 def kd_vec(y_last: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Distillation cross-entropy against the previous score as soft target."""
-    pc = clip_prob(p)
-    t = clip_prob(y_last)
-    return -t * np.log(pc) - (1.0 - t) * np.log(1.0 - pc)
+    return ce_vec(clip_prob(y_last), p)
 
 
 def combined_vec(cfg: LossConfig, y, p, y_last=None) -> np.ndarray:

@@ -207,8 +207,7 @@ class Trace:
     z: np.ndarray  # (B,)
     emb_rows: np.ndarray | None = None  # (B, F, K) the fields' embedding rows
     fm_sum: np.ndarray | None = None  # (B, K)
-    mlp_inputs: list[np.ndarray] = field(default_factory=list)
-    mlp_preacts: list[np.ndarray] = field(default_factory=list)
+    mlp_acts: list[np.ndarray] = field(default_factory=list)  # x0, then each layer's output
     cross_xs: list[np.ndarray] = field(default_factory=list)  # x_0 .. x_L
     cross_ss: list[np.ndarray] = field(default_factory=list)  # (B,) per layer
     head_in: np.ndarray | None = None  # dcn: concat(x_L, deep branch output)
@@ -318,15 +317,13 @@ def _mlp_forward(params: Params, x0: np.ndarray, trace: Trace) -> np.ndarray:
     """Perceptron branch; relu on every layer except a scalar-ended last."""
     scalar_ended = params.kind in ("mlp", "deepfm")
     h = x0
+    trace.mlp_acts.append(h)
     last = len(params.mlp) - 1
     for i, (W, b) in enumerate(params.mlp):
-        trace.mlp_inputs.append(h)
-        a = h @ W.T + b
-        trace.mlp_preacts.append(a)
-        if scalar_ended and i == last:
-            h = a
-        else:
-            h = np.maximum(a, 0.0)
+        h = h @ W.T + b
+        if not (scalar_ended and i == last):
+            h = np.maximum(h, 0.0)
+        trace.mlp_acts.append(h)
     return h
 
 
@@ -385,8 +382,8 @@ def _mlp_backward(
     for i in range(last, -1, -1):
         W, _ = params.mlp[i]
         if not (scalar_ended and i == last):
-            g = g * (trace.mlp_preacts[i] > 0.0)
-        grads[i] = (g.T @ trace.mlp_inputs[i], g.sum(axis=0))
+            g = g * (trace.mlp_acts[i + 1] > 0.0)
+        grads[i] = (g.T @ trace.mlp_acts[i], g.sum(axis=0))
         g = g @ W
     return g, grads
 

@@ -283,13 +283,6 @@ def test_ac8_determinism_and_persistence(tmp_path):
                    "--buckets", 12, "--windows", 2, "--drift", "0.2", "--seed", 8) == 0
     data = gen_out / "window_000.csv"
 
-    runs = [
-        ("gen", gen_out),
-        ("train", None),
-        ("loop", None),
-        ("sweep", None),
-        ("curves", None),
-    ]
     train_out = tmp_path / "train"
     assert run_cli("train", "--data", data, "--valid", gen_out / "window_001.csv",
                    "--model", "deepfm", "--embed-dim", 3, "--mlp-widths", "5,4",
@@ -305,19 +298,16 @@ def test_ac8_determinism_and_persistence(tmp_path):
     assert run_cli("sweep-alpha", "--alphas", "0,0.4", "--mode", "static",
                    "--data", data, "--model", "lr", "--epochs", 1,
                    "--buckets", 12, "--seed", 8, "--out", sweep_out) == 0
-    curves_out = tmp_path / "curves" / "curves.csv"
+    curves_out = tmp_path / "curves"
     assert run_cli("loss-curves", "--y", 1, "--y-last", "0.8", "--grid", 50,
                    "--out", curves_out) == 0
 
-    for out_dir in (gen_out, train_out, loop_out, sweep_out, curves_out.parent):
+    for out_dir in (gen_out, train_out, loop_out, sweep_out, curves_out):
         manifest = out_dir / "manifest.json"
         assert manifest.exists()
         replay_root = tmp_path / f"replay-{out_dir.name}"
         cmd = json.loads(manifest.read_text())["command"]
-        replay_out = (
-            replay_root / "curves.csv" if cmd == "loss-curves" else replay_root
-        )
-        assert run_cli("rerun", "--manifest", manifest, "--out", replay_out) == 0
+        assert run_cli("rerun", "--manifest", manifest, "--out", replay_root) == 0
         assert tree(out_dir) == tree(replay_root), f"{cmd} replay differs"
 
     # checkpoint round trip is bitwise; corruption raises the typed errors

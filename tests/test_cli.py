@@ -596,29 +596,50 @@ class TestEval:
 
 class TestLossCurves:
     def test_positive_scenario_file(self, tmp_path):
-        out = tmp_path / "curves.csv"
+        out = tmp_path / "curves"
         assert run("loss-curves", "--y", 1, "--y-last", "0.8",
                    "--grid", 99, "--out", out) == 0
-        lines = out.read_text().splitlines()
+        lines = (out / "loss_curves.csv").read_text().splitlines()
         assert lines[0] == "y_hat,l_ce,l_kd,l_sc"
         assert len(lines) == 100
         for line in lines[1:]:
             y_hat, _, _, l_sc = map(float, line.split(","))
             if y_hat >= 0.8:
                 assert l_sc == 0.0
-        assert (tmp_path / "manifest.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves"]
+        assert sorted(p.name for p in out.iterdir()) == ["loss_curves.csv", "manifest.json"]
 
     def test_negative_scenario(self, tmp_path):
-        out = tmp_path / "c.csv"
+        out = tmp_path / "c"
         assert run("loss-curves", "--y", 0, "--y-last", "0.3",
                    "--grid", 49, "--out", out) == 0
-        for line in out.read_text().splitlines()[1:]:
+        for line in (out / "loss_curves.csv").read_text().splitlines()[1:]:
             y_hat, _, _, l_sc = map(float, line.split(","))
             if y_hat <= 0.3:
                 assert l_sc == 0.0
 
     def test_zero_grid_usage_error(self, tmp_path):
-        assert run("loss-curves", "--grid", 0, "--out", tmp_path / "c.csv") == 2
+        assert run("loss-curves", "--grid", 0, "--out", tmp_path / "c") == 2
+        assert not (tmp_path / "c").exists()
+
+    def test_curves_inside_a_loop_run_leave_its_manifest(self, data_dir, tmp_path):
+        """Curves written into a subdirectory of a loop run touch nothing of
+        the loop's, and their own manifest replays them."""
+        d = tmp_path / "d"
+        assert run("loop", "--mode", "continual", "--windows", data_dir / "windows" / "window_*.csv",
+                   "--model", "lr", "--epochs", 1, "--buckets", 12, "--out", d) == 0
+        before = tree_bytes(d, skip=())
+        assert run("loss-curves", "--grid", 9, "--out", d / "curves") == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        after = tree_bytes(d, skip=())
+        assert json.loads(after["manifest.json"])["command"] == "loop"
+        assert {k: v for k, v in after.items() if not k.startswith("curves/")} == before
+        assert sorted(k for k in after if k not in before) == [
+            "curves/loss_curves.csv", "curves/manifest.json"]
+        replay = tmp_path / "replay"
+        assert run("rerun", "--manifest", d / "curves" / "manifest.json", "--out", replay) == 0
+        assert ((replay / "loss_curves.csv").read_bytes()
+                == (d / "curves" / "loss_curves.csv").read_bytes())
 
 
 class TestConfigPrecedence:
@@ -677,9 +698,7 @@ class TestOneCheckPerOption:
         if config is not None:
             (tmp_path / "run.cfg").write_text(config + "\n")
             argv += ["--config", tmp_path / "run.cfg"]
-        if command == "loss-curves":
-            argv += ["--out", tmp_path / "o" / "c.csv"]
-        elif command != "eval":
+        if command != "eval":
             argv += ["--out", tmp_path / "o"]
         assert run(*argv) == 2
         err = capsys.readouterr().err
@@ -1006,7 +1025,7 @@ def small_manifests(tmp_path_factory):
     root = tmp_path_factory.mktemp("manifests")
     assert run("gen-data", "--rows", 30, "--fields", 2, "--buckets", 4,
                "--latent-dim", 2, "--out", root / "g") == 0
-    assert run("loss-curves", "--grid", 5, "--out", root / "c" / "c.csv") == 0
+    assert run("loss-curves", "--grid", 5, "--out", root / "c") == 0
     return {"gen-data": json.loads((root / "g" / "manifest.json").read_text()),
             "loss-curves": json.loads((root / "c" / "manifest.json").read_text())}
 
@@ -1028,5 +1047,4 @@ def test_fuzzed_manifest_value_exits_zero_or_two(small_manifests, data):
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "m.json"
         manifest.write_text(json.dumps(payload))
-        out = Path(tmp) / "o" / ("c.csv" if command == "loss-curves" else "")
-        assert run("rerun", "--manifest", manifest, "--out", out) in (0, 2)
+        assert run("rerun", "--manifest", manifest, "--out", Path(tmp) / "o") in (0, 2)
