@@ -626,7 +626,8 @@ class TestLossCurves:
         """Curves written into a subdirectory of a loop run touch nothing of
         the loop's, and their own manifest replays them."""
         d = tmp_path / "d"
-        assert run("loop", "--mode", "continual", "--windows", data_dir / "windows" / "window_*.csv",
+        assert run("loop", "--mode", "continual",
+                   "--windows", data_dir / "windows" / "window_*.csv",
                    "--model", "lr", "--epochs", 1, "--buckets", 12, "--out", d) == 0
         before = tree_bytes(d, skip=())
         assert run("loss-curves", "--grid", 9, "--out", d / "curves") == 0
