@@ -1,9 +1,11 @@
 """Command-line entry point wiring the modules into reproducible experiments.
 
 Exit codes: 0 success, 2 usage errors, 1 runtime errors. Diagnostics go to
-stderr; data goes to files or stdout. Every command that produces an output
-directory writes a ``manifest.json`` with the fully resolved configuration,
-and ``rerun`` replays a manifest into a fresh directory byte-for-byte.
+stderr; data goes to files or stdout. Every command but ``eval`` writes into
+its ``--out`` directory, which must be new or empty. It writes a
+``manifest.json`` with the fully resolved configuration last, and a run that
+fails removes ``--out``, so a directory with a manifest holds one whole run.
+``rerun`` replays a manifest into a new directory byte-for-byte.
 
 Configuration precedence: command-line flags override ``--config`` file
 entries (plain ``key = value`` lines, ``#`` comments), which override
@@ -19,6 +21,7 @@ import glob as globmod
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -152,7 +155,7 @@ _MODEL_OPTS = [
 
 _TRAIN_OPTS = [
     _Opt("loss", _one_of(*LOSS_KINDS), "ce", "training objective"),
-    _Opt("alpha", _UNIT, 0.2, "self-correction blend weight in [0, 1]"),
+    _Opt("alpha", _UNIT, 0.2, "self-correction blend weight in [0, 1] (reloop only)"),
     _Opt("optimizer", _one_of(*OPTIMIZER_KINDS), "adam", "update rule"),
     _Opt("lr", _number(float, 0.0, closed=False), 1e-3, "learning rate"),
     _Opt("batch-size", _COUNT, 256, "mini-batch size"),
@@ -240,7 +243,7 @@ _COMMANDS: dict[str, tuple[list[_Opt], str]] = {
     "rerun": (
         [
             _Opt("manifest", _text, None, "manifest.json from a previous run"),
-            _Opt("out", _text, None, "fresh output location"),
+            _Opt("out", _text, None, "new or empty output directory"),
         ],
         "replay a recorded run byte-for-byte",
     ),
@@ -329,7 +332,6 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
         "processes": phase_processes(len(resolved["alphas"]) if command == "sweep-alpha"
                                      else 2 if resolved.get("mode") == "static" else 1),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -338,11 +340,6 @@ def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | N
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
-
-
-def _out_dir(res: dict) -> Path:
-    _require(res.get("out"), "--out is required")
-    return Path(res["out"])
 
 
 def _schema_from_csv(path: str, buckets: int, numerical: list[str]) -> FeatureSchema:
@@ -397,7 +394,7 @@ def _cmd_gen_data(res: dict) -> None:
         n_windows=res["windows"],
         drift_rate=res["drift"],
     )
-    generate_synthetic_csv(spec, _out_dir(res))
+    generate_synthetic_csv(spec, res["out"])
 
 
 def _load_training_data(res: dict, schema: FeatureSchema, loss: LossConfig):
@@ -415,7 +412,7 @@ def _load_training_data(res: dict, schema: FeatureSchema, loss: LossConfig):
 
 def _cmd_train(res: dict) -> None:
     _require(res.get("data"), "--data is required")
-    out = _out_dir(res)
+    out = Path(res["out"])
     loss = LossConfig(kind=res["loss"], alpha=res["alpha"])
     schema = _schema_from_csv(res["data"], res["buckets"], res["numerical"])
     data = _load_training_data(res, schema, loss)
@@ -423,7 +420,6 @@ def _cmd_train(res: dict) -> None:
     train_cfg = _train_config(res, loss)
     params = init_params(schema, model_cfg, res["seed"])
     params, _ = train_epochs(params, data, train_cfg)
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(params, out / "model.ckpt")
     if res.get("valid"):
         vdata = ingest_csv(res["valid"], schema)
@@ -474,18 +470,16 @@ def _loop_setup(res: dict, loss: LossConfig, checkpoint_dir):
 
 
 def _cmd_loop(res: dict) -> None:
-    out = _out_dir(res)
+    out = Path(res["out"])
     cfg, data = _loop_setup(res, LossConfig(res["loss"], res["alpha"]), out / "checkpoints")
     if cfg.mode == "static_prior":
         state = run_static_prior(cfg, *data)
     else:
         state = run_continual(cfg, data)
-    out.mkdir(parents=True, exist_ok=True)
     write_loop_report(state, out / "loop_report.csv")
 
 
 def _cmd_sweep_alpha(res: dict) -> None:
-    out = _out_dir(res)
     alphas = res["alphas"]
     # Headline per alpha: the static ``current`` test row, or the continual
     # run's mean over its report rows. The phases alpha does not reach run once.
@@ -500,7 +494,7 @@ def _cmd_sweep_alpha(res: dict) -> None:
     lines = ["alpha,auc,logloss"]
     for alpha, (auc_v, ll_v) in zip(alphas, heads):
         lines.append(f"{alpha:g},{auc_v:.6f},{ll_v:.6f}")
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(res["out"])
     (out / "alpha_sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -554,12 +548,10 @@ def _cmd_eval(res: dict) -> None:
 
 
 def _cmd_loss_curves(res: dict) -> None:
-    out = _out_dir(res)
     n = res["grid"]
     grid = np.arange(1, n + 1, dtype=np.float64) / (n + 1)
     table = emit_loss_curves(res["y"], res["y_last"], grid)
-    out.mkdir(parents=True, exist_ok=True)
-    write_loss_curves(out / "loss_curves.csv", table)
+    write_loss_curves(Path(res["out"]) / "loss_curves.csv", table)
 
 
 _HANDLERS = {
@@ -572,14 +564,25 @@ _HANDLERS = {
 }
 
 def _dispatch(command: str, res: dict, config: str | None) -> None:
-    _HANDLERS[command](res)
-    if res.get("out"):
-        _write_manifest(Path(res["out"]), command, res, config)
+    """Run ``command`` into a new or empty ``--out``, manifest last; a failure removes it."""
+    if "out" not in res:  # eval only prints
+        return _HANDLERS[command](res)
+    _require(res["out"], "--out is required")
+    out = Path(res["out"])
+    # not a link: rmtree would leave the files written through it
+    _require(not out.exists() or out.is_dir() and not (out.is_symlink() or any(out.iterdir())),
+             f"--out {out} exists and is not an empty directory")
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        _HANDLERS[command](res)
+        _write_manifest(out, command, res, config)
+    except BaseException:
+        shutil.rmtree(out, ignore_errors=True)
+        raise
 
 
 def _cmd_rerun(res: dict) -> None:
     _require(res.get("manifest"), "--manifest is required")
-    _require(res.get("out"), "--out is required")
     try:
         payload = json.loads(Path(res["manifest"]).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:

@@ -438,15 +438,11 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
 
 
 def generate_synthetic_csv(spec: SyntheticSpec, out_dir: str | Path) -> list[Path]:
-    """Write one ``window_%03d.csv`` per window; returns the paths.
-
-    The directory is made once the first window exists, so a window that
-    cannot be generated (out of memory, say) leaves no directory behind.
-    """
+    """Write one ``window_%03d.csv`` per window into ``out_dir``; returns the paths."""
     out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     for w, (schema, tokens, _, labels, _) in enumerate(_raw_windows(spec)):
-        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"window_{w:03d}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

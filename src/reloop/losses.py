@@ -33,7 +33,8 @@ class LossInputError(ValueError):
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Loss kind plus the blend weight alpha (ignored for kind='ce').
+    """Loss kind plus the blend weight alpha, which only reloop reads: ce and
+    kd ignore it, and a loop report records alpha 0 for them.
 
     reloop and kd both require every training instance to carry y_last.
     """

@@ -221,10 +221,9 @@ class TestLoop:
     def test_static_diverged_arm_exits_one(self, data_dir, tmp_path, capsys,
                                            monkeypatch, processes, arm):
         """The error names the arm that diverged, not the seeds it drew, and
-        neither the report nor that arm's checkpoint is written. Models that
-        trained before it keep their checkpoints, as a continual loop keeps
-        v001.ckpt. The prior trains on unscored rows, so only the baseline's
-        cross-entropy sees a y_last."""
+        the failed run leaves no --out: no report, and no checkpoint of the
+        models that trained before it either. The prior trains on unscored
+        rows, so only the baseline's cross-entropy sees a y_last."""
         real = reloop.loop.train_epochs
 
         def diverges(dataset, cfg):
@@ -246,15 +245,7 @@ class TestLoop:
                    "--alpha", "0.2", "--epochs", 2, "--buckets", 12,
                    "--seed", 3, "--out", out) == 1
         assert capsys.readouterr().err == f"error: {arm}: training diverged: epoch 1 of 2\n"
-        assert not (out / "loop_report.csv").exists()
-        assert not (out / "checkpoints" / f"{arm}.ckpt").exists()
-        written = sorted(p.name for p in (out / "checkpoints").iterdir())
-        if arm == "current":
-            assert written == ["baseline.ckpt", "prior.ckpt"]
-        elif processes == 1:
-            assert written == ["prior.ckpt"]
-        else:  # the current arm may have trained beside the baseline
-            assert "prior.ckpt" in written
+        assert not out.exists()
 
     def test_continual_version_rows(self, data_dir, tmp_path):
         out = tmp_path / "cont"
@@ -1020,6 +1011,87 @@ class TestRerun:
             assert not (tmp_path / "o").exists()
 
 
+class TestOutDirectory:
+    """--out is new or empty, holds one whole run with its manifest written
+    last, and a failed run leaves none of it."""
+
+    COMMANDS = ["gen-data", "train", "loop", "sweep-alpha", "loss-curves", "rerun"]
+
+    @staticmethod
+    def argv(command, data_dir, tmp_path):
+        """A quick run of ``command`` that succeeds into a new --out."""
+        data = data_dir / "single" / "window_000.csv"
+        small = ["--model", "lr", "--epochs", 1, "--buckets", 12]
+        if command == "rerun":
+            assert run("loss-curves", "--grid", 5, "--out", tmp_path / "curves") == 0
+            return ["rerun", "--manifest", tmp_path / "curves" / "manifest.json"]
+        return {
+            "gen-data": ["gen-data", "--rows", 30, "--fields", 2, "--buckets", 4],
+            "train": ["train", "--data", data, *small],
+            "loop": ["loop", "--mode", "static", "--data", data, "--loss", "reloop", *small],
+            "sweep-alpha": ["sweep-alpha", "--data", data, "--alphas", "0,1", *small],
+            "loss-curves": ["loss-curves", "--grid", 5],
+        }[command]
+
+    @pytest.mark.parametrize("held", ["run", "file", "link"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_occupied_out_exits_two_and_keeps_its_bytes(self, data_dir, tmp_path, capsys,
+                                                        command, held):
+        """Another run, a file, or a link to an empty directory (a failed run
+        could not remove what it wrote through the link)."""
+        out = tmp_path / "held"
+        if held == "run":
+            assert run("loop", "--mode", "continual",
+                       "--windows", data_dir / "windows" / "window_*.csv",
+                       "--model", "lr", "--epochs", 1, "--buckets", 12, "--out", out) == 0
+        elif held == "file":
+            out.write_bytes(b"not a directory\n")
+        else:
+            (tmp_path / "target").mkdir()
+            out.symlink_to(tmp_path / "target", target_is_directory=True)
+        argv = self.argv(command, data_dir, tmp_path)
+        before = tree_bytes(tmp_path, skip=())
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --out {out} exists and is not an empty directory\n")
+        assert tree_bytes(tmp_path, skip=()) == before
+        assert out.is_symlink() == (held == "link")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_empty_out_is_accepted(self, data_dir, tmp_path, command):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert run(*self.argv(command, data_dir, tmp_path), "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == ("loss-curves" if command == "rerun" else command)
+
+    @pytest.mark.parametrize("premade", [False, True])
+    def test_failed_continual_loop_leaves_no_out(self, three_windows, tmp_path, capsys,
+                                                 monkeypatch, premade):
+        """Versions 1 and 2 train and save before version 3 diverges; none of
+        it stays, not even an --out the user made."""
+        real, calls = reloop.loop.train_epochs, []
+
+        def train(params, dataset, cfg):
+            calls.append(cfg.loss.kind)
+            if len(calls) == 3:
+                raise DivergenceError("training diverged: epoch 1 of 1")
+            return real(params, dataset, cfg)
+
+        monkeypatch.setattr(reloop.loop, "train_epochs", train)
+        out = tmp_path / "run"
+        if premade:
+            out.mkdir()
+        assert run("loop", "--mode", "continual",
+                   "--windows", three_windows[0].parent / "window_*.csv",
+                   "--model", "lr", "--loss", "reloop", "--epochs", 1,
+                   "--buckets", 12, "--out", out) == 1
+        assert len(calls) == 3
+        assert capsys.readouterr().err == "error: v003: training diverged: epoch 1 of 1\n"
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_manifests(tmp_path_factory):
     """Valid manifests of two quick commands, by command name."""
@@ -1040,12 +1112,14 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
 @given(data=st.data())
 def test_fuzzed_manifest_value_exits_zero_or_two(small_manifests, data):
     """One resolved value replaced by any JSON scalar or list: the replay
-    either runs or is a usage error; it never raises."""
+    either runs or is a usage error that leaves no --out; it never raises."""
     command = data.draw(st.sampled_from(sorted(small_manifests)))
     payload = copy.deepcopy(small_manifests[command])
     key = data.draw(st.sampled_from(sorted(payload["resolved"])))
     payload["resolved"][key] = data.draw(_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3))
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = Path(tmp) / "m.json"
+        manifest, o = Path(tmp) / "m.json", Path(tmp) / "o"
         manifest.write_text(json.dumps(payload))
-        assert run("rerun", "--manifest", manifest, "--out", Path(tmp) / "o") in (0, 2)
+        code = run("rerun", "--manifest", manifest, "--out", o)
+        assert code in (0, 2)
+        assert code == 0 or not o.exists()
