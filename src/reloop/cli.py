@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage errors, 1 runtime errors. Diagnostics go to
 stderr; data goes to files or stdout. Every command but ``eval`` writes into
 its ``--out`` directory, which must be new or empty. It writes a
 ``manifest.json`` with the fully resolved configuration last, and a run that
-fails removes ``--out``, so a directory with a manifest holds one whole run.
+fails removes ``--out`` and the parents it made while they are empty, so a
+directory with a manifest holds one whole run.
 ``rerun`` replays a manifest into a new directory byte-for-byte.
 
 Configuration precedence: command-line flags override ``--config`` file
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import glob as globmod
+import itertools
 import json
 import math
 import os
@@ -564,7 +566,8 @@ _HANDLERS = {
 }
 
 def _dispatch(command: str, res: dict, config: str | None) -> None:
-    """Run ``command`` into a new or empty ``--out``, manifest last; a failure removes it."""
+    """Run ``command`` into a new or empty ``--out``, manifest last; a failure
+    removes it, then the parents it made, innermost first, while empty."""
     if "out" not in res:  # eval only prints
         return _HANDLERS[command](res)
     _require(res["out"], "--out is required")
@@ -572,12 +575,18 @@ def _dispatch(command: str, res: dict, config: str | None) -> None:
     # not a link: rmtree would leave the files written through it
     _require(not out.exists() or out.is_dir() and not (out.is_symlink() or any(out.iterdir())),
              f"--out {out} exists and is not an empty directory")
+    made = list(itertools.takewhile(lambda p: not p.exists(), out.parents))
     out.mkdir(parents=True, exist_ok=True)
     try:
         _HANDLERS[command](res)
         _write_manifest(out, command, res, config)
     except BaseException:
         shutil.rmtree(out, ignore_errors=True)
+        for parent in made:
+            try:
+                parent.rmdir()
+            except OSError:  # not empty: another run may be writing there
+                break
         raise
 
 

@@ -15,7 +15,9 @@ is linear in the tokens' total bytes, whatever their lengths. CSV ingest
 reads rows in blocks of ``ROW_BLOCK`` and hashes each field's distinct cells
 once per block, keeping nothing once the block is encoded; synthetic windows
 hash each field's whole token range once and are written out in blocks of
-``ROW_BLOCK`` rows.
+``ROW_BLOCK`` rows. Their hidden CTR model is an ``fm`` model, its logit the
+sum of pairwise dot products of the fields' latent vectors plus a bias, and
+``models.forward_batch`` scores it.
 """
 
 from __future__ import annotations
@@ -362,29 +364,6 @@ def token_probabilities(buckets: int) -> np.ndarray:
     return p / p.sum()
 
 
-class SyntheticTruth:
-    """Hidden ground-truth CTR model behind a synthetic window.
-
-    Each global feature index carries a latent vector; a row's logit is the
-    sum of pairwise dot products across its fields plus a fixed bias, squashed
-    by the logistic function.
-    """
-
-    def __init__(self, latent: np.ndarray, bias: float):
-        self.latent = latent  # (n_features, latent_dim)
-        self.bias = bias
-
-    def logits(self, indices: np.ndarray) -> np.ndarray:
-        u = self.latent[indices]  # (n, F, D)
-        s = u.sum(axis=1)
-        pair = 0.5 * ((s * s).sum(axis=1) - (u * u).sum(axis=(1, 2)))
-        return pair + self.bias
-
-    def ctr(self, indices: np.ndarray) -> np.ndarray:
-        """Click probability per row, computed in row blocks."""
-        return by_row_blocks(lambda rows: 1.0 / (1.0 + np.exp(-self.logits(rows))), indices)
-
-
 def _latent_scale(spec: SyntheticSpec) -> float:
     pairs = spec.n_fields * (spec.n_fields - 1) / 2.0
     return (_LOGIT_STD**2 / (pairs * spec.latent_dim)) ** 0.25
@@ -399,13 +378,19 @@ def _token_index_table(spec: SyntheticSpec, schema: FeatureSchema) -> np.ndarray
 
 def _raw_windows(spec: SyntheticSpec):
     """Yield (schema, tokens, indices, labels, truth) per window,
-    deterministically. ``truth`` is one object the later windows' drift
-    updates in place."""
+    deterministically. ``truth``, the hidden CTR model, is an ``fm`` model
+    (zero linear table, the latent vectors as embeddings, bias
+    ``_LOGIT_BIAS``) that ``forward_batch`` scores in row blocks; the later
+    windows' drift updates its embeddings in place."""
+    from .models import Params, forward_batch  # models imports this module
+
     schema = spec.schema()
     scale = _latent_scale(spec)
     init_rng = philox(spec.seed, 1)
     latent = init_rng.normal(0.0, scale, size=(schema.n_features, spec.latent_dim))
-    truth = SyntheticTruth(latent, _LOGIT_BIAS)
+    truth = Params("fm", spec.n_fields, schema.n_features, spec.latent_dim,
+                   schema.digest(), bias=_LOGIT_BIAS,
+                   linear=np.zeros(schema.n_features), emb=latent)
     table = _token_index_table(spec, schema)
     cdf = np.cumsum(token_probabilities(spec.buckets_per_field))
 
@@ -415,16 +400,14 @@ def _raw_windows(spec: SyntheticSpec):
             k = int(round(spec.drift_rate * schema.n_features))
             if k > 0:
                 rows = drift_rng.choice(schema.n_features, size=k, replace=False)
-                truth.latent[rows] = drift_rng.normal(
-                    0.0, scale, size=(k, spec.latent_dim)
-                )
+                truth.emb[rows] = drift_rng.normal(0.0, scale, size=(k, spec.latent_dim))
         rng = philox(spec.seed, 2, w)
         u = rng.random(size=(spec.n_rows, spec.n_fields))
         tokens = np.minimum(
             np.searchsorted(cdf, u, side="right"), spec.buckets_per_field - 1
         )
         indices = table[np.arange(spec.n_fields), tokens]
-        p = truth.ctr(indices)
+        p = by_row_blocks(lambda rows: forward_batch(truth, rows)[1], indices)
         labels = (rng.random(spec.n_rows) < p).astype(np.float64)
         yield schema, tokens, indices, labels, truth
 

@@ -21,7 +21,7 @@ import reloop.cli
 import reloop.loop
 from reloop.checkpoint import save_checkpoint
 from reloop.cli import main
-from reloop.features import SyntheticSpec, generate_synthetic_csv, ingest_csv
+from reloop.features import DataError, SyntheticSpec, generate_synthetic_csv, ingest_csv
 from reloop.loop import ScoreLog, mean_report_metrics
 from reloop.losses import LOSS_KINDS, LossConfig
 from reloop.metrics import evaluate
@@ -1090,6 +1090,29 @@ class TestOutDirectory:
         assert len(calls) == 3
         assert capsys.readouterr().err == "error: v003: training diverged: epoch 1 of 1\n"
         assert not out.exists()
+
+    def test_failed_run_removes_the_parents_it_made(self, three_windows, tmp_path, capsys):
+        assert run("loop", "--mode", "continual",
+                   "--windows", three_windows[0].parent / "window_*.csv",
+                   "--model", "fm", "--embed-dim", 3, "--optimizer", "sgd", "--lr", "1e200",
+                   "--epochs", 2, "--buckets", 12, "--out", tmp_path / "a" / "b" / "c") == 1
+        assert "error: v001: training diverged" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_keeps_a_parent_another_run_writes_in(self, tmp_path, monkeypatch):
+        """Parents are removed innermost first, and only while empty."""
+        sibling = tmp_path / "a" / "b" / "sibling" / "x"
+
+        def handler(res):
+            sibling.parent.mkdir()
+            sibling.write_bytes(b"another run's file\n")
+            raise DataError("failed after another run wrote beside it")
+
+        monkeypatch.setitem(reloop.cli._HANDLERS, "loss-curves", handler)
+        assert run("loss-curves", "--out", tmp_path / "a" / "b" / "c") == 1
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "a", "a/b", "a/b/sibling", "a/b/sibling/x"]
+        assert sibling.read_bytes() == b"another run's file\n"
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,6 @@ from reloop.features import (
     FeatureSchema,
     FieldSpec,
     SyntheticSpec,
-    SyntheticTruth,
     _raw_windows,
     fnv1a64,
     generate_synthetic,
@@ -31,6 +30,7 @@ from reloop.features import (
     transform_numerical,
 )
 from reloop.losses import clip_prob
+from reloop.models import predict_batch
 from reloop.rng import fnv1a64_batch
 
 
@@ -46,7 +46,7 @@ def reference_fnv1a(data: bytes) -> int:
 
 def hidden_models(spec: SyntheticSpec):
     """A copy of the hidden CTR model behind each generated window."""
-    return [SyntheticTruth(t.latent.copy(), t.bias) for *_, t in _raw_windows(spec)]
+    return [t.copy() for *_, t in _raw_windows(spec)]
 
 
 class TestHashing:
@@ -434,12 +434,12 @@ class TestSynthetic:
         spec = SyntheticSpec(4, 16, 3, 400, seed=11, n_windows=3, drift_rate=0.0)
         truths = hidden_models(spec)
         for t in truths[1:]:
-            assert np.array_equal(t.latent, truths[0].latent)
+            assert np.array_equal(t.emb, truths[0].emb)
 
     def test_drift_changes_ground_truth(self):
         spec = SyntheticSpec(4, 16, 3, 400, seed=11, n_windows=2, drift_rate=0.5)
         truths = hidden_models(spec)
-        changed = np.any(truths[0].latent != truths[1].latent, axis=1).sum()
+        changed = np.any(truths[0].emb != truths[1].emb, axis=1).sum()
         assert changed == round(0.5 * 64)
 
     def test_windows_exchangeable_without_drift(self):
@@ -468,14 +468,26 @@ class TestSynthetic:
              for f in range(spec.n_fields)]
         )
         indices = np.take_along_axis(table, tokens.T, axis=1).T
-        expected = truth.ctr(indices).mean()
+        n = indices.shape[0]
+        drawn = Dataset(schema, np.zeros(n), indices, np.arange(n))  # labels unused
+        expected = predict_batch(truth, drawn).mean()
         assert abs(ds.labels.mean() - expected) <= 0.02
 
-    def test_ctr_in_row_blocks_equals_whole_array(self):
-        spec = SyntheticSpec(8, 64, 4, 5000, seed=3)
-        (ds,), (truth,) = generate_synthetic(spec), hidden_models(spec)
-        whole = 1.0 / (1.0 + np.exp(-truth.logits(ds.indices)))
-        assert truth.ctr(ds.indices).tobytes() == whole.tobytes()
+    def test_hidden_model_matches_pairwise_loop_oracle(self):
+        """The hidden CTR is sigmoid(bias + sum over field pairs f < g of
+        <v_f, v_g>), here written out pair by pair with no code from models,
+        in every window of a drifting spec."""
+        spec = SyntheticSpec(4, 16, 3, 2500, seed=9, n_windows=3, drift_rate=0.4)
+        n = spec.n_rows  # two row blocks
+        for schema, _, indices, _, truth in _raw_windows(spec):
+            v = truth.emb[indices]  # (n, F, D)
+            z = np.full(n, truth.bias)
+            for f in range(spec.n_fields):
+                for g in range(f + 1, spec.n_fields):
+                    z += (v[:, f] * v[:, g]).sum(axis=1)
+            oracle = 1.0 / (1.0 + np.exp(-z))
+            got = predict_batch(truth, Dataset(schema, np.zeros(n), indices, np.arange(n)))
+            assert np.max(np.abs(got - oracle)) <= 1e-12
 
     def test_index_ranges(self):
         spec = SyntheticSpec(3, 10, 2, 1000, seed=3)
