@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 usage errors, 1 runtime errors. Diagnostics go to
 stderr; data goes to files or stdout. Every command but ``eval`` writes into
-its ``--out`` directory, which must be new or empty. It writes a
-``manifest.json`` with the fully resolved configuration last, and a run that
-fails removes ``--out`` and the parents it made while they are empty, so a
-directory with a manifest holds one whole run.
+its ``--out`` directory, which must be new or empty and not a link. It writes
+``manifest.json`` last, with the fully resolved configuration and the digest
+of the config bytes parsed; a run that fails removes ``--out`` and the
+parents it made while they are empty, so a directory with a manifest holds
+one whole run.
 ``rerun`` replays a manifest into a new directory byte-for-byte.
 
 Configuration precedence: command-line flags override ``--config`` file
@@ -269,7 +270,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config(path: str) -> dict[str, str]:
+def _read_config(path: str) -> tuple[dict[str, str], str]:
+    """The ``key = value`` entries of a config file, and the hex digest of the bytes parsed."""
     values = {}
     try:
         data = Path(path).read_bytes()
@@ -288,7 +290,7 @@ def _read_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = body.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
-    return values
+    return values, f"{fnv1a64(data):016x}"
 
 
 def _resolve(command: str, values: dict, source: str, flags: dict) -> dict:
@@ -314,16 +316,14 @@ def _blas_build():
         return None
 
 
-def _write_manifest(out_dir: Path, command: str, resolved: dict, config: str | None) -> None:
-    digest = None
-    if config:
-        digest = f"{fnv1a64(Path(config).read_bytes()):016x}"
+def _write_manifest(out_dir: Path, command: str, resolved: dict,
+                    config_digest: str | None) -> None:
     payload = {
         "tool": "reloop",
         "tool_version": __version__,
         "command": command,
         "resolved": resolved,
-        "config_digest": digest,
+        "config_digest": config_digest,
         "seed": resolved.get("seed"),
         "created_utc": datetime.now(timezone.utc).isoformat(),
         # the environment a replay may differ in; rerun reads none of it
@@ -565,21 +565,22 @@ _HANDLERS = {
     "loss-curves": _cmd_loss_curves,
 }
 
-def _dispatch(command: str, res: dict, config: str | None) -> None:
+def _dispatch(command: str, res: dict, config_digest: str | None) -> None:
     """Run ``command`` into a new or empty ``--out``, manifest last; a failure
     removes it, then the parents it made, innermost first, while empty."""
     if "out" not in res:  # eval only prints
         return _HANDLERS[command](res)
     _require(res["out"], "--out is required")
     out = Path(res["out"])
-    # not a link: rmtree would leave the files written through it
-    _require(not out.exists() or out.is_dir() and not (out.is_symlink() or any(out.iterdir())),
+    # not a link, dangling or not: rmtree would leave the files written through it
+    _require(not out.is_symlink()
+             and (not out.exists() or out.is_dir() and not any(out.iterdir())),
              f"--out {out} exists and is not an empty directory")
     made = list(itertools.takewhile(lambda p: not p.exists(), out.parents))
     out.mkdir(parents=True, exist_ok=True)
     try:
         _HANDLERS[command](res)
-        _write_manifest(out, command, res, config)
+        _write_manifest(out, command, res, config_digest)
     except BaseException:
         shutil.rmtree(out, ignore_errors=True)
         for parent in made:
@@ -616,12 +617,12 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        config = _read_config(ns.config) if ns.config else {}
+        config, digest = _read_config(ns.config) if ns.config else ({}, None)
         res = _resolve(ns.command, config, "config", vars(ns))
         if ns.command == "rerun":
             _cmd_rerun(res)
         else:
-            _dispatch(ns.command, res, ns.config)
+            _dispatch(ns.command, res, digest)
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

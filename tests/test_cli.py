@@ -21,7 +21,8 @@ import reloop.cli
 import reloop.loop
 from reloop.checkpoint import save_checkpoint
 from reloop.cli import main
-from reloop.features import DataError, SyntheticSpec, generate_synthetic_csv, ingest_csv
+from reloop.features import (DataError, SyntheticSpec, fnv1a64, generate_synthetic_csv,
+                             ingest_csv)
 from reloop.loop import ScoreLog, mean_report_metrics
 from reloop.losses import LOSS_KINDS, LossConfig
 from reloop.metrics import evaluate
@@ -637,7 +638,8 @@ class TestLossCurves:
 class TestConfigPrecedence:
     def test_flags_beat_config_beats_defaults(self, data_dir, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("epochs = 1\nseed = 33  # comment\nembed-dim = 3\n")
+        # a comment-only line, a blank line and a trailing comment are skipped
+        cfgfile.write_text("# a comment\n\nepochs = 1  # comment\nseed = 33\nembed-dim = 3\n")
         out = tmp_path / "o"
         assert run("train", "--config", cfgfile,
                    "--data", data_dir / "single" / "window_000.csv",
@@ -796,6 +798,69 @@ class TestInputBoundaries:
         assert f"{bad}:" in err and "field larger than field limit" in err
         assert "Traceback" not in err
 
+    # inputs of the error branches below, by path under the test's tmp_path
+    _FAULTY = {"no-equals.cfg": "# comment\nepochs\n",
+               "no-label.csv": "y,a\n1,x\n0,y\n",
+               "three.csv": "label,a\n1,x\n0,y\n1,z\n",
+               "labels.txt": "1\n0\n1\n",
+               "scores.txt": "0.5\n0.5\n",
+               "no-scores.txt": "score\n\n",
+               "header-only.csv": "label,a\n",
+               "empty/window_000.csv": "label,a\n1,x\n0,y\n1,x\n0,y\n",
+               "empty/window_001.csv": "label,a\n",
+               "small/window_000.csv": "label,a\n1,x\n0,y\n1,x\n0,y\n",
+               "small/window_001.csv": "label,a\n1,x\n0,y\n"}
+    _CONTINUAL = ["--mode", "continual", "--model", "lr", "--epochs", "1"]
+
+    @pytest.mark.parametrize("code, argv, message", [
+        (2, ["train", "--config", "{t}/no-equals.cfg", "--data", "{data}"],
+         "usage error: {t}/no-equals.cfg:2: expected 'key = value'"),
+        (2, ["train", "--config", "{t}/missing.cfg", "--data", "{data}"],
+         "usage error: cannot read config file {t}/missing.cfg: "
+         "[Errno 2] No such file or directory: '{t}/missing.cfg'"),
+        (2, ["train", "--data", "{data}", "--shuffle", "maybe"],
+         "reloop train: error: argument --shuffle: expected true/false, got 'maybe'"),
+        (2, ["train", "--data", "{data}", "--numerical", "zz"],
+         "usage error: --numerical names not in {data} header: ['zz']"),
+        (2, ["train", "--data", "{data}", "--model", "fm", "--embed-dim", "0"],
+         "usage error: embed_dim must be >= 1"),
+        (2, ["rerun", "--manifest", "{t}/missing.json"],
+         "usage error: cannot read manifest {t}/missing.json: "
+         "[Errno 2] No such file or directory: '{t}/missing.json'"),
+        (1, ["train", "--data", "{t}/no-label.csv"],
+         "error: {t}/no-label.csv: first header column must be 'label'"),
+        (1, ["loop", "--mode", "static", "--data", "{t}/three.csv"],
+         "error: dataset of 3 rows is too small for an 8:1:1 split"),
+        (1, ["eval", "--scores", "{t}/scores.txt", "--labels", "{t}/labels.txt"],
+         "error: labels and scores differ in length"),
+        (1, ["eval", "--scores", "{t}/no-scores.txt", "--labels", "{t}/labels.txt"],
+         "error: {t}/no-scores.txt: no values found"),
+        (1, ["train", "--data", "{t}/header-only.csv"], "error: dataset is empty"),
+        (1, ["loop", *_CONTINUAL, "--windows", "{t}/empty/window_*.csv"],
+         "error: continual mode: window 2 is empty"),
+        (1, ["loop", *_CONTINUAL, "--windows", "{t}/small/window_*.csv",
+             "--holdout-fraction", "0.9"],
+         "error: final window too small for its holdout tail"),
+    ], ids=["config-no-equals", "config-missing", "shuffle-maybe", "numerical-unknown",
+            "embed-dim-zero", "rerun-missing", "csv-no-label", "static-three-rows",
+            "eval-lengths", "eval-no-scores", "csv-header-only", "continual-empty-window",
+            "continual-small-tail"])
+    def test_typed_one_line_error(self, data_dir, tmp_path, capsys, code, argv, message):
+        for name, text in self._FAULTY.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        paths = {"t": tmp_path, "data": data_dir / "single" / "window_000.csv"}
+        argv = [a.format(**paths) for a in argv]
+        if argv[0] != "eval":
+            argv += ["--out", tmp_path / "o"]
+        assert run(*argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == message.format(**paths)
+        # only argparse prints more: its usage, before the error line
+        assert len(lines) == 1 or lines[0].startswith("usage: reloop")
+        assert not any("Traceback" in line for line in lines)
+        assert not (tmp_path / "o").exists()
+
     # the data CSV, read by ingest; a score log; eval's score and label columns
     _GOOD = {"data": ["label,a,b,y_last", "1,x,y,0.5", "0,z,w,0.5", "1,x,w,0.5", "0,z,y,0.5"],
              "log": ["row_id,y_last", "0,0.9", "1,0.1", "2,0.8", "3,0.2"],
@@ -936,6 +1001,29 @@ class TestManifest:
         assert manifest["processes"] == processes
 
 
+    @pytest.mark.parametrize("change", ["delete", "rewrite"])
+    def test_config_digest_is_of_the_parsed_bytes(self, tmp_path, monkeypatch, change):
+        """The config file is read once: what happens to it during the run
+        neither fails the run nor changes the digest recorded."""
+        cfgfile, parsed = tmp_path / "run.cfg", b"grid = 5\n"
+        cfgfile.write_bytes(parsed)
+        real = reloop.cli._HANDLERS["loss-curves"]
+
+        def handler(res):
+            if change == "delete":
+                cfgfile.unlink()
+            else:
+                cfgfile.write_bytes(b"grid = 7\n")
+            real(res)
+
+        monkeypatch.setitem(reloop.cli._HANDLERS, "loss-curves", handler)
+        out = tmp_path / "o"
+        assert run("loss-curves", "--config", cfgfile, "--out", out) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config_digest"] == f"{fnv1a64(parsed):016x}"
+        assert manifest["resolved"]["grid"] == 5
+
+
 class TestRerun:
     def test_gen_data_replay_bytes(self, tmp_path):
         a = tmp_path / "a"
@@ -1033,12 +1121,12 @@ class TestOutDirectory:
             "loss-curves": ["loss-curves", "--grid", 5],
         }[command]
 
-    @pytest.mark.parametrize("held", ["run", "file", "link"])
+    @pytest.mark.parametrize("held", ["run", "file", "link", "dangling"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_occupied_out_exits_two_and_keeps_its_bytes(self, data_dir, tmp_path, capsys,
                                                         command, held):
-        """Another run, a file, or a link to an empty directory (a failed run
-        could not remove what it wrote through the link)."""
+        """Another run, a file, or a link to an empty or a missing directory
+        (a failed run could not remove what it wrote through the link)."""
         out = tmp_path / "held"
         if held == "run":
             assert run("loop", "--mode", "continual",
@@ -1046,9 +1134,11 @@ class TestOutDirectory:
                        "--model", "lr", "--epochs", 1, "--buckets", 12, "--out", out) == 0
         elif held == "file":
             out.write_bytes(b"not a directory\n")
-        else:
+        elif held == "link":
             (tmp_path / "target").mkdir()
             out.symlink_to(tmp_path / "target", target_is_directory=True)
+        else:
+            out.symlink_to(tmp_path / "missing", target_is_directory=True)
         argv = self.argv(command, data_dir, tmp_path)
         before = tree_bytes(tmp_path, skip=())
         capsys.readouterr()
@@ -1056,7 +1146,8 @@ class TestOutDirectory:
         assert capsys.readouterr().err == (
             f"usage error: --out {out} exists and is not an empty directory\n")
         assert tree_bytes(tmp_path, skip=()) == before
-        assert out.is_symlink() == (held == "link")
+        assert out.is_symlink() == (held in ("link", "dangling"))
+        assert not (tmp_path / "missing").exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_out_is_accepted(self, data_dir, tmp_path, command):
