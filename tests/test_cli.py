@@ -717,8 +717,8 @@ class TestOneCheckPerOption:
 
 
 class TestInputBoundaries:
-    """Inputs that once ended in a traceback: each now runs or exits 1 naming
-    the file."""
+    """Bad inputs: each runs, or exits 1 or 2 with a typed one-line error
+    (naming the file where there is one), never a traceback."""
 
     def test_infinite_numerical_cell_trains(self, tmp_path):
         data = tmp_path / "d.csv"
