@@ -396,6 +396,14 @@ def _cmd_gen_data(res: dict) -> None:
         n_windows=res["windows"],
         drift_rate=res["drift"],
     )
+    # at most: the label, a comma and the longest token per field, a newline
+    row_bytes = 2 + spec.n_fields * (1 + len(str(spec.buckets_per_field - 1)))
+    header_bytes = len("label") + sum(1 + len(f.name) for f in spec.schema().fields) + 1
+    csv_bytes = spec.n_windows * (header_bytes + spec.n_rows * row_bytes)
+    free = shutil.disk_usage(res["out"]).free
+    _require(csv_bytes <= free,
+             f"--rows {spec.n_rows} and --windows {spec.n_windows} make up to {csv_bytes} "
+             f"bytes of CSV, but {res['out']} has {free} bytes free")
     generate_synthetic_csv(spec, res["out"])
 
 
@@ -577,6 +585,9 @@ def _dispatch(command: str, res: dict, config_digest: str | None) -> None:
              and (not out.exists() or out.is_dir() and not any(out.iterdir())),
              f"--out {out} exists and is not an empty directory")
     made = list(itertools.takewhile(lambda p: not p.exists(), out.parents))
+    for parent in made:  # a dangling link does not exist, and mkdir fails on it
+        _require(not parent.is_symlink(),
+                 f"--out {out}: parent {parent} is a link to a missing path")
     out.mkdir(parents=True, exist_ok=True)
     try:
         _HANDLERS[command](res)

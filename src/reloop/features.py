@@ -13,16 +13,21 @@ tokens go through the vectorized kernel ``rng.fnv1a64_batch`` in one call,
 starting from the digest of the field's ``name=`` prefix; the kernel's cost
 is linear in the tokens' total bytes, whatever their lengths. CSV ingest
 reads rows in blocks of ``ROW_BLOCK`` and hashes each field's distinct cells
-once per block, keeping nothing once the block is encoded; synthetic windows
-hash each field's whole token range once and are written out in blocks of
-``ROW_BLOCK`` rows. Their hidden CTR model is an ``fm`` model, its logit the
-sum of pairwise dot products of the fields' latent vectors plus a bias, and
+once per block, keeping nothing once the block is encoded. Synthetic
+generation hashes each field's whole token range once, then draws, scores
+and writes a window one block of ``ROW_BLOCK`` rows at a time, so
+``generate_synthetic_csv`` holds the token and latent tables and one block,
+whatever the row count. A window's label stream starts past its feature
+draws, so each block's draws are those one whole-window draw would make.
+The hidden CTR model is an ``fm`` model, its logit the sum of pairwise dot
+products of the fields' latent vectors plus a bias, and
 ``models.forward_batch`` scores it.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -376,24 +381,40 @@ def _token_index_table(spec: SyntheticSpec, schema: FeatureSchema) -> np.ndarray
     return np.stack([schema.hash_tokens(f, tokens) for f in range(spec.n_fields)])
 
 
-def _raw_windows(spec: SyntheticSpec):
-    """Yield (schema, tokens, indices, labels, truth) per window,
-    deterministically. ``truth``, the hidden CTR model, is an ``fm`` model
-    (zero linear table, the latent vectors as embeddings, bias
-    ``_LOGIT_BIAS``) that ``forward_batch`` scores in row blocks; the later
-    windows' drift updates its embeddings in place."""
-    from .models import Params, forward_batch  # models imports this module
+def _hidden_model(spec: SyntheticSpec):
+    """The hidden CTR model of window 0: an ``fm`` model (zero linear table,
+    the latent vectors as embeddings, bias ``_LOGIT_BIAS``)."""
+    from .models import Params  # models imports this module
 
     schema = spec.schema()
-    scale = _latent_scale(spec)
-    init_rng = philox(spec.seed, 1)
-    latent = init_rng.normal(0.0, scale, size=(schema.n_features, spec.latent_dim))
-    truth = Params("fm", spec.n_fields, schema.n_features, spec.latent_dim,
-                   schema.digest(), bias=_LOGIT_BIAS,
-                   linear=np.zeros(schema.n_features), emb=latent)
+    latent = philox(spec.seed, 1).normal(
+        0.0, _latent_scale(spec), size=(schema.n_features, spec.latent_dim))
+    return Params("fm", spec.n_fields, schema.n_features, spec.latent_dim,
+                  schema.digest(), bias=_LOGIT_BIAS,
+                  linear=np.zeros(schema.n_features), emb=latent)
+
+
+def _window_blocks(spec: SyntheticSpec, truth):
+    """Yield (window, tokens, indices, labels) per block of ``ROW_BLOCK`` rows
+    (the last block of a window takes the remainder), window after window,
+    deterministically.
+
+    ``truth`` is ``_hidden_model(spec)``; each later window's drift updates its
+    embeddings in place before that window's first block. A block draws its
+    feature uniforms from ``philox(seed, 2, w)``, maps them to Zipf tokens and
+    hashed indices, and is scored by ``forward_batch``, which for an ``fm``
+    model gives a row the same score in any block. Its labels come from a
+    second ``philox(seed, 2, w)`` started past the window's n * F feature
+    draws, so every draw falls where one whole-window draw of the features
+    followed by one of the labels would put it.
+    """
+    from .models import forward_batch  # models imports this module
+
+    schema = spec.schema()
     table = _token_index_table(spec, schema)
     cdf = np.cumsum(token_probabilities(spec.buckets_per_field))
-
+    scale = _latent_scale(spec)
+    n, fields = spec.n_rows, np.arange(spec.n_fields)
     for w in range(spec.n_windows):
         if w > 0 and spec.drift_rate > 0.0:
             drift_rng = philox(spec.seed, 3, w)
@@ -401,38 +422,59 @@ def _raw_windows(spec: SyntheticSpec):
             if k > 0:
                 rows = drift_rng.choice(schema.n_features, size=k, replace=False)
                 truth.emb[rows] = drift_rng.normal(0.0, scale, size=(k, spec.latent_dim))
-        rng = philox(spec.seed, 2, w)
-        u = rng.random(size=(spec.n_rows, spec.n_fields))
-        tokens = np.minimum(
-            np.searchsorted(cdf, u, side="right"), spec.buckets_per_field - 1
-        )
-        indices = table[np.arange(spec.n_fields), tokens]
-        p = by_row_blocks(lambda rows: forward_batch(truth, rows)[1], indices)
-        labels = (rng.random(spec.n_rows) < p).astype(np.float64)
-        yield schema, tokens, indices, labels, truth
+        features, draws = philox(spec.seed, 2, w), philox(spec.seed, 2, w)
+        # Philox makes four 64-bit words, four doubles, per counter step
+        draws.bit_generator.advance(n * spec.n_fields // 4)
+        draws.random(n * spec.n_fields % 4)
+        for lo in range(0, n, ROW_BLOCK):
+            u = features.random(size=(min(ROW_BLOCK, n - lo), spec.n_fields))
+            tokens = np.minimum(
+                np.searchsorted(cdf, u, side="right"), spec.buckets_per_field - 1
+            )
+            indices = table[fields, tokens]
+            p = forward_batch(truth, indices)[1]
+            labels = (draws.random(p.shape[0]) < p).astype(np.float64)
+            yield w, tokens, indices, labels
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
     """Generate one Dataset per window from a hidden drifting CTR model."""
-    return [
-        Dataset(schema, labels, indices, np.arange(labels.shape[0]))
-        for schema, _, indices, labels, _ in _raw_windows(spec)
-    ]
+    schema, n = spec.schema(), spec.n_rows
+    datasets = []
+    blocks = _window_blocks(spec, _hidden_model(spec))
+    for _, window in itertools.groupby(blocks, key=lambda block: block[0]):
+        labels = np.empty(n)
+        indices = np.empty((n, spec.n_fields), dtype=np.int64)
+        lo = 0
+        for _, _, block_indices, block_labels in window:
+            hi = lo + block_labels.shape[0]
+            labels[lo:hi], indices[lo:hi] = block_labels, block_indices
+            lo = hi
+        datasets.append(Dataset(schema, labels, indices, np.arange(n)))
+    return datasets
 
 
 def generate_synthetic_csv(spec: SyntheticSpec, out_dir: str | Path) -> list[Path]:
-    """Write one ``window_%03d.csv`` per window into ``out_dir``; returns the paths."""
+    """Write one ``window_%03d.csv`` per window into ``out_dir``; returns the paths.
+
+    A window is drawn, scored and written one block of ``ROW_BLOCK`` rows at
+    a time (see ``_window_blocks``), each block from the strings of its
+    distinct values, so memory does not grow with ``n_rows``.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    header = ",".join(["label"] + [f.name for f in spec.schema().fields]) + "\n"
     paths = []
-    for w, (schema, tokens, _, labels, _) in enumerate(_raw_windows(spec)):
+    blocks = _window_blocks(spec, _hidden_model(spec))
+    for w, window in itertools.groupby(blocks, key=lambda block: block[0]):
         path = out_dir / f"window_{w:03d}.csv"
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["label"] + [f.name for f in schema.fields])
-            for lo in range(0, labels.shape[0], ROW_BLOCK):
-                hi = lo + ROW_BLOCK
-                block = np.column_stack([labels[lo:hi].astype(np.int64), tokens[lo:hi]])
-                writer.writerows(block.tolist())
+            fh.write(header)
+            for _, tokens, _, labels in window:
+                values, inverse = np.unique(
+                    np.column_stack([labels.astype(np.int64), tokens]), return_inverse=True)
+                text = np.array([str(v) for v in values.tolist()], dtype=object)
+                rows = text[inverse.reshape(tokens.shape[0], -1)].tolist()
+                fh.write("".join([",".join(row) + "\n" for row in rows]))
         paths.append(path)
     return paths

@@ -80,10 +80,10 @@ class TestGenData:
     def test_bad_flag_exits_two(self):
         assert run("gen-data", "--nope", "1") == 2
 
-    def test_out_of_memory_leaves_no_directory(self, tmp_path):
-        """A window that cannot be allocated exits 1 and makes no output
-        directory. The child runs under a 3 GiB address-space limit, so the
-        5.82 TiB window fails to allocate instead of being attempted."""
+    @staticmethod
+    def gen_data_capped(out, *argv):
+        """``gen-data --out out *argv`` in a child under a 3 GiB address-space
+        limit, so a table past it fails to allocate instead of being attempted."""
         resource = pytest.importorskip("resource")
         limit = 3 * 2**30
 
@@ -94,16 +94,45 @@ class TestGenData:
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
             p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
-        out = tmp_path / "x"
-        proc = subprocess.run(
-            [sys.executable, "-m", "reloop.cli", "gen-data", "--rows", "100000000000",
-             "--out", str(out)],
+        return subprocess.run(
+            [sys.executable, "-m", "reloop.cli", "gen-data", *argv, "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=120,
             preexec_fn=cap_address_space,
         )
+
+    def test_out_of_memory_leaves_no_directory(self, tmp_path):
+        """A latent table that cannot be allocated (23.3 TiB) exits 1 and
+        makes no output directory."""
+        out = tmp_path / "x"
+        proc = self.gen_data_capped(out, "--buckets", "100000000000")
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: out of memory: Unable to allocate")
         assert not out.exists()
+
+    def test_csv_past_free_disk_exits_two(self, tmp_path):
+        """Windows are written one row block at a time, so nothing runs out of
+        memory; the CSV bytes are bounded against the free disk before
+        anything is drawn (2.6 PB here), and nothing is left."""
+        out = tmp_path / "x"
+        proc = self.gen_data_capped(out, "--rows", "100000000000", "--windows", "1000")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(
+            f"usage error: --rows 100000000000 and --windows 1000 make up to "
+            f"2600000000030000 bytes of CSV, but {out} has ")
+        assert proc.stderr.endswith(" bytes free\n")
+        assert not out.exists()
+
+    def test_csv_bound_is_exact_for_one_digit_tokens(self, tmp_path, monkeypatch):
+        """The bound counts every token at the width of the largest, so with
+        fewer than 11 buckets it is the files' size: that much free disk
+        runs, one byte less is a usage error."""
+        args = ("--rows", 300, "--fields", 3, "--buckets", 8, "--windows", 2)
+        assert run("gen-data", "--out", tmp_path / "a", *args) == 0
+        size = sum(p.stat().st_size for p in (tmp_path / "a").glob("window_*.csv"))
+        usage = shutil.disk_usage(tmp_path)
+        for free, code in ((size, 0), (size - 1, 2)):
+            monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=free))
+            assert run("gen-data", "--out", tmp_path / f"free{free}", *args) == code
 
     def test_drift_out_of_range(self, tmp_path):
         assert run("gen-data", "--out", tmp_path / "x", "--drift", "1.5") == 2
@@ -1148,6 +1177,18 @@ class TestOutDirectory:
         assert tree_bytes(tmp_path, skip=()) == before
         assert out.is_symlink() == (held in ("link", "dangling"))
         assert not (tmp_path / "missing").exists()
+
+    def test_dangling_link_among_parents_exits_two(self, tmp_path, capsys):
+        """``mkdir(parents=True)`` cannot make a parent that is a link to a
+        missing path; the link is refused before anything is made."""
+        (tmp_path / "dp").mkdir()
+        (tmp_path / "dp" / "dl").symlink_to(tmp_path / "missing", target_is_directory=True)
+        out = tmp_path / "dp" / "dl" / "x"
+        assert run("loss-curves", "--grid", 5, "--out", out) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --out {out}: parent {out.parent} is a link to a missing path\n")
+        assert (tmp_path / "dp" / "dl").is_symlink()
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dl", "dp"]
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_empty_out_is_accepted(self, data_dir, tmp_path, command):

@@ -22,16 +22,18 @@ from reloop.features import (
     FeatureSchema,
     FieldSpec,
     SyntheticSpec,
-    _raw_windows,
+    _hidden_model,
+    _window_blocks,
     fnv1a64,
     generate_synthetic,
     generate_synthetic_csv,
     ingest_csv,
+    token_probabilities,
     transform_numerical,
 )
 from reloop.losses import clip_prob
-from reloop.models import predict_batch
-from reloop.rng import fnv1a64_batch
+from reloop.models import forward_batch, predict_batch
+from reloop.rng import fnv1a64_batch, philox
 
 
 def reference_fnv1a(data: bytes) -> int:
@@ -46,7 +48,11 @@ def reference_fnv1a(data: bytes) -> int:
 
 def hidden_models(spec: SyntheticSpec):
     """A copy of the hidden CTR model behind each generated window."""
-    return [t.copy() for *_, t in _raw_windows(spec)]
+    truth, models = _hidden_model(spec), []
+    for w, *_ in _window_blocks(spec, truth):
+        if w == len(models):  # the window's first block: its drift is applied
+            models.append(truth.copy())
+    return models
 
 
 class TestHashing:
@@ -371,9 +377,21 @@ class TestIngestBlocks:
         """Writing a window adds at most one block's rows to what generating it
         holds anyway."""
         spec = SyntheticSpec(8, 4096, 2, 16 * ROW_BLOCK, seed=1)
-        arrays = _peak_bytes(lambda: [None for _ in _raw_windows(spec)])
+        arrays = _peak_bytes(lambda: [None for _ in _window_blocks(spec, _hidden_model(spec))])
         written = _peak_bytes(lambda: generate_synthetic_csv(spec, tmp_path))
         assert written - arrays <= 1024 * ROW_BLOCK, written - arrays
+
+    def test_gen_data_memory_flat_in_rows(self, tmp_path):
+        """A window is drawn, scored and written a block at a time, so four
+        times the rows hold no more than the tables and one block."""
+
+        def peak(rows):
+            spec = SyntheticSpec(8, 4096, 2, rows, seed=1)
+            return _peak_bytes(lambda: generate_synthetic_csv(spec, tmp_path / str(rows)))
+
+        small, large = peak(4 * ROW_BLOCK), peak(16 * ROW_BLOCK)
+        assert large <= 1.25 * small, (small, large)
+
 
 class TestDataset:
     def test_arrays_read_only(self, tiny_dataset):
@@ -451,8 +469,6 @@ class TestSynthetic:
         assert np.all(np.abs(means - pooled) <= 3 * sigma)
 
     def test_label_rate_matches_monte_carlo_oracle(self):
-        from reloop.features import token_probabilities
-
         spec = SyntheticSpec(8, 64, 4, 100_000, seed=42)
         (ds,), (truth,) = generate_synthetic(spec), hidden_models(spec)
         schema = spec.schema()
@@ -478,8 +494,9 @@ class TestSynthetic:
         <v_f, v_g>), here written out pair by pair with no code from models,
         in every window of a drifting spec."""
         spec = SyntheticSpec(4, 16, 3, 2500, seed=9, n_windows=3, drift_rate=0.4)
-        n = spec.n_rows  # two row blocks
-        for schema, _, indices, _, truth in _raw_windows(spec):
+        schema, truth = spec.schema(), _hidden_model(spec)
+        for _, _, indices, _ in _window_blocks(spec, truth):  # 1024, 1024, 452 rows
+            n = indices.shape[0]
             v = truth.emb[indices]  # (n, F, D)
             z = np.full(n, truth.bias)
             for f in range(spec.n_fields):
@@ -510,6 +527,42 @@ class TestSynthetic:
             assert np.array_equal(ds.labels, ref.labels)
             assert np.array_equal(ds.indices, ref.indices)
             assert np.array_equal(ds.row_ids, ref.row_ids)
+
+    @pytest.mark.parametrize("n_rows, n_fields", [
+        (7, 5), (1023, 3), (1024, 3), (1025, 2), (1025, 5), (2047, 2), (2049, 3),
+    ])  # n * F % 4 = 3, 1, 0, 2, 1, 2, 3; below, at and just past a block edge
+    def test_blocks_equal_whole_window_recipe(self, tmp_path, n_rows, n_fields):
+        """The streamed draws equal the whole-window recipe written out here:
+        per window, one ``random((n, F))`` for the tokens, the hidden model
+        scored on the whole window, then one ``random(n)`` for the labels.
+        Philox makes four doubles per counter step, so an n * F that is not a
+        multiple of 4 tests where the label stream starts."""
+        spec = SyntheticSpec(n_fields, 300, 3, n_rows, seed=n_rows, n_windows=3,
+                             drift_rate=0.3)
+        schema, truth = spec.schema(), _hidden_model(spec)
+        n, F, B = n_rows, n_fields, spec.buckets_per_field
+        table = np.array([[feature_index(schema, f"f{f}", str(t)) for t in range(B)]
+                          for f in range(F)])
+        cdf = np.cumsum(token_probabilities(B))
+        scale = (1.6**2 / (F * (F - 1) / 2 * spec.latent_dim)) ** 0.25
+        header = ",".join(["label"] + [f"f{f}" for f in range(F)]) + "\n"
+        windows = generate_synthetic(spec)
+        paths = generate_synthetic_csv(spec, tmp_path)
+        for w, (ds, path) in enumerate(zip(windows, paths)):
+            if w > 0:
+                drift = philox(spec.seed, 3, w)
+                k = round(0.3 * schema.n_features)
+                rows = drift.choice(schema.n_features, size=k, replace=False)
+                truth.emb[rows] = drift.normal(0.0, scale, size=(k, spec.latent_dim))
+            rng = philox(spec.seed, 2, w)
+            tokens = np.minimum(np.searchsorted(cdf, rng.random((n, F)), side="right"), B - 1)
+            indices = np.take_along_axis(table, tokens.T, axis=1).T
+            labels = (rng.random(n) < forward_batch(truth, indices)[1]).astype(np.float64)
+            assert np.array_equal(ds.indices, indices)
+            assert np.array_equal(ds.labels, labels)
+            lines = [f"{int(y)}," + ",".join(map(str, row)) + "\n"
+                     for y, row in zip(labels.tolist(), tokens.tolist())]
+            assert path.read_bytes() == (header + "".join(lines)).encode("ascii")
 
     def test_gen_csv_golden_bytes(self, tmp_path):
         # sha256 recorded from the row-at-a-time writer that the block writer
