@@ -22,6 +22,10 @@ draws, so each block's draws are those one whole-window draw would make.
 The hidden CTR model is an ``fm`` model, its logit the sum of pairwise dot
 products of the fields' latent vectors plus a bias, and
 ``models.forward_batch`` scores it.
+
+Indices are stored as ``FeatureSchema.index_dtype``: four bytes each when
+the feature space has at most 2^31 features, eight beyond that. Hashing,
+CSV ingest, synthetic generation and ``Dataset`` all take that one type.
 """
 
 from __future__ import annotations
@@ -86,8 +90,12 @@ class FeatureSchema:
 
     Field f owns the half-open index range
     [index_base[f], index_base[f] + fields[f].buckets); the total space size
-    is the sum of all bucket counts. Encoding is pure: the same (schema, raw
-    row) always yields the same indices.
+    is the sum of all bucket counts, at most 2^63. Encoding is pure: the same
+    (schema, raw row) always yields the same indices.
+
+    ``index_dtype`` is the integer type of every index array of the schema,
+    decided here alone: int32 for at most 2^31 features, so every index is at
+    most 2^31 - 1, and int64 beyond that.
     """
 
     def __init__(self, fields: list[FieldSpec] | tuple[FieldSpec, ...]):
@@ -106,6 +114,7 @@ class FeatureSchema:
             raise DataError(f"bucket counts sum to {offset}, past the int64 index range")
         self.index_base = tuple(base)
         self.n_features = offset
+        self.index_dtype = np.dtype(np.int32 if offset <= 2**31 else np.int64)
 
     @property
     def n_fields(self) -> int:
@@ -121,11 +130,13 @@ class FeatureSchema:
 
     def hash_tokens(self, pos: int, tokens: list[str]) -> np.ndarray:
         """Global indices of canonical tokens of field ``pos``, in one kernel
-        pass: index_base[pos] + (fnv1a64(b"name=token") mod buckets)."""
+        pass: index_base[pos] + (fnv1a64(b"name=token") mod buckets), as
+        ``index_dtype``."""
         spec = self.fields[pos]
         state = fnv1a64(f"{spec.name}=".encode("utf-8"))
         digests = fnv1a64_batch([t.encode("utf-8") for t in tokens], state)
-        return (digests % np.uint64(spec.buckets)).astype(np.int64) + self.index_base[pos]
+        index = (digests % np.uint64(spec.buckets)).astype(np.int64) + self.index_base[pos]
+        return index.astype(self.index_dtype, copy=False)
 
     def cell_token(self, pos: int, cell: str) -> str:
         """Canonical token of one CSV cell. Empty cells, and numerical cells
@@ -144,16 +155,42 @@ class FeatureSchema:
         return f"FeatureSchema({list(self.fields)!r})"
 
 
+def _index_array(schema: FeatureSchema, indices) -> np.ndarray:
+    """``indices`` as a C-contiguous array of ``schema.index_dtype``: a view of
+    the caller's array when it already is one, else a cast copy.
+
+    Raises:
+        DataError: the cast would change an index, such as one past the int32
+            range, which would wrap, or a fraction; names the first such index.
+    """
+    indices = np.asarray(indices)
+    if indices.dtype == schema.index_dtype:
+        return np.ascontiguousarray(indices).view()
+    with np.errstate(invalid="ignore"):  # NaN or an out-of-range float casts to garbage
+        cast = np.ascontiguousarray(indices, dtype=schema.index_dtype)
+    changed = (cast != indices).reshape(-1)
+    if changed.any():
+        raise DataError(
+            f"feature index {indices.reshape(-1)[changed.argmax()]} does not fit "
+            f"{schema.index_dtype}, the index type of a {schema.n_features}-feature schema"
+        )
+    return cast
+
+
 class Dataset:
-    """Immutable column-wise store of encoded instances, in ingestion order. A
-    y_last column must lie in [0, 1] (DataError otherwise) and is clipped into (0, 1)."""
+    """Immutable column-wise store of encoded instances, in ingestion order.
+
+    Indices are held as ``schema.index_dtype``; an array of another dtype is
+    cast, and an index the cast would change raises DataError. A y_last
+    column must lie in [0, 1] (DataError otherwise) and is clipped into (0, 1).
+    """
 
     __slots__ = ("schema", "labels", "indices", "row_ids", "y_last")
 
     def __init__(self, schema, labels, indices, row_ids, y_last=None):
         # views, so marking them read-only leaves the caller's arrays writeable
         labels = np.ascontiguousarray(labels, dtype=np.float64).view()
-        indices = np.ascontiguousarray(indices, dtype=np.int64).view()
+        indices = _index_array(schema, indices)
         row_ids = np.ascontiguousarray(row_ids, dtype=np.int64).view()
         n = labels.shape[0]
         if indices.shape != (n, schema.n_fields):
@@ -261,7 +298,7 @@ def _encode_block(schema: FeatureSchema, block: list[list[str]]) -> np.ndarray:
     Each field's distinct cells in the block are hashed once, in one kernel
     call; nothing is kept once the block is encoded.
     """
-    out = np.empty((len(block), schema.n_fields), dtype=np.int64)
+    out = np.empty((len(block), schema.n_fields), dtype=schema.index_dtype)
     columns = list(zip(*block))[1 : 1 + schema.n_fields]
     for pos, column in enumerate(columns):
         cells = dict.fromkeys(column)
@@ -444,7 +481,7 @@ def generate_synthetic(spec: SyntheticSpec) -> list[Dataset]:
     blocks = _window_blocks(spec, _hidden_model(spec))
     for _, window in itertools.groupby(blocks, key=lambda block: block[0]):
         labels = np.empty(n)
-        indices = np.empty((n, spec.n_fields), dtype=np.int64)
+        indices = np.empty((n, spec.n_fields), dtype=schema.index_dtype)
         lo = 0
         for _, _, block_indices, block_labels in window:
             hi = lo + block_labels.shape[0]

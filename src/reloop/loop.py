@@ -133,15 +133,22 @@ class ScoreLog:
         return cls(rids, np.array(scores, dtype=np.float64))
 
     def aligned_to(self, dataset: Dataset) -> np.ndarray:
-        """Scores reordered to match the dataset's rows, by row_id."""
-        lookup = {int(r): i for i, r in enumerate(self.row_ids)}
-        out = np.empty(len(dataset), dtype=np.float64)
-        for i, rid in enumerate(dataset.row_ids):
-            j = lookup.get(int(rid))
-            if j is None:
-                raise DataError(f"no prior score for row_id {int(rid)}")
-            out[i] = self.scores[j]
-        return out
+        """Scores reordered to match the dataset's rows, by row_id. A row_id
+        the log holds twice takes its last score.
+
+        Raises:
+            DataError: a row has no score, naming the first such row_id in
+                dataset order.
+        """
+        order = np.argsort(self.row_ids, kind="stable")
+        keys, want = self.row_ids[order], dataset.row_ids
+        # one past each wanted row_id's last occurrence in the log
+        end = np.searchsorted(keys, want, side="right")
+        found = end > 0
+        found[found] = keys[end[found] - 1] == want[found]
+        if not found.all():
+            raise DataError(f"no prior score for row_id {int(want[found.argmin()])}")
+        return self.scores[order[end - 1]]
 
 
 @dataclass

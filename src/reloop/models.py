@@ -288,6 +288,8 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int) -> Params:
 
 def check_indices(params: Params, indices: np.ndarray) -> None:
     """Raise DimensionError unless ``indices`` is (B, n_fields) rows of the tables."""
+    if not np.issubdtype(indices.dtype, np.integer):
+        raise DimensionError(f"feature indices must be integers, got {indices.dtype}")
     if indices.ndim != 2 or indices.shape[1] != params.n_fields:
         raise DimensionError(
             f"instance has {indices.shape[-1]} fields, model expects {params.n_fields}"
@@ -330,8 +332,12 @@ def _mlp_forward(params: Params, x0: np.ndarray, trace: Trace) -> np.ndarray:
 def forward_batch(
     params: Params, indices: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Trace]:
-    """Logits, probabilities and a backward-ready trace for a batch."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Logits, probabilities and a backward-ready trace for a batch.
+
+    ``indices`` is (B, n_fields) and is used as given, of any integer dtype.
+    Any other dtype raises DimensionError: a float index is not floored.
+    """
+    indices = np.asarray(indices)
     check_indices(params, indices)
     n = indices.shape[0]
     z = np.full(n, params.bias, dtype=np.float64)

@@ -142,6 +142,17 @@ class TestSchema:
         widest = FeatureSchema([FieldSpec("a", buckets=2**63)])
         assert 0 <= feature_index(widest, "a", "x") < 2**63
 
+    def test_index_dtype_is_int32_up_to_2_31_features(self):
+        def dtype(*buckets):
+            return FeatureSchema([FieldSpec(f"f{i}", buckets=b)
+                                  for i, b in enumerate(buckets)]).index_dtype
+
+        assert dtype(2**31) == np.int32
+        assert dtype(2**30, 2**30) == np.int32
+        assert dtype(2**31 + 1) == np.int64
+        assert dtype(2**30, 2**30 + 1) == np.int64
+        assert dtype(2**63) == np.int64
+
     def test_digest_depends_on_layout(self):
         a = FeatureSchema([FieldSpec("a", buckets=4)])
         b = FeatureSchema([FieldSpec("a", buckets=5)])
@@ -241,6 +252,16 @@ class TestIngest:
         ds = ingest_csv(p, schema)
         assert ds.indices[:2, 0].tolist() == [feature_index(schema, "n", MISSING_TOKEN)] * 2
         assert ds.indices[2, 0] == feature_index(schema, "n", "0")  # negative: bucket 0
+
+    def test_index_past_2_31_is_exact_on_the_int64_side(self, tmp_path):
+        """A 2^32-bucket field keeps 8-byte indices; a token whose index is
+        past 2^31 comes back exact, not wrapped."""
+        schema = FeatureSchema([FieldSpec("a", buckets=2**32)])
+        token = next(t for t in map(str, range(100))
+                     if fnv1a64(f"a={t}".encode()) % 2**32 >= 2**31)
+        ds = ingest_csv(self._write(tmp_path / "d.csv", f"label,a\n1,{token}\n"), schema)
+        assert ds.indices.dtype == np.int64
+        assert int(ds.indices[0, 0]) == fnv1a64(f"a={token}".encode()) % 2**32
 
     def test_encoding_is_pure(self, tmp_path):
         p = self._write(tmp_path / "d.csv", "label,a,b\n1,x,y\n1,x,y\n")
@@ -401,13 +422,37 @@ class TestDataset:
     def test_callers_arrays_stay_writeable(self, small_schema):
         """The dataset holds read-only views of arrays it needs not convert,
         and the caller's own arrays keep their flags."""
-        lab, idx, rid = np.array([1.0, 0.0]), np.arange(8).reshape(2, 4), np.arange(2)
+        lab, rid = np.array([1.0, 0.0]), np.arange(2)
+        idx = np.arange(8, dtype=small_schema.index_dtype).reshape(2, 4)
         ds = Dataset(small_schema, lab, idx, rid)
         for mine, held in ((lab, ds.labels), (idx, ds.indices), (rid, ds.row_ids)):
             assert mine.flags.writeable
             assert not held.flags.writeable
             assert np.shares_memory(mine, held)
         lab[0] = 0.0  # no "assignment destination is read-only"
+
+    def test_index_the_dtype_cannot_hold_refused(self, small_schema):
+        """A 64-bit index past int32 is refused, not wrapped; one that fits
+        but lies past the table is left for the trainer's DimensionError."""
+        idx = np.arange(8, dtype=np.int64).reshape(2, 4)
+        idx[1, 2] = 2**32 + 3
+        with pytest.raises(DataError, match=r"^feature index 4294967299 does not fit int32"):
+            Dataset(small_schema, np.zeros(2), idx, np.arange(2))
+        with pytest.raises(DataError, match=r"^feature index 2\.5 does not fit int32"):
+            Dataset(small_schema, np.zeros(2), [[0, 1, 2.5, 3], [4, 5, 6, 7]], np.arange(2))
+        idx[1, 2] = small_schema.n_features
+        held = Dataset(small_schema, np.zeros(2), idx, np.arange(2)).indices
+        assert held.dtype == np.int32 and held.tolist() == idx.tolist()
+
+    def test_every_constructor_keeps_the_schema_dtype(self, tiny_dataset, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f0,f1,f2,f3\n1,a,b,c,d\n", encoding="utf-8")
+        spec = SyntheticSpec(n_fields=2, buckets_per_field=4, latent_dim=2, n_rows=5, seed=0)
+        ds, n = tiny_dataset, len(tiny_dataset)
+        made = [ds, ingest_csv(path, ds.schema), ds.take([3, 1]), ds.head(4), ds.tail(4),
+                ds.with_y_last(np.full(n, 0.5)), *generate_synthetic(spec)]
+        assert [d.indices.dtype for d in made] == [d.schema.index_dtype for d in made]
+        assert {d.indices.dtype for d in made} == {np.dtype(np.int32)}
 
     def test_y_last_outside_unit_interval_rejected(self, tiny_dataset):
         ds, n = tiny_dataset, len(tiny_dataset)

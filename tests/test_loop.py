@@ -154,6 +154,41 @@ class TestInferScores:
         with pytest.raises(DataError, match="row_id"):
             log.aligned_to(tiny_dataset)
 
+    @staticmethod
+    def aligned_by_loop(log, dataset):
+        """Reference: a dict from row_id to its log position, the last one winning."""
+        lookup = {int(r): i for i, r in enumerate(log.row_ids)}
+        out = np.empty(len(dataset))
+        for i, rid in enumerate(dataset.row_ids):
+            if int(rid) not in lookup:
+                raise DataError(f"no prior score for row_id {int(rid)}")
+            out[i] = log.scores[lookup[int(rid)]]
+        return out
+
+    def test_aligned_to_permuted_log_equals_loop(self, tiny_dataset):
+        rng = np.random.default_rng(4)
+        n = len(tiny_dataset)
+        log = ScoreLog(rng.permutation(np.arange(-5, n + 5)), rng.random(n + 10))
+        data = tiny_dataset.take(rng.permutation(n))
+        got = log.aligned_to(data)
+        assert got.dtype == np.float64
+        assert got.tobytes() == self.aligned_by_loop(log, data).tobytes()
+
+    def test_aligned_to_repeated_row_id_takes_the_last_score(self, tiny_dataset):
+        ids = np.arange(len(tiny_dataset))
+        log = ScoreLog(np.concatenate([ids, [7, 3, 7]]),
+                       np.concatenate([np.full(ids.size, 0.5), [0.1, 0.2, 0.3]]))
+        got = log.aligned_to(tiny_dataset)
+        assert (got[3], got[7]) == (0.2, 0.3)
+        assert got.tobytes() == self.aligned_by_loop(log, tiny_dataset).tobytes()
+
+    def test_aligned_to_names_first_missing_row_in_dataset_order(self, tiny_dataset):
+        data = tiny_dataset.take(slice(None, None, -1))  # row_ids n-1 .. 0
+        keep = ~np.isin(data.row_ids, [5, 17])
+        log = ScoreLog(data.row_ids[keep], np.full(int(keep.sum()), 0.5))
+        with pytest.raises(DataError, match=r"^no prior score for row_id 17$"):
+            log.aligned_to(data)
+
 
 class TestStaticPrior:
     def test_prior_sees_exactly_first_fraction(self):

@@ -147,6 +147,12 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward_batch(p, np.array([[0, 1, 2, 99]]))
 
+    def test_float_indices_refused_not_floored(self, schema):
+        p = init_params(schema, ModelConfig("lr"), seed=0)
+        for bad in (np.array([[0.9, 1.0, 2.0, 3.7]]), np.zeros((1, 4)), np.ones((1, 4), bool)):
+            with pytest.raises(DimensionError, match="must be integers"):
+                forward_batch(p, bad)
+
 
 class TestSigmoid:
     @staticmethod
@@ -479,6 +485,18 @@ class TestScoringBlocks:
                 if got.tobytes() != whole[f"{kind}-{n}"].tobytes():
                     differ.append((kind, n))
         assert differ == []
+
+    def test_index_dtype_leaves_scores_bitwise(self):
+        """int32 and int64 copies of the same indices give the same bits; at
+        1500 rows predict_batch scores one block, a whole-array pass."""
+        for kind in MODEL_KINDS:
+            params, data = scoring_case(kind, 1500)
+            assert data.indices.dtype == np.int32
+            z32, p32, _ = forward_batch(params, data.indices)
+            z64, p64, _ = forward_batch(params, data.indices.astype(np.int64))
+            assert z32.tobytes() == z64.tobytes()
+            assert p32.tobytes() == p64.tobytes()
+            assert predict_batch(params, data).tobytes() == p64.tobytes()
 
     def test_predict_batch_memory_follows_the_block(self):
         peaks = []
