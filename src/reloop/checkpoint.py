@@ -18,6 +18,12 @@ Layout, in order:
                    layer w then b; head. Blocks a kind does not own are
                    simply absent.
 
+A held-rows model (``Params.rows``, see ``models``) is written in the same
+layout: ``save_checkpoint`` writes each table block by block, the held rows
+over the init draw (``models.whole_blocks``), so the file is the one its
+whole-table model would write and no whole table is allocated. Loading
+always gives whole tables.
+
 load(save(params)) reproduces the parameters bitwise. Corruption surfaces as
 a distinct error class per failure mode.
 """
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
 import struct
 import sys
 from pathlib import Path
@@ -33,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSchema
-from .models import Params, build_params
+from .models import ModelConfig, Params, build_params, model_layout, whole_blocks
 
 MAGIC = b"RLPCKPT1"
 FORMAT_VERSION = 1
@@ -64,6 +71,10 @@ class SchemaDigestError(CheckpointError):
 
 class NonFiniteCheckpointError(CheckpointError):
     """Parameters hold NaN or inf; typically a diverged training run."""
+
+
+class NoRoomError(CheckpointError):
+    """The free disk cannot hold a checkpoint; raised before it is made."""
 
 
 class _Reader:
@@ -116,8 +127,43 @@ def _blob(a: np.ndarray) -> memoryview:
     return np.ascontiguousarray(a, dtype="<f8").data.cast("B")
 
 
+def _header_format(n_widths: int) -> str:
+    """The struct format of the header after the magic."""
+    return f"<IBQIII{n_widths}IIQd"
+
+
+def checkpoint_nbytes(schema: FeatureSchema, cfg: ModelConfig) -> int:
+    """The size of a checkpoint of ``cfg``'s model over ``schema``, worked out
+    from the layout without allocating a block."""
+    sizes = []
+    layout = model_layout(schema, cfg)
+    build_params(*layout, lambda _, shape: sizes.append(math.prod(shape)))
+    widths = layout[5]
+    return len(MAGIC) + struct.calcsize(_header_format(len(widths))) + 8 * sum(sizes)
+
+
+def require_room(path: str | Path, schema: FeatureSchema, cfg: ModelConfig) -> None:
+    """Refuse, before anything is drawn or trained, a checkpoint at ``path``
+    that the free disk of its directory cannot hold.
+
+    Raises:
+        NoRoomError: naming the checkpoint's bytes and the bytes free.
+    """
+    need = checkpoint_nbytes(schema, cfg)
+    where = Path(path).parent
+    free = shutil.disk_usage(where).free
+    if need > free:
+        raise NoRoomError(
+            f"a {cfg.kind} checkpoint over {schema.n_features} features takes {need} "
+            f"bytes, but {where} has {free} bytes free"
+        )
+
+
 def save_checkpoint(params: Params, path: str | Path) -> None:
     """Serialize parameters; writes are atomic via a temp file rename.
+
+    Whole tables are written from views, not copies; a held-rows table one
+    block of rows at a time (see the module docstring).
 
     Raises:
         NonFiniteCheckpointError: a parameter is NaN or inf; nothing is written.
@@ -129,17 +175,16 @@ def save_checkpoint(params: Params, path: str | Path) -> None:
             f"refusing to write {path}: parameter block {block} is not finite "
             "(did training diverge?)"
         )
-    # header fields, then views of the parameter blocks: no block is copied
     widths = params.mlp_widths
     header = struct.pack(
-        f"<IBQIII{len(widths)}IIQd", FORMAT_VERSION, _KIND_CODE[params.kind],
+        _header_format(len(widths)), FORMAT_VERSION, _KIND_CODE[params.kind],
         params.schema_digest, params.embed_dim, params.n_fields, len(widths), *widths,
         len(params.cross), params.n_features, params.bias,
     )
-    parts = [MAGIC, header] + [_blob(a) for _, a in params.blocks()]
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
-        fh.writelines(parts)
+        fh.writelines([MAGIC, header])
+        fh.writelines(_blob(a) for a in whole_blocks(params))
     tmp.replace(path)
 
 

@@ -1,6 +1,8 @@
 """Command-line entry point wiring the modules into reproducible experiments.
 
-Exit codes: 0 success, 2 usage errors, 1 runtime errors. Diagnostics go to
+Exit codes: 0 success, 2 usage errors, 1 runtime errors. A checkpoint the
+free disk cannot hold (``train``, ``loop``) is a usage error, raised before
+its model is drawn. Diagnostics go to
 stderr; data goes to files or stdout. Every command but ``eval`` writes into
 its ``--out`` directory, which must be new or empty and not a link. It writes
 ``manifest.json`` last, with the fully resolved configuration and the digest
@@ -34,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checkpoint import CheckpointError, check_schema, load_checkpoint, save_checkpoint
+from .checkpoint import (CheckpointError, NoRoomError, check_schema, load_checkpoint,
+                         require_room, save_checkpoint)
 from .features import (
     DataError,
     FeatureSchema,
@@ -63,7 +66,7 @@ from .loop import (
 )
 from .losses import LOSS_KINDS, LossConfig, emit_loss_curves, write_loss_curves
 from .metrics import METRICS_CSV_HEADER, evaluate
-from .models import MODEL_KINDS, ModelConfig, init_params, predict_batch
+from .models import MODEL_KINDS, ModelConfig, held_rows, init_params, predict_batch
 from .optim import OPTIMIZER_KINDS, DivergenceError, TrainConfig, train_epochs
 
 # not called here: bench/tracer.py resolves the name reloop.cli.infer_scores
@@ -428,11 +431,14 @@ def _cmd_train(res: dict) -> None:
     data = _load_training_data(res, schema, loss)
     model_cfg = _model_config(res)
     train_cfg = _train_config(res, loss)
-    params = init_params(schema, model_cfg, res["seed"])
+    # the model holds the rows it trains and scores (see reloop.loop)
+    scored = [ingest_csv(res["valid"], schema)] if res.get("valid") else []
+    rows = held_rows(schema.n_features, [d.indices for d in [data, *scored]])
+    require_room(out / "model.ckpt", schema, model_cfg)
+    params = init_params(schema, model_cfg, res["seed"], rows)
     params, _ = train_epochs(params, data, train_cfg)
     save_checkpoint(params, out / "model.ckpt")
-    if res.get("valid"):
-        vdata = ingest_csv(res["valid"], schema)
+    for vdata in scored:
         report = evaluate(vdata.labels, predict_batch(params, vdata))
         (out / "metrics.csv").write_text(
             METRICS_CSV_HEADER + "\n" + report.csv_line() + "\n", encoding="utf-8"
@@ -635,7 +641,7 @@ def main(argv=None) -> int:
         else:
             _dispatch(ns.command, res, digest)
         return 0
-    except UsageError as exc:
+    except (UsageError, NoRoomError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (CheckpointError, DivergenceError, ValueError, OSError) as exc:

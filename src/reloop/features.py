@@ -155,24 +155,41 @@ class FeatureSchema:
         return f"FeatureSchema({list(self.fields)!r})"
 
 
+def _fits(value, dtype: np.dtype) -> bool:
+    """Whether one index casts to ``dtype`` unchanged."""
+    try:
+        with np.errstate(invalid="ignore"):
+            return bool(np.asarray([value]).astype(dtype)[0] == value)
+    except (OverflowError, ValueError, TypeError):
+        return False
+
+
 def _index_array(schema: FeatureSchema, indices) -> np.ndarray:
     """``indices`` as a C-contiguous array of ``schema.index_dtype``: a view of
     the caller's array when it already is one, else a cast copy.
 
     Raises:
         DataError: the cast would change an index, such as one past the int32
-            range, which would wrap, or a fraction; names the first such index.
+            range, which would wrap, or a fraction, or cannot make it, such as
+            2**64, a string or None in an object array; names the first such
+            index.
     """
     indices = np.asarray(indices)
-    if indices.dtype == schema.index_dtype:
+    dtype = schema.index_dtype
+    if indices.dtype == dtype:
         return np.ascontiguousarray(indices).view()
-    with np.errstate(invalid="ignore"):  # NaN or an out-of-range float casts to garbage
-        cast = np.ascontiguousarray(indices, dtype=schema.index_dtype)
-    changed = (cast != indices).reshape(-1)
-    if changed.any():
+    flat = indices.reshape(-1)
+    try:
+        with np.errstate(invalid="ignore"):  # NaN or an out-of-range float casts to garbage
+            cast = np.ascontiguousarray(indices, dtype=dtype)
+        changed = cast.reshape(-1) != flat
+    except (OverflowError, ValueError, TypeError):  # some index int() refuses
+        cast, changed = None, np.array([not _fits(v, dtype) for v in flat.tolist()])
+    if cast is None or changed.any():
+        bad = flat[changed.argmax():][:1].tolist()[0]
         raise DataError(
-            f"feature index {indices.reshape(-1)[changed.argmax()]} does not fit "
-            f"{schema.index_dtype}, the index type of a {schema.n_features}-feature schema"
+            f"feature index {bad!r} does not fit {dtype}, the index type of a "
+            f"{schema.n_features}-feature schema"
         )
     return cast
 
@@ -181,7 +198,8 @@ class Dataset:
     """Immutable column-wise store of encoded instances, in ingestion order.
 
     Indices are held as ``schema.index_dtype``; an array of another dtype is
-    cast, and an index the cast would change raises DataError. A y_last
+    cast, and an index the cast would change or cannot make raises
+    DataError. A y_last
     column must lie in [0, 1] (DataError otherwise) and is clipped into (0, 1).
     """
 

@@ -22,6 +22,15 @@ provenance records in LoopState make that auditable. ``_train_version``
 makes every model version, the prior included: it trains, saves and fills
 the version's record from what it trained on.
 
+A version holds only the table rows it uses (``models.held_rows``): the rows
+its training data and the datasets it scores or evaluates touch, and on a
+warm start its predecessor's held rows. Every other row is the init draw of
+one seed (version 1's in a warm chain), which ``save_checkpoint`` rebuilds
+block by block, so each checkpoint has the bytes of a whole-table version
+and no version allocates a whole table. Datasets are neither copied nor
+re-indexed for it. Before its first draw a version refuses a checkpoint the
+free disk cannot hold (``checkpoint.require_room``).
+
 Each protocol has one arms function. ``run_static_arms`` trains and scores
 with the prior once, then one model per ``(loss, checkpoint name)`` arm;
 ``run_static_prior`` is its ``baseline`` (cross-entropy) and ``current``
@@ -45,11 +54,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import check_schema, load_checkpoint, save_checkpoint
+from .checkpoint import check_schema, load_checkpoint, require_room, save_checkpoint
 from .features import ROW_BLOCK, DataError, Dataset, csv_rows, probability_cell
 from .losses import LossConfig, clip_prob
 from .metrics import MetricsReport, evaluate
-from .models import ModelConfig, Params, init_params, predict_batch
+from .models import ModelConfig, Params, held_rows, hold_rows, init_params, predict_batch
 from .optim import DivergenceError, TrainConfig, train_epochs
 from .rng import derive_seed
 
@@ -323,29 +332,40 @@ def _artifact(cfg: LoopConfig, name: str) -> Path | None:
 
 def _train_version(
     cfg: LoopConfig, dataset: Dataset, loss: LossConfig, key: str | int, name: str, *,
-    version: int, source: int | None = None, start: Params | None = None,
+    version: int, scores: list[Dataset], source: int | None = None,
+    start: Params | None = None,
 ) -> tuple[Params, VersionRecord]:
     """Train model version ``version`` on ``dataset``, save it and record it.
 
     The init and shuffle seeds derive from ``key`` alone (``"prior"``,
     ``"current"`` or the window t), so a version trains to the same bytes
-    whichever others run beside it. It starts from a copy of ``start`` if
-    given, else from a fresh init. ``name`` names the checkpoint
-    ``<name>.ckpt``, saved when the config has a directory, and prefixes a
-    DivergenceError. Every row carries a y_last from version ``source``,
-    unless that is None.
+    whichever others run beside it. It holds the rows of ``dataset``, of
+    ``scores`` (the datasets it will score or evaluate) and of ``start``,
+    and starts from ``start``'s values if given, else from a fresh init.
+    ``name`` names the checkpoint ``<name>.ckpt``, saved when the config has
+    a directory, and prefixes a DivergenceError. Every row carries a y_last
+    from version ``source``, unless that is None.
+
+    Raises:
+        NoRoomError: the checkpoint would not fit the free disk; raised
+            after the rows are found, before the init draw.
     """
+    arrays = [d.indices for d in (dataset, *scores)]
+    rows = held_rows(dataset.schema.n_features,
+                     arrays if start is None else arrays + [start.rows])
+    path = _artifact(cfg, f"{name}.ckpt")
+    if path is not None:
+        require_room(path, dataset.schema, cfg.model)
     if start is None:
         params = init_params(dataset.schema, cfg.model,
-                             derive_seed(cfg.train.seed, "init", key))
+                             derive_seed(cfg.train.seed, "init", key), rows)
     else:
-        params = start.copy()
+        params = hold_rows(start, rows)
     train_cfg = replace(cfg.train, loss=loss, seed=derive_seed(cfg.train.seed, "train", key))
     try:
         params, _ = train_epochs(params, dataset, train_cfg)
     except DivergenceError as exc:
         raise DivergenceError(f"{name}: {exc}") from None
-    path = _artifact(cfg, f"{name}.ckpt")
     if path is not None:
         save_checkpoint(params, path)
     n = len(dataset)
@@ -389,7 +409,7 @@ def _train_prior(
     if n_prior < 1 or n_prior > n:
         raise DataError("prior_fraction leaves no rows for the prior model")
     params, record = _train_version(cfg, train_set.head(n_prior), _CE, "prior", "prior",
-                                    version=0)
+                                    version=0, scores=[train_set, *splits])
     reports = [_evaluate_on(params, split) for split in splits]
     return record, reports, infer_scores(params, train_set)
 
@@ -407,7 +427,7 @@ def _static_arms(
     def arm(item: tuple[LossConfig, str]):
         loss, name = item
         params, record = _train_version(cfg, scored_train, loss, "current", name,
-                                        version=1, source=0)
+                                        version=1, scores=splits, source=0)
         return record, [_evaluate_on(params, split) for split in splits]
 
     return _map_phases(arm, arms)
@@ -526,8 +546,10 @@ def _continual_version(
         window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
     train_part = window.head(n_train)
 
+    # the final version evaluates the tail of its own window
+    scored = window if final else windows[t]
     params, record = _train_version(cfg, train_part, loss, t, f"v{t:03d}", version=t,
-                                    source=y_source, start=prev)
+                                    scores=[scored], source=y_source, start=prev)
     state.versions.append(record)
     if final:
         report = _evaluate_on(params, window.tail(n_tail))

@@ -27,6 +27,22 @@ rows are found without a sort, by marking them in a boolean array over the
 table (``unique_rows``); in training that table is the trainer's sub-table
 of rows in use, so the mark costs what the data touches.
 
+Held rows: ``Params.rows`` may name the sorted feature rows the linear and
+embedding tables hold, so a model version allocates only the rows its data
+touch (``held_rows`` finds them). Every other row is, by construction, the
+init draw of ``Params.init_seed``: training changes only rows it touches,
+and a version holds every row it trains or scores. ``init_params`` draws the
+tables one block of ``ROW_BLOCK`` rows at a time from the one
+``philox(seed, 100)`` stream and keeps the rows asked for; the blocks join
+into the whole-table draw bit for bit and leave the stream where it would,
+so the dense blocks drawn after the table keep their bits too.
+``whole_blocks`` rebuilds the rows not held from that draw, block by block,
+for the checkpoint writer; ``hold_rows`` widens a model to more rows the
+same way. ``forward_batch`` maps a held-rows model's feature indices to
+table rows through a lookup over the feature space, one batch at a time, and
+refuses a row the model does not hold. With ``rows`` None the tables are
+whole and indexed by feature.
+
 Scoring contract: ``predict_batch`` scores a dataset in blocks of
 ``features.ROW_BLOCK`` (1024) rows. The last block takes in the remainder,
 so a block has 1024..2047 rows unless the dataset has fewer, and a pass holds
@@ -47,7 +63,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .features import Dataset, FeatureSchema, by_row_blocks
+from .features import ROW_BLOCK, Dataset, FeatureSchema, by_row_blocks
 from .rng import philox
 
 MODEL_KINDS = ("lr", "fm", "mlp", "deepfm", "dcn")
@@ -138,6 +154,11 @@ class Params(_Blocks):
     layer ends in a scalar, for dcn every layer is a relu hidden layer and the
     final combination lives in ``head``. cross holds (w, b) vector pairs over
     the concatenated-embedding dimension.
+
+    ``rows`` is None when the linear and embedding tables are whole, one row
+    per feature. Otherwise it holds the sorted feature rows the tables hold,
+    ``linear[j]`` and ``emb[j]`` being row ``rows[j]``, and every other row is
+    the init draw of ``init_seed`` (see the module docstring).
     """
 
     kind: str
@@ -151,6 +172,8 @@ class Params(_Blocks):
     mlp: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cross: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     head: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    init_seed: int | None = None
 
     def copy(self) -> "Params":
         return replace(self, **_each_block(self, lambda _, a: a.copy()))
@@ -178,11 +201,12 @@ class Params(_Blocks):
 class Grads(_Blocks):
     """Gradients for Params; table blocks are compact over ``rows``.
 
-    ``rows`` holds the sorted unique feature rows of the batch, as
-    ``unique_rows`` finds them from a mark array. ``linear[j]``
-    and ``emb[j]`` are the gradients of table row ``rows[j]``, so they have
-    shapes (len(rows),) and (len(rows), K). Dense blocks (bias, mlp, cross,
-    head) are shaped like their parameters.
+    ``rows`` holds the sorted unique table rows of the batch, as
+    ``unique_rows`` finds them from a mark array; a table row is the feature
+    row of whole tables, a position in ``Params.rows`` of held ones.
+    ``linear[j]`` and ``emb[j]`` are the gradients of table row ``rows[j]``,
+    so they have shapes (len(rows),) and (len(rows), K). Dense blocks (bias,
+    mlp, cross, head) are shaped like their parameters.
     """
 
     bias: float
@@ -203,7 +227,7 @@ class Grads(_Blocks):
 class Trace:
     """Cached forward activations, enough for an exact backward pass."""
 
-    indices: np.ndarray  # (B, F)
+    indices: np.ndarray  # (B, F) table rows: the feature rows, or positions in Params.rows
     z: np.ndarray  # (B,)
     emb_rows: np.ndarray | None = None  # (B, F, K) the fields' embedding rows
     fm_sum: np.ndarray | None = None  # (B, K)
@@ -260,30 +284,144 @@ def build_params(kind: str, n_fields: int, n_features: int, embed_dim: int,
                   **_each_block(shapes, make))
 
 
-def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int) -> Params:
-    """Fresh parameters; weights uniform Glorot, biases and linear zero.
-
-    Deterministic given (schema, cfg, seed); weights are drawn in layout
-    order: embeddings, mlp layers bottom-up, cross layers, head.
-    """
-    rng = philox(seed, 100)
-
-    def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name == "linear" or name.endswith(".b"):
-            return np.zeros(shape)
-        # fan_in + fan_out: a matrix's two sides, or a vector feeding one output
-        s = np.sqrt(6.0 / (sum(shape) if len(shape) == 2 else shape[0] + 1))
-        return rng.uniform(-s, s, size=shape)
-
+def model_layout(schema: FeatureSchema, cfg: ModelConfig) -> tuple:
+    """``build_params``' layout arguments, kind to cross-layer count, of
+    ``cfg``'s model over ``schema``."""
     kind = cfg.kind
     widths = tuple(cfg.mlp_widths) if kind in _WITH_MLP else ()
     if kind in ("mlp", "deepfm"):
         widths += (1,)  # scalar-ended branch
-    return build_params(
-        kind, schema.n_fields, schema.n_features,
-        cfg.embed_dim if kind in _EMBEDDED else 0, schema.digest(), widths,
-        cfg.n_cross_layers if kind == "dcn" else 0, make,
-    )
+    return (kind, schema.n_fields, schema.n_features,
+            cfg.embed_dim if kind in _EMBEDDED else 0, schema.digest(), widths,
+            cfg.n_cross_layers if kind == "dcn" else 0)
+
+
+def _glorot(shape: tuple[int, ...]) -> float:
+    # fan_in + fan_out: a matrix's two sides, or a vector feeding one output
+    return np.sqrt(6.0 / (sum(shape) if len(shape) == 2 else shape[0] + 1))
+
+
+def _init_blocks(name: str, rng, shape: tuple[int, ...]):
+    """Yield (first row, block): table ``name``'s init, ``ROW_BLOCK`` rows at
+    a time. The linear table is zero; the embedding blocks are drawn from
+    ``rng`` and join into ``rng.uniform(-s, s, size=shape)`` bit for bit."""
+    n = shape[0]
+    s = _glorot(shape)
+    for lo in range(0, n, ROW_BLOCK):
+        size = (min(ROW_BLOCK, n - lo),) + shape[1:]
+        yield lo, np.zeros(size) if name == "linear" else rng.uniform(-s, s, size=size)
+
+
+def _gather(blocks, shape: tuple[int, ...], rows: np.ndarray | None) -> np.ndarray:
+    """The rows ``rows`` (sorted; all when None) of a table of ``shape`` given
+    as (first row, block) pairs in row order."""
+    if rows is None:
+        out = np.empty(shape)
+        for lo, block in blocks:
+            out[lo : lo + block.shape[0]] = block
+        return out
+    out = np.empty((rows.size,) + shape[1:])
+    for lo, block in blocks:
+        a, b = np.searchsorted(rows, (lo, lo + block.shape[0]))
+        out[a:b] = block[rows[a:b] - lo]
+    return out
+
+
+def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
+                rows: np.ndarray | None = None) -> Params:
+    """Fresh parameters; weights uniform Glorot, biases and linear zero.
+
+    Deterministic given (schema, cfg, seed); weights are drawn in layout
+    order: embeddings, mlp layers bottom-up, cross layers, head. With
+    ``rows`` (sorted unique feature rows) the tables hold those rows only,
+    with the bits the whole tables give them; the dense blocks are the same.
+    """
+    rng = philox(seed, 100)
+
+    def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        if name in ("linear", "emb"):
+            return _gather(_init_blocks(name, rng, shape), shape, rows)
+        if name.endswith(".b"):
+            return np.zeros(shape)
+        s = _glorot(shape)
+        return rng.uniform(-s, s, size=shape)
+
+    params = build_params(*model_layout(schema, cfg), make)
+    params.rows, params.init_seed = rows, seed
+    return params
+
+
+def _whole_table(params: Params, name: str, a: np.ndarray):
+    """Yield (first row, block) of table ``name``, held as ``a``, over every
+    feature row: ``a`` itself when whole, else blocks of ``ROW_BLOCK`` rows
+    of the init draw of ``init_seed`` with the held rows written over them."""
+    if params.rows is None:
+        yield 0, a
+        return
+    rows = params.rows
+    shape = (params.n_features,) + a.shape[1:]
+    # the embedding table is the init stream's first draw
+    for lo, block in _init_blocks(name, philox(params.init_seed, 100), shape):
+        i, j = np.searchsorted(rows, (lo, lo + block.shape[0]))
+        block[rows[i:j] - lo] = a[i:j]
+        yield lo, block
+
+
+def whole_blocks(params: Params):
+    """Yield the arrays of ``params.blocks()`` in layout order as whole tables
+    give them; a held-rows table comes one block of ``ROW_BLOCK`` feature
+    rows at a time, so no whole table is allocated."""
+    for name, a in params.blocks():
+        if name in ("linear", "emb"):
+            for _, block in _whole_table(params, name, a):
+                yield block
+        else:
+            yield a
+
+
+def hold_rows(params: Params, rows: np.ndarray) -> Params:
+    """A copy of ``params`` holding the sorted feature rows ``rows``, which
+    must include every row it holds: those keep their values, the others
+    take the init draw."""
+
+    def take(name: str, a: np.ndarray) -> np.ndarray:
+        if name not in ("linear", "emb"):
+            return a.copy()
+        shape = (params.n_features,) + a.shape[1:]
+        return _gather(_whole_table(params, name, a), shape, rows)
+
+    return replace(params, rows=rows, **_each_block(params, take))
+
+
+def held_rows(n_features: int, arrays) -> np.ndarray:
+    """The sorted unique feature rows in ``arrays`` (index arrays of any
+    shape), found by marking them in a boolean array over the feature space."""
+    mark = np.zeros(n_features, dtype=bool)
+    for a in arrays:
+        mark[a] = True
+    return np.flatnonzero(mark)
+
+
+def table_rows(params: Params, indices: np.ndarray) -> np.ndarray:
+    """The table rows of feature rows ``indices`` (any shape, in range): the
+    indices themselves for whole tables, else their positions in
+    ``params.rows``, looked up in an array over the feature space.
+
+    Raises:
+        DimensionError: a feature row the params do not hold, naming the first.
+    """
+    if params.rows is None:
+        return indices
+    lookup = np.full(params.n_features, -1, dtype=np.intp)
+    lookup[params.rows] = np.arange(params.rows.size)
+    at = lookup[indices]
+    if at.size and at.min() < 0:
+        missing = indices.reshape(-1)[at.reshape(-1).argmin()]
+        raise DimensionError(
+            f"feature row {missing} is not among the {params.rows.size} rows this "
+            f"model holds of {params.n_features}"
+        )
+    return at
 
 
 def check_indices(params: Params, indices: np.ndarray) -> None:
@@ -307,9 +445,7 @@ def unique_rows(indices: np.ndarray, n_features: int) -> tuple[np.ndarray, np.nd
     ``rows`` comes out sorted, and ``slot[rows[j]] == j``. Entries of ``slot``
     off ``rows`` are undefined. ``indices`` must lie in [0, n_features).
     """
-    mark = np.zeros(n_features, dtype=bool)
-    mark[indices] = True
-    rows = np.flatnonzero(mark)
+    rows = held_rows(n_features, [indices])
     slot = np.empty(n_features, dtype=np.intp)
     slot[rows] = np.arange(rows.size)
     return rows, slot
@@ -335,10 +471,13 @@ def forward_batch(
     """Logits, probabilities and a backward-ready trace for a batch.
 
     ``indices`` is (B, n_fields) and is used as given, of any integer dtype.
-    Any other dtype raises DimensionError: a float index is not floored.
+    Any other dtype raises DimensionError: a float index is not floored. A
+    held-rows model maps them to table rows (``table_rows``) and raises
+    DimensionError for a row it does not hold; the trace keeps table rows.
     """
     indices = np.asarray(indices)
     check_indices(params, indices)
+    indices = table_rows(params, indices)
     n = indices.shape[0]
     z = np.full(n, params.bias, dtype=np.float64)
     trace = Trace(indices=indices, z=z)
@@ -488,7 +627,8 @@ def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:
     """Probabilities for every row of a dataset, in row order.
 
     Rows are scored in blocks (``features.by_row_blocks``); see the scoring
-    contract in the module docstring. An overflow is not warned about: the
+    contract in the module docstring. A held-rows model maps each block's
+    indices to its rows in ``forward_batch``. An overflow is not warned about: the
     metrics reject non-finite scores with their count, and training checks
     for divergence.
     """

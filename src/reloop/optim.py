@@ -13,10 +13,11 @@ pair of moments per step group, in step order
 the fixed constants below.
 
 ``train_epochs`` is the one training loop. It trains a sub-table: the
-linear and embedding rows the dataset touches, copied out in row order, with
-the dense blocks shared. So Adam's table moments have one row per row in
-use, not one per table row, and the trained rows are written back when
-training ends or diverges.
+linear and embedding rows the dataset touches, gathered in row order from
+the tables the params hold (whole, or held rows; see ``models``), with the
+dense blocks shared. So Adam's table moments have one row per row in use,
+not one per table row, and the trained rows are written back when training
+ends or diverges.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers the columns its loss reads once, in shuffle order, and
@@ -34,7 +35,7 @@ import numpy as np
 from .features import Dataset
 from .losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from .models import (Grads, Params, backward_batch, check_indices, forward_batch,
-                     unique_rows)
+                     table_rows, unique_rows)
 from .rng import philox
 
 OPTIMIZER_KINDS = ("sgd", "adam")
@@ -199,16 +200,18 @@ def train_epochs(
     averaged over the batch, so lr is independent of batch size. Returns the
     params and the per-epoch mean training loss.
 
-    Training runs on the sub-table of table rows the dataset touches, and
-    Adam's moments are sized by those rows. The rows keep their order, so
-    every sum and update is bitwise what a loop over the full table gives.
-    Rows the data never touches keep their bytes. The trained rows and the
-    bias are written back into ``params`` also when an error ends training.
+    Training runs on the sub-table of feature rows the dataset touches,
+    gathered from the rows ``params`` holds, and Adam's moments are sized by
+    those rows. The rows keep their order, so every sum and update is bitwise
+    what a loop over the full table gives. Rows the data never touches keep
+    their bytes. The trained rows and the bias are written back into
+    ``params`` also when an error ends training.
     An epoch shuffles only the columns the loss reads: indices, labels and,
     for reloop and kd, y_last.
 
     Raises:
-        DimensionError: an index is out of range; raised before any step.
+        DimensionError: an index is out of range, or names a row held-rows
+            params do not hold; raised before any step.
         LossInputError: reloop/kd configured but rows lack y_last.
         DivergenceError: an epoch's mean loss is not finite; checked once per
             epoch, after its last step. numpy's overflow and invalid-value
@@ -230,10 +233,11 @@ def train_epochs(
     # train a sub-table of the rows the data touches; dense blocks are shared
     check_indices(params, dataset.indices)
     used, slot = unique_rows(dataset.indices, params.n_features)
+    at = table_rows(params, used)
     sub = replace(
-        params, n_features=used.size,
-        linear=None if params.linear is None else params.linear[used],
-        emb=None if params.emb is None else params.emb[used],
+        params, n_features=used.size, rows=None,
+        linear=None if params.linear is None else params.linear[at],
+        emb=None if params.emb is None else params.emb[at],
     )
     state = OptimizerState.for_params(cfg, sub)
     # one epoch's rows in shuffle order, gathered once into reused buffers
@@ -269,7 +273,7 @@ def train_epochs(
         # also on DivergenceError: params holds every step taken so far
         params.bias = sub.bias
         if params.linear is not None:
-            params.linear[used] = sub.linear
+            params.linear[at] = sub.linear
         if params.emb is not None:
-            params.emb[used] = sub.emb
+            params.emb[at] = sub.emb
     return params, log

@@ -21,11 +21,15 @@ from reloop.checkpoint import (
     SchemaDigestError,
     TruncatedCheckpointError,
     check_schema,
+    checkpoint_nbytes,
     load_checkpoint,
     save_checkpoint,
 )
-from reloop.features import FeatureSchema, FieldSpec
-from reloop.models import MODEL_KINDS, ModelConfig, init_params
+from reloop.features import ROW_BLOCK, Dataset, FeatureSchema, FieldSpec
+from reloop.models import (MODEL_KINDS, DimensionError, ModelConfig, forward_batch,
+                           held_rows, hold_rows, init_params, predict_batch)
+from reloop.optim import TrainConfig, train_epochs
+from reloop.rng import philox
 
 
 @pytest.fixture
@@ -65,6 +69,105 @@ class TestRoundTrip:
         save_checkpoint(p, tmp_path / "a.ckpt")
         save_checkpoint(p, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def held_schema():
+    """2085 features: two whole init-draw blocks of ROW_BLOCK rows and a
+    partial third."""
+    schema = FeatureSchema([FieldSpec("a", buckets=1000), FieldSpec("b", buckets=1000),
+                            FieldSpec("c", buckets=85)])
+    assert schema.n_features > 2 * ROW_BLOCK and schema.n_features % ROW_BLOCK
+    return schema
+
+
+# an odd embed_dim, a perceptron branch and two cross layers
+HELD_CFG = dict(embed_dim=3, mlp_widths=(5,), n_cross_layers=2)
+
+
+def held_case_data(schema, n, seed):
+    rng = np.random.default_rng(seed)
+    idx = np.stack([schema.index_base[f] + rng.integers(0, spec.buckets, n)
+                    for f, spec in enumerate(schema.fields)], axis=1)
+    return Dataset(schema, (rng.random(n) < 0.4).astype(np.float64), idx, np.arange(n))
+
+
+def saved(params, path):
+    save_checkpoint(params, path)
+    return path.read_bytes()
+
+
+class TestHeldRows:
+    """A model holding only some table rows draws, trains, scores and saves
+    what the whole-table model does, bit for bit."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_init_and_save_equal_the_whole_tables(self, tmp_path, kind):
+        schema = held_schema()
+        cfg = ModelConfig(kind, **HELD_CFG)
+        whole = init_params(schema, cfg, seed=6)
+        rng = philox(6, 100)  # the whole-table draw, then the first dense block
+        if whole.emb is not None:
+            s = np.sqrt(6.0 / (schema.n_features + 3))
+            assert whole.emb.tobytes() == rng.uniform(-s, s, size=whole.emb.shape).tobytes()
+        if whole.mlp:
+            w = whole.mlp[0][0]
+            s = np.sqrt(6.0 / sum(w.shape))
+            assert w.tobytes() == rng.uniform(-s, s, size=w.shape).tobytes()
+        rows = held_rows(schema.n_features, [held_case_data(schema, 40, 1).indices])
+        assert rows[-1] >= 2 * ROW_BLOCK and rows.size < schema.n_features
+        held = init_params(schema, cfg, seed=6, rows=rows)
+        assert [name for name, _ in held.blocks()] == [name for name, _ in whole.blocks()]
+        for (name, w), (_, h) in zip(whole.blocks(), held.blocks()):
+            want = w[rows] if name in ("linear", "emb") else w
+            assert h.tobytes() == want.tobytes(), name
+        assert saved(held, tmp_path / "h.ckpt") == saved(whole, tmp_path / "w.ckpt")
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_warm_chain_of_growing_rows_saves_the_whole_bytes(self, tmp_path, kind):
+        schema = held_schema()
+        cfg = ModelConfig(kind, **HELD_CFG)
+        train_cfg = TrainConfig(epochs=2, batch_size=32, seed=3)
+        windows = [held_case_data(schema, 120, seed) for seed in (1, 2, 3)]
+        whole = init_params(schema, cfg, seed=6)
+        held = init_params(schema, cfg, seed=6,
+                           rows=held_rows(schema.n_features, [windows[0].indices]))
+        for t, window in enumerate(windows):
+            if t:
+                grown = hold_rows(held, held_rows(schema.n_features,
+                                                  [held.rows, window.indices]))
+                assert grown.rows.size > held.rows.size
+                held, whole = grown, whole.copy()
+            train_epochs(whole, window, train_cfg)
+            train_epochs(held, window, train_cfg)
+            assert predict_batch(held, window).tobytes() == predict_batch(whole, window).tobytes()
+            assert (saved(held, tmp_path / f"h{t}.ckpt")
+                    == saved(whole, tmp_path / f"w{t}.ckpt")), t
+        assert held.rows.size < schema.n_features
+
+    def test_a_row_not_held_is_refused(self):
+        schema = held_schema()
+        data = held_case_data(schema, 10, 1)
+        rows = held_rows(schema.n_features, [data.indices])
+        held = init_params(schema, ModelConfig("fm", embed_dim=3), seed=6, rows=rows)
+        missing = np.setdiff1d(np.arange(schema.n_features), rows)[0]
+        idx = data.indices[:2].copy()
+        idx[1, 0] = missing
+        with pytest.raises(DimensionError, match=rf"^feature row {missing} is not among the "
+                                                 rf"{rows.size} rows this model holds"):
+            forward_batch(held, idx)
+        bad = Dataset(schema, np.array([0.0, 1.0]), idx, np.arange(2))
+        before = held.copy()
+        with pytest.raises(DimensionError, match="is not among"):
+            train_epochs(held, bad, TrainConfig(epochs=1))
+        assert held.emb.tobytes() == before.emb.tobytes()
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_nbytes_is_the_file_size(self, tmp_path, kind):
+        schema = held_schema()
+        cfg = ModelConfig(kind, **HELD_CFG)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(schema, cfg, seed=1), path)
+        assert checkpoint_nbytes(schema, cfg) == path.stat().st_size
 
 
 class TestNonFinite:

@@ -55,6 +55,26 @@ def three_windows(tmp_path_factory):
     return generate_synthetic_csv(spec, tmp_path_factory.mktemp("three"))
 
 
+def run_capped(*argv):
+    """The CLI with ``argv`` in a child under a 3 GiB address-space limit, so
+    an array past it fails to allocate instead of being attempted."""
+    resource = pytest.importorskip("resource")
+    limit = 3 * 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "reloop.cli", *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space,
+    )
+
+
 def tree_bytes(root: Path, skip=("manifest.json",)):
     out = {}
     for p in sorted(root.rglob("*")):
@@ -82,23 +102,7 @@ class TestGenData:
 
     @staticmethod
     def gen_data_capped(out, *argv):
-        """``gen-data --out out *argv`` in a child under a 3 GiB address-space
-        limit, so a table past it fails to allocate instead of being attempted."""
-        resource = pytest.importorskip("resource")
-        limit = 3 * 2**30
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS,
-                               (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
-
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
-        return subprocess.run(
-            [sys.executable, "-m", "reloop.cli", "gen-data", *argv, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=cap_address_space,
-        )
+        return run_capped("gen-data", *argv, "--out", out)
 
     def test_out_of_memory_leaves_no_directory(self, tmp_path):
         """A latent table that cannot be allocated (23.3 TiB) exits 1 and
@@ -144,6 +148,54 @@ class TestGenData:
         assert "--fields: expected int in [2, inf], got '1'" in err
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
+
+
+class TestCheckpointBounds:
+    """``train`` and ``loop`` fail before any draw on a model that fits
+    neither memory nor disk, and leave nothing."""
+
+    @staticmethod
+    def commands(data_dir):
+        data = data_dir / "single" / "window_000.csv"
+        return {
+            "train": ["train", "--data", data],
+            "static": ["loop", "--mode", "static", "--data", data],
+            "continual": ["loop", "--mode", "continual",
+                          "--windows", data_dir / "windows" / "window_*.csv"],
+        }
+
+    @pytest.mark.parametrize("command", ["train", "static", "continual"])
+    def test_feature_space_past_memory_exits_one(self, data_dir, tmp_path, command):
+        """8 x 10^11 features: the row mark over the feature space (745 GiB)
+        is allocated before any draw and fails at once."""
+        out = tmp_path / "x"
+        proc = run_capped(*self.commands(data_dir)[command], "--model", "fm",
+                          "--epochs", 1, "--buckets", "100000000000", "--out", out)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert not out.exists()
+
+    def test_checkpoint_past_free_disk_exits_two(self, data_dir, tmp_path, monkeypatch,
+                                                 capsys):
+        """The bound is the checkpoint's size: that much free disk runs, one
+        byte less is a usage error before anything is drawn, and nothing is
+        left."""
+        args = ["--model", "deepfm", "--embed-dim", 3, "--epochs", 1, "--buckets", 12]
+        commands = self.commands(data_dir)
+        assert run(*commands["train"], *args, "--out", tmp_path / "a") == 0
+        size = (tmp_path / "a" / "model.ckpt").stat().st_size
+        usage = shutil.disk_usage(tmp_path)
+        for free, code in ((size, 0), (size - 1, 2)):
+            monkeypatch.setattr(shutil, "disk_usage", lambda path: usage._replace(free=free))
+            for name, argv in commands.items():
+                out = tmp_path / f"{name}-{free}"
+                capsys.readouterr()
+                assert run(*argv, *args, "--out", out) == code, name
+                assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: a deepfm checkpoint over 48 features takes "
+                              f"{size} bytes, but ")
+        assert err.endswith(f" has {size - 1} bytes free\n")
 
 
 class TestTrain:

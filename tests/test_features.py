@@ -444,6 +444,29 @@ class TestDataset:
         held = Dataset(small_schema, np.zeros(2), idx, np.arange(2)).indices
         assert held.dtype == np.int32 and held.tolist() == idx.tolist()
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        before=st.lists(st.integers(-(2**31), 2**31 - 1), max_size=9),
+        bad=st.one_of(
+            st.integers(min_value=2**31), st.integers(max_value=-(2**31) - 1),
+            st.text(max_size=4), st.none(), st.binary(max_size=3),
+            st.floats().filter(lambda x: not x.is_integer()),
+        ),
+        after=st.lists(st.one_of(st.integers(-(2**31), 2**31 - 1), st.none(), st.text()),
+                       max_size=9),
+    )
+    def test_first_index_that_cannot_be_cast_named(self, before, bad, after):
+        """An object index array holding values int() refuses (2**64, a
+        string, None) or that the cast would change raises DataError naming
+        the first such value, never a plain Python error."""
+        schema = FeatureSchema([FieldSpec("a", buckets=6)])
+        cells = before + [bad] + after
+        indices = np.empty((len(cells), 1), dtype=object)
+        indices[:, 0] = cells
+        with pytest.raises(DataError) as info:
+            Dataset(schema, np.zeros(len(cells)), indices, np.arange(len(cells)))
+        assert str(info.value).startswith(f"feature index {bad!r} does not fit int32, ")
+
     def test_every_constructor_keeps_the_schema_dtype(self, tiny_dataset, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("label,f0,f1,f2,f3\n1,a,b,c,d\n", encoding="utf-8")

@@ -787,3 +787,35 @@ def test_fuzzed_score_log_lines_load_or_raise_data_error(body):
             return
     assert log.row_ids.shape == log.scores.shape
     assert np.all((log.scores >= 0.0) & (log.scores <= 1.0))
+
+
+@pytest.mark.parametrize("mode, warm", [
+    ("continual", False), ("continual", True), ("static_prior", False),
+])
+def test_no_version_allocates_a_whole_table(tmp_path, monkeypatch, mode, warm):
+    """Over 2^17 features a model version holds only the rows its tiny
+    windows touch, so a whole fm loop, checkpoints included, traces a peak
+    below one embedding table (16 MiB at K=16); the checkpoints stay whole."""
+    spec = SyntheticSpec(n_fields=8, buckets_per_field=2**14, latent_dim=2, n_rows=200,
+                         seed=3, n_windows=3, drift_rate=0.2)
+    windows = generate_synthetic(spec)
+    table = spec.schema().n_features * 16 * 8
+    assert table == 16 * 2**20
+    # the static arms run here, where tracemalloc sees them
+    monkeypatch.setattr(reloop.loop, "phase_processes", lambda n_items: 1)
+    cfg = LoopConfig(mode=mode, model=ModelConfig("fm", embed_dim=16),
+                     train=TrainConfig(epochs=1, seed=2, loss=LossConfig("reloop", alpha=0.2)),
+                     warm_start=warm, checkpoint_dir=tmp_path)
+    tracemalloc.start()
+    try:
+        if mode == "continual":
+            run_continual(cfg, windows)
+        else:
+            run_static_prior(cfg, *windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table, peak
+    ckpts = sorted(tmp_path.glob("*.ckpt"))
+    assert len(ckpts) == 3
+    assert all(p.stat().st_size > table for p in ckpts)
