@@ -100,15 +100,11 @@ class TestGenData:
     def test_bad_flag_exits_two(self):
         assert run("gen-data", "--nope", "1") == 2
 
-    @staticmethod
-    def gen_data_capped(out, *argv):
-        return run_capped("gen-data", *argv, "--out", out)
-
     def test_out_of_memory_leaves_no_directory(self, tmp_path):
         """A latent table that cannot be allocated (23.3 TiB) exits 1 and
         makes no output directory."""
         out = tmp_path / "x"
-        proc = self.gen_data_capped(out, "--buckets", "100000000000")
+        proc = run_capped("gen-data", "--buckets", "100000000000", "--out", out)
         assert proc.returncode == 1, proc.stderr
         assert proc.stderr.startswith("error: out of memory: Unable to allocate")
         assert not out.exists()
@@ -118,7 +114,8 @@ class TestGenData:
         memory; the CSV bytes are bounded against the free disk before
         anything is drawn (2.6 PB here), and nothing is left."""
         out = tmp_path / "x"
-        proc = self.gen_data_capped(out, "--rows", "100000000000", "--windows", "1000")
+        proc = run_capped("gen-data", "--rows", "100000000000", "--windows", "1000",
+                          "--out", out)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith(
             f"usage error: --rows 100000000000 and --windows 1000 make up to "
