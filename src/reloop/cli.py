@@ -66,7 +66,8 @@ from .loop import (
 )
 from .losses import LOSS_KINDS, LossConfig, emit_loss_curves, write_loss_curves
 from .metrics import METRICS_CSV_HEADER, evaluate
-from .models import MODEL_KINDS, ModelConfig, held_rows, init_params, predict_batch
+from .models import (MODEL_KINDS, ModelConfig, held_rows, hold_rows, init_params,
+                     predict_batch)
 from .optim import OPTIMIZER_KINDS, DivergenceError, TrainConfig, train_epochs
 
 # not called here: bench/tracer.py resolves the name reloop.cli.infer_scores
@@ -431,15 +432,16 @@ def _cmd_train(res: dict) -> None:
     data = _load_training_data(res, schema, loss)
     model_cfg = _model_config(res)
     train_cfg = _train_config(res, loss)
-    # the model holds the rows it trains and scores (see reloop.loop)
+    # the model holds the rows it trains, then those it scores (see reloop.loop)
     scored = [ingest_csv(res["valid"], schema)] if res.get("valid") else []
-    rows = held_rows(schema.n_features, [d.indices for d in [data, *scored]])
-    require_room(out / "model.ckpt", schema, model_cfg)
+    rows = held_rows(schema.n_features, [data.indices])
+    require_room(out / "model.ckpt", schema, model_cfg, rows.size)
     params = init_params(schema, model_cfg, res["seed"], rows)
     params, _ = train_epochs(params, data, train_cfg)
     save_checkpoint(params, out / "model.ckpt")
     for vdata in scored:
-        report = evaluate(vdata.labels, predict_batch(params, vdata))
+        vparams = hold_rows(params, held_rows(schema.n_features, [vdata.indices]))
+        report = evaluate(vdata.labels, predict_batch(vparams, vdata))
         (out / "metrics.csv").write_text(
             METRICS_CSV_HEADER + "\n" + report.csv_line() + "\n", encoding="utf-8"
         )
@@ -553,6 +555,7 @@ def _cmd_eval(res: dict) -> None:
         params = load_checkpoint(res["checkpoint"])
         check_schema(params, schema)
         data = ingest_csv(res["data"], schema)
+        params = hold_rows(params, held_rows(schema.n_features, [data.indices]))
         # the raw probabilities, as loop reports and train --valid score them
         labels, scores = data.labels, predict_batch(params, data)
     report = evaluate(labels, scores)

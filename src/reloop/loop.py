@@ -22,12 +22,13 @@ provenance records in LoopState make that auditable. ``_train_version``
 makes every model version, the prior included: it trains, saves and fills
 the version's record from what it trained on.
 
-A version holds only the table rows it uses (``models.held_rows``): the rows
-its training data and the datasets it scores or evaluates touch, and on a
-warm start its predecessor's held rows. Every other row is the init draw of
-one seed (version 1's in a warm chain), which ``save_checkpoint`` rebuilds
-block by block, so each checkpoint has the bytes of a whole-table version
-and no version allocates a whole table. Datasets are neither copied nor
+A version holds only the table rows it uses (``models.held_rows``), so no
+version allocates a whole table. It trains on the rows its training data
+touch, and on a warm start also its predecessor's held rows: a cold version
+draws just its training rows and trains them in place. Its checkpoint
+stores those rows. Then it takes on the rows of the datasets it scores or
+evaluates (``models.hold_rows``). Every other row is the init draw of one
+seed (version 1's in a warm chain). Datasets are neither copied nor
 re-indexed for it. Before its first draw a version refuses a checkpoint the
 free disk cannot hold (``checkpoint.require_room``).
 
@@ -223,10 +224,16 @@ def _predict_scored(params: Params, dataset: Dataset) -> tuple[np.ndarray, Score
 def infer_scores(checkpoint, dataset: Dataset) -> ScoreLog:
     """Score every row of a dataset with a checkpoint (path or Params).
 
-    The checkpoint's schema digest must match the dataset's schema. Scores
+    The checkpoint's schema digest must match the dataset's schema. A loaded
+    checkpoint is moved to the dataset's rows (``models.hold_rows``). Scores
     are clipped into (0, 1) before logging so downstream losses stay finite.
     """
-    params = checkpoint if isinstance(checkpoint, Params) else load_checkpoint(checkpoint)
+    if isinstance(checkpoint, Params):
+        params = checkpoint
+    else:
+        params = load_checkpoint(checkpoint)
+        check_schema(params, dataset.schema)
+        params = hold_rows(params, held_rows(params.n_features, [dataset.indices]))
     return _predict_scored(params, dataset)[1]
 
 
@@ -339,23 +346,23 @@ def _train_version(
 
     The init and shuffle seeds derive from ``key`` alone (``"prior"``,
     ``"current"`` or the window t), so a version trains to the same bytes
-    whichever others run beside it. It holds the rows of ``dataset``, of
-    ``scores`` (the datasets it will score or evaluate) and of ``start``,
-    and starts from ``start``'s values if given, else from a fresh init.
-    ``name`` names the checkpoint ``<name>.ckpt``, saved when the config has
-    a directory, and prefixes a DivergenceError. Every row carries a y_last
-    from version ``source``, unless that is None.
+    whichever others run beside it. It trains holding the rows of
+    ``dataset`` and of ``start``, starting from ``start``'s values if given,
+    else from a fresh init of only those rows. ``name`` names the checkpoint
+    ``<name>.ckpt``, saved when the config has a directory, and prefixes a
+    DivergenceError. The params come back holding also the rows of
+    ``scores``, the datasets the version will score or evaluate. Every row
+    carries a y_last from version ``source``, unless that is None.
 
     Raises:
         NoRoomError: the checkpoint would not fit the free disk; raised
             after the rows are found, before the init draw.
     """
-    arrays = [d.indices for d in (dataset, *scores)]
-    rows = held_rows(dataset.schema.n_features,
-                     arrays if start is None else arrays + [start.rows])
+    n_features = dataset.schema.n_features
+    rows = held_rows(n_features, [dataset.indices] + ([] if start is None else [start.rows]))
     path = _artifact(cfg, f"{name}.ckpt")
     if path is not None:
-        require_room(path, dataset.schema, cfg.model)
+        require_room(path, dataset.schema, cfg.model, rows.size)
     if start is None:
         params = init_params(dataset.schema, cfg.model,
                              derive_seed(cfg.train.seed, "init", key), rows)
@@ -368,6 +375,8 @@ def _train_version(
         raise DivergenceError(f"{name}: {exc}") from None
     if path is not None:
         save_checkpoint(params, path)
+    params = hold_rows(params, held_rows(n_features,
+                                         [params.rows, *(d.indices for d in scores)]))
     n = len(dataset)
     return params, VersionRecord(
         version=version, loss_kind=loss.kind,

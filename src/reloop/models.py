@@ -36,10 +36,9 @@ tables one block of ``ROW_BLOCK`` rows at a time from the one
 ``philox(seed, 100)`` stream and keeps the rows asked for; the blocks join
 into the whole-table draw bit for bit and leave the stream where it would,
 so the dense blocks drawn after the table keep their bits too.
-``whole_blocks`` rebuilds the rows not held from that draw, block by block,
-for the checkpoint writer; ``hold_rows`` widens a model to more rows the
-same way. ``forward_batch`` maps a held-rows model's feature indices to
-table rows through a lookup over the feature space, one batch at a time, and
+``hold_rows`` moves a model to other rows, drawing only the rows it does
+not hold. ``forward_batch`` maps a held-rows model's feature indices to
+table rows by a binary search of ``Params.rows`` (``table_rows``) and
 refuses a row the model does not hold. With ``rows`` None the tables are
 whole and indexed by feature.
 
@@ -156,9 +155,10 @@ class Params(_Blocks):
     the concatenated-embedding dimension.
 
     ``rows`` is None when the linear and embedding tables are whole, one row
-    per feature. Otherwise it holds the sorted feature rows the tables hold,
-    ``linear[j]`` and ``emb[j]`` being row ``rows[j]``, and every other row is
-    the init draw of ``init_seed`` (see the module docstring).
+    per feature, as they are whenever they hold every row. Otherwise it holds
+    the sorted feature rows the tables hold, ``linear[j]`` and ``emb[j]``
+    being row ``rows[j]``, and every other row is the init draw of
+    ``init_seed`` (see the module docstring).
     """
 
     kind: str
@@ -336,6 +336,7 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
     ``rows`` (sorted unique feature rows) the tables hold those rows only,
     with the bits the whole tables give them; the dense blocks are the same.
     """
+    rows = _whole_if_every(rows, schema.n_features)
     rng = philox(seed, 100)
 
     def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -351,46 +352,50 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
     return params
 
 
-def _whole_table(params: Params, name: str, a: np.ndarray):
-    """Yield (first row, block) of table ``name``, held as ``a``, over every
-    feature row: ``a`` itself when whole, else blocks of ``ROW_BLOCK`` rows
-    of the init draw of ``init_seed`` with the held rows written over them."""
+def _whole_if_every(rows: np.ndarray | None, n_features: int) -> np.ndarray | None:
+    """``rows``, or None when they are every feature row: tables holding every
+    row are whole, so they are indexed by feature with no search."""
+    return None if rows is not None and rows.size == n_features else rows
+
+
+def _positions(params: Params, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the feature rows ``rows`` (any shape) sit in ``params``' tables,
+    and a mask of those the tables hold; a position off the mask is
+    meaningless."""
     if params.rows is None:
-        yield 0, a
-        return
-    rows = params.rows
-    shape = (params.n_features,) + a.shape[1:]
-    # the embedding table is the init stream's first draw
-    for lo, block in _init_blocks(name, philox(params.init_seed, 100), shape):
-        i, j = np.searchsorted(rows, (lo, lo + block.shape[0]))
-        block[rows[i:j] - lo] = a[i:j]
-        yield lo, block
-
-
-def whole_blocks(params: Params):
-    """Yield the arrays of ``params.blocks()`` in layout order as whole tables
-    give them; a held-rows table comes one block of ``ROW_BLOCK`` feature
-    rows at a time, so no whole table is allocated."""
-    for name, a in params.blocks():
-        if name in ("linear", "emb"):
-            for _, block in _whole_table(params, name, a):
-                yield block
-        else:
-            yield a
+        return rows, np.ones(rows.shape, dtype=bool)
+    held = params.rows
+    # transposed, a (B, F) batch is searched field by field: each field's
+    # rows lie close together among the held rows, so the search stays in cache
+    at = np.searchsorted(held, rows.T).T
+    found = at < held.size
+    found[found] = held[at[found]] == rows[found]
+    return at, found
 
 
 def hold_rows(params: Params, rows: np.ndarray) -> Params:
-    """A copy of ``params`` holding the sorted feature rows ``rows``, which
-    must include every row it holds: those keep their values, the others
-    take the init draw."""
+    """A copy of ``params`` holding the sorted feature rows ``rows``: a row it
+    holds keeps its value, any other takes the init draw of ``init_seed``,
+    which is made only when there is such a row. Held rows not in ``rows``
+    are dropped, so a caller keeping trained rows passes them too."""
+    at, found = _positions(params, rows)
+    missing = None if found.all() else rows[~found]
 
     def take(name: str, a: np.ndarray) -> np.ndarray:
         if name not in ("linear", "emb"):
             return a.copy()
-        shape = (params.n_features,) + a.shape[1:]
-        return _gather(_whole_table(params, name, a), shape, rows)
+        out = np.empty(rows.shape + a.shape[1:])
+        if len(a):  # "clip" bounds the positions of rows not held, overwritten below
+            np.take(a, at, axis=0, out=out, mode="clip")
+        if missing is not None:
+            shape = (params.n_features,) + a.shape[1:]
+            # the embedding table is the init stream's first draw
+            draw = _init_blocks(name, philox(params.init_seed, 100), shape)
+            out[~found] = _gather(draw, shape, missing)
+        return out
 
-    return replace(params, rows=rows, **_each_block(params, take))
+    return replace(params, rows=_whole_if_every(rows, params.n_features),
+                   **_each_block(params, take))
 
 
 def held_rows(n_features: int, arrays) -> np.ndarray:
@@ -405,18 +410,16 @@ def held_rows(n_features: int, arrays) -> np.ndarray:
 def table_rows(params: Params, indices: np.ndarray) -> np.ndarray:
     """The table rows of feature rows ``indices`` (any shape, in range): the
     indices themselves for whole tables, else their positions in
-    ``params.rows``, looked up in an array over the feature space.
+    ``params.rows``, found by binary search.
 
     Raises:
         DimensionError: a feature row the params do not hold, naming the first.
     """
     if params.rows is None:
         return indices
-    lookup = np.full(params.n_features, -1, dtype=np.intp)
-    lookup[params.rows] = np.arange(params.rows.size)
-    at = lookup[indices]
-    if at.size and at.min() < 0:
-        missing = indices.reshape(-1)[at.reshape(-1).argmin()]
+    at, found = _positions(params, indices)
+    if not found.all():
+        missing = indices.reshape(-1)[found.reshape(-1).argmin()]
         raise DimensionError(
             f"feature row {missing} is not among the {params.rows.size} rows this "
             f"model holds of {params.n_features}"

@@ -13,11 +13,12 @@ pair of moments per step group, in step order
 the fixed constants below.
 
 ``train_epochs`` is the one training loop. It trains a sub-table: the
-linear and embedding rows the dataset touches, gathered in row order from
-the tables the params hold (whole, or held rows; see ``models``), with the
-dense blocks shared. So Adam's table moments have one row per row in use,
-not one per table row, and the trained rows are written back when training
-ends or diverges.
+linear and embedding rows the dataset touches, in row order, with the dense
+blocks shared. So Adam's table moments have one row per row in use, not one
+per table row. Params holding exactly those rows (a cold model version; see
+``models``) are that sub-table and train in place. Otherwise the rows are
+gathered from the tables the params hold (whole, or held rows) and written
+back when training ends or diverges.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers the columns its loss reads once, in shuffle order, and
@@ -200,12 +201,13 @@ def train_epochs(
     averaged over the batch, so lr is independent of batch size. Returns the
     params and the per-epoch mean training loss.
 
-    Training runs on the sub-table of feature rows the dataset touches,
-    gathered from the rows ``params`` holds, and Adam's moments are sized by
-    those rows. The rows keep their order, so every sum and update is bitwise
-    what a loop over the full table gives. Rows the data never touches keep
-    their bytes. The trained rows and the bias are written back into
-    ``params`` also when an error ends training.
+    Training runs on the sub-table of feature rows the dataset touches, and
+    Adam's moments are sized by those rows. When ``params`` holds exactly
+    those rows its tables are that sub-table, trained in place; otherwise the
+    rows are gathered from its tables, and written back with the bias also
+    when an error ends training. The rows keep their order, so every sum and
+    update is bitwise what a loop over the full table gives. Rows the data
+    never touches keep their bytes.
     An epoch shuffles only the columns the loss reads: indices, labels and,
     for reloop and kd, y_last.
 
@@ -234,11 +236,11 @@ def train_epochs(
     check_indices(params, dataset.indices)
     used, slot = unique_rows(dataset.indices, params.n_features)
     at = table_rows(params, used)
-    sub = replace(
-        params, n_features=used.size, rows=None,
-        linear=None if params.linear is None else params.linear[at],
-        emb=None if params.emb is None else params.emb[at],
-    )
+    # params holding only rows in use are the sub-table: no copy, no write-back
+    in_place = used.size == (params.n_features if params.rows is None else params.rows.size)
+    sub = replace(params, n_features=used.size, rows=None)
+    if not in_place:
+        sub.linear, sub.emb = (None if t is None else t[at] for t in _tables(params))
     state = OptimizerState.for_params(cfg, sub)
     # one epoch's rows in shuffle order, gathered once into reused buffers
     shuffled = [np.empty_like(c) for c in columns]
@@ -272,8 +274,8 @@ def train_epochs(
     finally:
         # also on DivergenceError: params holds every step taken so far
         params.bias = sub.bias
-        if params.linear is not None:
-            params.linear[at] = sub.linear
-        if params.emb is not None:
-            params.emb[at] = sub.emb
+        if not in_place:
+            for theta, trained in zip(_tables(params), _tables(sub)):
+                if theta is not None:
+                    theta[at] = trained
     return params, log

@@ -25,9 +25,10 @@ from reloop.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+import reloop.models
 from reloop.features import ROW_BLOCK, Dataset, FeatureSchema, FieldSpec
 from reloop.models import (MODEL_KINDS, DimensionError, ModelConfig, forward_batch,
-                           held_rows, hold_rows, init_params, predict_batch)
+                           held_rows, hold_rows, init_params, predict_batch, table_rows)
 from reloop.optim import TrainConfig, train_epochs
 from reloop.rng import philox
 
@@ -96,9 +97,15 @@ def saved(params, path):
     return path.read_bytes()
 
 
+def every_row(params):
+    """``params`` moved to every feature row."""
+    return hold_rows(params, np.arange(params.n_features))
+
+
 class TestHeldRows:
     """A model holding only some table rows draws, trains, scores and saves
-    what the whole-table model does, bit for bit."""
+    what the whole-table model does, bit for bit: its checkpoint stores the
+    held rows, and those moved to every row are the whole model."""
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_init_and_save_equal_the_whole_tables(self, tmp_path, kind):
@@ -120,10 +127,20 @@ class TestHeldRows:
         for (name, w), (_, h) in zip(whole.blocks(), held.blocks()):
             want = w[rows] if name in ("linear", "emb") else w
             assert h.tobytes() == want.tobytes(), name
-        assert saved(held, tmp_path / "h.ckpt") == saved(whole, tmp_path / "w.ckpt")
+        save_checkpoint(held, tmp_path / "h.ckpt")
+        loaded = load_checkpoint(tmp_path / "h.ckpt")
+        assert loaded.rows.tobytes() == rows.tobytes() and loaded.init_seed == 6
+        assert params_to_vector(loaded).tobytes() == params_to_vector(held).tobytes()
+        widened = every_row(loaded)
+        assert params_to_vector(widened).tobytes() == params_to_vector(whole).tobytes()
+        # every row stored is a whole-table file
+        assert saved(widened, tmp_path / "h.ckpt") == saved(whole, tmp_path / "w.ckpt")
+        assert load_checkpoint(tmp_path / "h.ckpt").rows is None
 
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_warm_chain_of_growing_rows_saves_the_whole_bytes(self, tmp_path, kind):
+        """Each version's checkpoint, loaded and moved to every row, saves
+        the whole-table version's bytes."""
         schema = held_schema()
         cfg = ModelConfig(kind, **HELD_CFG)
         train_cfg = TrainConfig(epochs=2, batch_size=32, seed=3)
@@ -140,7 +157,10 @@ class TestHeldRows:
             train_epochs(whole, window, train_cfg)
             train_epochs(held, window, train_cfg)
             assert predict_batch(held, window).tobytes() == predict_batch(whole, window).tobytes()
-            assert (saved(held, tmp_path / f"h{t}.ckpt")
+            save_checkpoint(held, tmp_path / f"h{t}.ckpt")
+            loaded = load_checkpoint(tmp_path / f"h{t}.ckpt")
+            assert loaded.rows.tobytes() == held.rows.tobytes()
+            assert (saved(every_row(loaded), tmp_path / f"h{t}.ckpt")
                     == saved(whole, tmp_path / f"w{t}.ckpt")), t
         assert held.rows.size < schema.n_features
 
@@ -161,13 +181,68 @@ class TestHeldRows:
             train_epochs(held, bad, TrainConfig(epochs=1))
         assert held.emb.tobytes() == before.emb.tobytes()
 
+    def test_table_rows_are_the_positions_a_lookup_gives(self):
+        """The binary search maps every held row to what a lookup array over
+        the feature space gives, and names the first row not held in C
+        order, as the lookup did."""
+        schema = held_schema()
+        data = held_case_data(schema, 300, 2)
+        rows = held_rows(schema.n_features, [data.indices])
+        held = init_params(schema, ModelConfig("fm", embed_dim=3), seed=6, rows=rows)
+        lookup = np.full(schema.n_features, -1, dtype=np.intp)
+        lookup[rows] = np.arange(rows.size)
+        for idx in (data.indices, data.indices.astype(np.int64), rows[::-1]):
+            at = table_rows(held, idx)
+            assert at.dtype == np.intp and at.tobytes() == lookup[idx].tobytes()
+        assert table_rows(held, data.indices[:0]).shape == (0, 3)
+        not_held = np.setdiff1d(np.arange(schema.n_features), rows)
+        idx = data.indices[:3].copy()
+        idx[1, 2], idx[2, 0] = not_held[-1], not_held[0]  # the last row after every held one
+        with pytest.raises(DimensionError, match=rf"^feature row {not_held[-1]} is not among "
+                                                 rf"the {rows.size} rows this model holds of "
+                                                 rf"{schema.n_features}$"):
+            table_rows(held, idx)
+
+    @pytest.mark.parametrize("kind", ["lr", "mlp", "dcn"])
+    def test_hold_rows_draws_only_for_rows_not_held(self, monkeypatch, kind):
+        schema = held_schema()
+        cfg = ModelConfig(kind, **HELD_CFG)
+        whole = init_params(schema, cfg, seed=6)
+        rows = held_rows(schema.n_features, [held_case_data(schema, 40, 1).indices])
+        held = init_params(schema, cfg, seed=6, rows=rows)
+        draws = []
+        real = reloop.models._init_blocks
+        monkeypatch.setattr(reloop.models, "_init_blocks",
+                            lambda name, *a: draws.append(name) or real(name, *a))
+        tables = [name for name, _ in whole.blocks() if name in ("linear", "emb")]
+        every = np.arange(schema.n_features)
+        # a model holding every row is kept whole
+        odd = rows[1::2]
+        for params, want, kept in ((held, odd, odd), (held, rows, rows),
+                                   (whole, rows, rows), (whole, every, None)):
+            moved = hold_rows(params, want)
+            assert draws == [] and moved.rows is kept
+            expect = hold_rows(whole, want)
+            assert params_to_vector(moved).tobytes() == params_to_vector(expect).tobytes()
+        grown = np.union1d(rows, [0, schema.n_features - 1])
+        moved = hold_rows(held, grown)
+        assert draws == tables
+        assert (params_to_vector(moved).tobytes()
+                == params_to_vector(hold_rows(whole, grown)).tobytes())
+        moved = hold_rows(held, every)
+        assert draws == tables * 2 and moved.rows is None
+        assert params_to_vector(moved).tobytes() == params_to_vector(whole).tobytes()
+
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_nbytes_is_the_file_size(self, tmp_path, kind):
         schema = held_schema()
         cfg = ModelConfig(kind, **HELD_CFG)
         path = tmp_path / "m.ckpt"
-        save_checkpoint(init_params(schema, cfg, seed=1), path)
-        assert checkpoint_nbytes(schema, cfg) == path.stat().st_size
+        rows = held_rows(schema.n_features, [held_case_data(schema, 40, 1).indices])
+        for held in (None, rows, np.arange(schema.n_features)):
+            save_checkpoint(init_params(schema, cfg, seed=1, rows=held), path)
+            n_rows = schema.n_features if held is None else held.size
+            assert checkpoint_nbytes(schema, cfg, n_rows) == path.stat().st_size
 
 
 class TestNonFinite:
@@ -262,6 +337,19 @@ class TestCorruption:
             check_schema(params, other)
         check_schema(params, schema)  # the matching schema passes
 
+    def test_feature_count_mismatch(self, tmp_path, schema):
+        """A header whose feature count its schema digest does not give is
+        refused before a caller draws or marks rows over that count."""
+        p = randomized(schema, "fm")
+        p.rows, p.n_features = np.arange(schema.n_features), 2**64 - 1
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(p, path)
+        params = load_checkpoint(path)
+        assert params.n_features == 2**64 - 1 and params.rows is not None
+        with pytest.raises(SchemaDigestError, match=f"over {2**64 - 1} features does not "
+                                                    f"match .* over {schema.n_features}$"):
+            check_schema(params, schema)
+
     def test_unknown_kind_code(self, tmp_path, schema):
         path, raw = self._saved(tmp_path, schema)
         path.write_bytes(raw[:12] + b"\x7f" + raw[13:])
@@ -279,7 +367,11 @@ def any_params(draw):
     cfg = ModelConfig(kind, embed_dim=draw(st.integers(1, 3)),
                       mlp_widths=tuple(draw(st.lists(st.integers(1, 3), max_size=2))),
                       n_cross_layers=draw(st.integers(0, 2)))
-    p = init_params(schema, cfg, seed=0)
+    # whole tables, or a held-rows model of any rows, none included
+    keep = draw(st.none() | st.lists(st.booleans(), min_size=schema.n_features,
+                                     max_size=schema.n_features))
+    rows = None if keep is None else np.flatnonzero(keep)
+    p = init_params(schema, cfg, seed=draw(st.integers(0, 2**64 - 1)), rows=rows)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = params_to_vector(p).size
     values = np.frombuffer(rng.bytes(8 * size), dtype="<f8").copy()  # any bit pattern
@@ -290,8 +382,9 @@ def any_params(draw):
 
 def _layout(p):
     blocks = [p.linear, p.emb, p.head] + [a for pair in p.mlp + p.cross for a in pair]
-    return (p.kind, p.n_fields, p.n_features, p.embed_dim, p.schema_digest,
-            [None if a is None else a.shape for a in blocks])
+    rows = None if p.rows is None or p.rows.size == p.n_features else p.rows.tolist()
+    return (p.kind, p.n_fields, p.n_features, p.embed_dim, p.schema_digest, p.init_seed,
+            rows, [None if a is None else a.shape for a in blocks])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -343,11 +436,14 @@ def test_load_peaks_at_one_copy_of_the_file(tmp_path):
 _KIND_CODES = {"lr": 0, "fm": 1, "mlp": 2, "deepfm": 3, "dcn": 4}
 
 
-def _header(kind_code, digest, embed_dim, n_fields, widths, n_cross, n_features, bias):
-    """The header bytes as the module docstring lays them out, bias included."""
+def _header(kind_code, digest, embed_dim, n_fields, widths, n_cross, n_features, bias,
+            init_seed=0, n_rows=None, version=2):
+    """The header bytes as the module docstring lays them out, bias included;
+    ``n_rows`` None stores every row."""
     return MAGIC + struct.pack(
-        f"<IBQIII{len(widths)}IIQd", 1, kind_code, digest, embed_dim, n_fields,
-        len(widths), *widths, n_cross, n_features, bias,
+        f"<IBQIII{len(widths)}IIQQQd", version, kind_code, digest, embed_dim, n_fields,
+        len(widths), *widths, n_cross, n_features, init_seed,
+        n_features if n_rows is None else n_rows, bias,
     )
 
 
@@ -359,31 +455,93 @@ def test_bytes_are_header_bias_then_each_block(tmp_path, schema, kind, widths):
     path = tmp_path / "m.ckpt"
     save_checkpoint(p, path)
     expected = _header(_KIND_CODES[kind], p.schema_digest, p.embed_dim, p.n_fields,
-                       p.mlp_widths, len(p.cross), p.n_features, p.bias)
+                       p.mlp_widths, len(p.cross), p.n_features, p.bias, init_seed=4)
     expected += b"".join(a.astype("<f8").tobytes() for _, a in p.blocks())
     assert path.read_bytes() == expected
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_held_rows_bytes_are_header_bias_indices_then_each_block(tmp_path, schema, kind):
+    rows = np.array([0, 3, 4, 14])
+    p = init_params(schema, ModelConfig(kind, embed_dim=3, mlp_widths=(2,)), seed=-1,
+                    rows=rows)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(p, path)
+    expected = _header(_KIND_CODES[kind], p.schema_digest, p.embed_dim, p.n_fields,
+                       p.mlp_widths, len(p.cross), p.n_features, p.bias,
+                       init_seed=2**64 - 1, n_rows=4)
+    expected += rows.astype("<i8").tobytes()
+    expected += b"".join(a.astype("<f8").tobytes() for _, a in p.blocks())
+    assert path.read_bytes() == expected
+    assert p.linear is None or p.linear.shape == (4,)
+
+
+def test_version_one_file_refused(tmp_path, schema):
+    """A file in the whole-table format this one replaced does not load."""
+    p = init_params(schema, ModelConfig("lr"), seed=0)
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<IBQIII0IIQd", 1, 0, p.schema_digest, 0, 3, 0, 0,
+                                         15, 0.0) + bytes(8 * 15))
+    with pytest.raises(FormatVersionError, match=r"version 1 \(expected 2\)"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n_rows, index, match", [
+    (16, [], "stores 16 table rows of 15"),
+    (2**64 - 1, [], "stores 18446744073709551615 table rows of 15"),
+    (3, [0, 5, 5], "not strictly increasing"),
+    (3, [4, 2, 9], "not strictly increasing"),
+    (2, [-1, 3], "not strictly increasing"),
+    (2, [3, 15], r"not strictly increasing in \[0, 15\)"),
+])
+def test_bad_stored_rows_refused_before_any_table(tmp_path, schema, n_rows, index, match):
+    """A row count past the feature space, or indices that are not strictly
+    increasing in it, raise CheckpointError; the fm tables the header then
+    claims (2^30 embedding rows of the file's length) are never allocated."""
+    path = tmp_path / "bad.ckpt"
+    raw = _header(1, schema.digest(), 2**30, schema.n_fields, (), 0, schema.n_features,
+                  0.0, n_rows=n_rows)
+    path.write_bytes(raw + np.array(index, dtype="<i8").tobytes() + bytes(2**16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+
+
 _U32 = st.sampled_from([1, 0, 2, 2**32 - 1])
+
+
+_INDEX = st.lists(st.sampled_from([0, 1, 2, 3, 2**63 - 1, -1]), max_size=4).map(
+    lambda rows: np.array(rows, dtype="<i8").tobytes())
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(kind_code=st.integers(0, 5), embed_dim=_U32, n_fields=_U32,
        widths=st.lists(_U32, max_size=2), n_cross=_U32,
        n_features=st.sampled_from([1, 0, 2, 2**64 - 1]),
+       n_rows=st.sampled_from([None, 0, 1, 2, 3, 2**64 - 1]), index=_INDEX,
        body=st.one_of(st.binary(max_size=256), st.integers(0, 40).map(lambda n: bytes(8 * n))))
 @example(kind_code=0, embed_dim=0, n_fields=1, widths=[], n_cross=2**32 - 1,
-         n_features=1, body=bytes(8))
+         n_features=1, n_rows=None, index=b"", body=bytes(8))
 @example(kind_code=4, embed_dim=1, n_fields=1, widths=[1], n_cross=2**32 - 1,
-         n_features=1, body=bytes(64))
+         n_features=1, n_rows=None, index=b"", body=bytes(64))
 @example(kind_code=1, embed_dim=2**32 - 1, n_fields=2**32 - 1, widths=[], n_cross=0,
-         n_features=2**64 - 1, body=bytes(16))
+         n_features=2**64 - 1, n_rows=None, index=b"", body=bytes(16))
+@example(kind_code=1, embed_dim=2**32 - 1, n_fields=1, widths=[], n_cross=0,
+         n_features=2**64 - 1, n_rows=2, index=np.array([1, 3], "<i8").tobytes(),
+         body=bytes(64))
 def test_any_header_over_a_short_body_loads_or_raises_checkpoint_error(
-        kind_code, embed_dim, n_fields, widths, n_cross, n_features, body):
-    """Header fields that describe no model, or more blocks than the body
-    holds, raise a CheckpointError subclass before anything near their size
-    is allocated."""
-    raw = _header(kind_code, 0, embed_dim, n_fields, widths, n_cross, n_features, 0.0) + body
+        kind_code, embed_dim, n_fields, widths, n_cross, n_features, n_rows, index, body):
+    """Header fields that describe no model, stored rows the feature space
+    does not hold, or more blocks than the body holds, raise a
+    CheckpointError subclass before anything near their size is allocated.
+    ``index`` is a run of row indices, some out of order or out of range."""
+    raw = _header(kind_code, 0, embed_dim, n_fields, widths, n_cross, n_features, 0.0,
+                  n_rows=n_rows) + index + body
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.ckpt"
         path.write_bytes(raw)

@@ -9,6 +9,7 @@ import shutil
 import tempfile
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -193,6 +194,51 @@ class TestCheckpointBounds:
         assert err.startswith(f"usage error: a deepfm checkpoint over 48 features takes "
                               f"{size} bytes, but ")
         assert err.endswith(f" has {size - 1} bytes free\n")
+
+
+def test_cold_train_holds_one_table_and_eval_no_whole_table(tmp_path, monkeypatch, capsys):
+    """Over 2^17 features (8 x 16384 buckets, fm, K=16) ``train`` trains the
+    table of the rows its data touch in place, with no sub-table copy (SGD
+    keeps no moments and small batches little else, so a copy would be the
+    largest allocation), and ``eval`` of 3000 rows traces a peak below half
+    the whole table."""
+    assert run("gen-data", "--out", tmp_path / "d", "--rows", 20000, "--fields", 8,
+               "--buckets", 16384, "--windows", 2, "--seed", 4) == 0
+    trained = []
+    real_train = reloop.cli.train_epochs
+
+    def train(params, dataset, cfg):
+        tables = (params.linear, params.emb)
+        tracemalloc.start()
+        try:
+            out = real_train(params, dataset, cfg)
+            trained.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (params.linear, params.emb) == tables
+        trained.append(params.linear.nbytes + params.emb.nbytes)
+        return out
+
+    monkeypatch.setattr(reloop.cli, "train_epochs", train)
+    assert run("train", "--data", tmp_path / "d" / "window_000.csv", "--model", "fm",
+               "--embed-dim", 16, "--optimizer", "sgd", "--batch-size", 32, "--epochs", 1,
+               "--buckets", 16384, "--out", tmp_path / "t") == 0
+    peak, table = trained
+    assert peak < table, (peak, table)
+    whole = 8 * 16384 * 17 * 8
+    assert table < whole // 4
+    with open(tmp_path / "d" / "window_001.csv", encoding="utf-8") as fh:
+        (tmp_path / "e.csv").write_text("".join(fh.readlines()[:3001]), encoding="utf-8")
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert run("eval", "--data", tmp_path / "e.csv", "--checkpoint",
+                   tmp_path / "t" / "model.ckpt", "--buckets", 16384) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole // 2, peak
+    assert capsys.readouterr().out.startswith("n=3000\n")
 
 
 class TestTrain:

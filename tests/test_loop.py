@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reloop.loop
 
 from gradutils import params_to_vector
-from reloop.checkpoint import SchemaDigestError, load_checkpoint
+from reloop.checkpoint import SchemaDigestError, checkpoint_nbytes, load_checkpoint
 from reloop.features import (
     ROW_BLOCK,
     DataError,
@@ -40,9 +40,9 @@ from reloop.loop import (
     run_static_prior,
     write_loop_report,
 )
-from reloop.losses import LossConfig
+from reloop.losses import LossConfig, clip_prob
 from reloop.metrics import evaluate
-from reloop.models import ModelConfig, init_params, predict_batch
+from reloop.models import ModelConfig, held_rows, hold_rows, init_params, predict_batch
 from reloop.optim import DivergenceError, TrainConfig, train_epochs
 from reloop.rng import derive_seed
 
@@ -77,20 +77,21 @@ def loop_config(mode, loss, seed=3, **kw):
 
 
 def _live_tables_at_training_start(monkeypatch) -> list[list[int]]:
-    """Spy on ``train_epochs``: the returned list gets, at each training start,
-    the indices (in training order) of the trained models whose emb table is
-    still alive. Every phase runs in this process, where the spy sees it."""
-    tables = []  # a weak reference to each trained model's emb, in order
+    """Spy on ``_train_version``: the returned list gets, at each version's
+    start, the indices (in training order) of the model versions whose emb
+    table is still alive. Every phase runs in this process, where the spy
+    sees it."""
+    tables = []  # a weak reference to each model version's emb, in order
     live_at_start = []
-    real_train = reloop.loop.train_epochs
+    real_version = reloop.loop._train_version
 
-    def train(params, dataset, cfg):
+    def version(*args, **kwargs):
         live_at_start.append([i for i, ref in enumerate(tables) if ref() is not None])
-        params, log = real_train(params, dataset, cfg)
+        params, record = real_version(*args, **kwargs)
         tables.append(weakref.ref(params.emb))
-        return params, log
+        return params, record
 
-    monkeypatch.setattr(reloop.loop, "train_epochs", train)
+    monkeypatch.setattr(reloop.loop, "_train_version", version)
     monkeypatch.setattr(reloop.loop, "phase_processes", lambda n: 1)
     return live_at_start
 
@@ -512,7 +513,7 @@ class TestStaticArms:
         ref = init_params(train.schema, cfg.model, derive_seed(seed, "init", "current"))
         ref, _ = train_epochs(ref, train, replace(
             cfg.train, loss=LossConfig("ce"), seed=derive_seed(seed, "train", "current")))
-        saved = load_checkpoint(tmp_path / "base.ckpt")
+        saved = hold_rows(load_checkpoint(tmp_path / "base.ckpt"), np.arange(ref.n_features))
         assert params_to_vector(saved).tobytes() == params_to_vector(ref).tobytes()
         assert record.checkpoint_path == str(tmp_path / "base.ckpt")
         assert (record.loss_kind, record.y_last_source) == ("ce", 0)
@@ -795,7 +796,8 @@ def test_fuzzed_score_log_lines_load_or_raise_data_error(body):
 def test_no_version_allocates_a_whole_table(tmp_path, monkeypatch, mode, warm):
     """Over 2^17 features a model version holds only the rows its tiny
     windows touch, so a whole fm loop, checkpoints included, traces a peak
-    below one embedding table (16 MiB at K=16); the checkpoints stay whole."""
+    below one embedding table (16 MiB at K=16); the checkpoints store at most
+    the rows of four 200-row windows."""
     spec = SyntheticSpec(n_fields=8, buckets_per_field=2**14, latent_dim=2, n_rows=200,
                          seed=3, n_windows=3, drift_rate=0.2)
     windows = generate_synthetic(spec)
@@ -818,4 +820,46 @@ def test_no_version_allocates_a_whole_table(tmp_path, monkeypatch, mode, warm):
     assert peak < table, peak
     ckpts = sorted(tmp_path.glob("*.ckpt"))
     assert len(ckpts) == 3
-    assert all(p.stat().st_size > table for p in ckpts)
+    bound = checkpoint_nbytes(spec.schema(), cfg.model, 4 * 200 * 8)
+    assert all(p.stat().st_size < bound < table // 16 for p in ckpts)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_saved_versions_give_the_score_logs_and_the_whole_table_run(tmp_path, warm):
+    """Over 8 x 2048 buckets each version's checkpoint stores only its rows.
+    Loaded and moved to window t+1's rows it writes ``scores_vNNN_wNNN.csv``
+    bit for bit; moved to every row it is the version a whole-table run
+    (``rows=None``) trains, bit for bit."""
+    spec = SyntheticSpec(n_fields=8, buckets_per_field=2048, latent_dim=2, n_rows=400,
+                         seed=5, n_windows=4, drift_rate=0.2)
+    windows = generate_synthetic(spec)
+    n_features = spec.schema().n_features
+    cfg = LoopConfig(mode="continual", model=ModelConfig("fm", embed_dim=4),
+                     train=TrainConfig(epochs=2, seed=2, batch_size=64,
+                                       loss=LossConfig("reloop", alpha=0.2)),
+                     warm_start=warm, checkpoint_dir=tmp_path / "run")
+    state = run_continual(cfg, windows)
+    n_tail = round(cfg.holdout_fraction * len(windows[-1]))
+    whole = None
+    for t, window in enumerate(windows, start=1):
+        saved = load_checkpoint(tmp_path / "run" / f"v{t:03d}.ckpt")
+        assert saved.rows.size < n_features
+        if t < len(windows):
+            nxt = windows[t]
+            p = predict_batch(hold_rows(saved, held_rows(n_features, [nxt.indices])), nxt)
+            log = ScoreLog(nxt.row_ids, clip_prob(p))
+            assert log.scores.tobytes() == state.score_logs[(t, t + 1)].scores.tobytes()
+            log.save(tmp_path / "log.csv")
+            name = f"scores_v{t:03d}_w{t + 1:03d}.csv"
+            assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "run" / name).read_bytes()
+        # the whole-table version: version 1's init on a warm chain
+        if t > 1:
+            window = window.with_y_last(state.score_logs[(t - 1, t)].scores)
+        if whole is None or not warm:
+            whole = init_params(window.schema, cfg.model,
+                                derive_seed(cfg.train.seed, "init", t))
+        loss = cfg.train.loss if t > 1 else LossConfig("ce")
+        train_epochs(whole, window.head(len(window) - (n_tail if t == len(windows) else 0)),
+                     replace(cfg.train, loss=loss, seed=derive_seed(cfg.train.seed, "train", t)))
+        widened = hold_rows(saved, np.arange(n_features))
+        assert params_to_vector(widened).tobytes() == params_to_vector(whole).tobytes(), t
