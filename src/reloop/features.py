@@ -8,12 +8,13 @@ is 64-bit FNV-1a over ``name=value`` byte strings as the sole source of
 indices; there are no vocabulary files. A CSV cell becomes an index one way
 only: ``FeatureSchema.cell_token``, then ``FeatureSchema.hash_tokens``.
 
-Hashing is a pure function of the token, so it runs in bulk: a field's
-tokens go through the vectorized kernel ``rng.fnv1a64_batch`` in one call,
-starting from the digest of the field's ``name=`` prefix; the kernel's cost
-is linear in the tokens' total bytes, whatever their lengths. CSV ingest
-reads rows in blocks of ``ROW_BLOCK`` and hashes each field's distinct cells
-once per block, keeping nothing once the block is encoded. Synthetic
+Hashing is a pure function of the token, so it runs in bulk: tokens go
+through the vectorized kernel ``rng.fnv1a64_batch`` in one call, each token
+starting from the digest of its field's ``name=`` prefix, which the schema
+computes once; the kernel's cost is linear in the tokens' total bytes,
+whatever their lengths. CSV ingest reads rows in blocks of ``ROW_BLOCK`` and
+hashes the distinct cells of every field of a block in one kernel call,
+keeping nothing once the block is encoded. Synthetic
 generation hashes each field's whole token range once, then draws, scores
 and writes a window one block of ``ROW_BLOCK`` rows at a time, so
 ``generate_synthetic_csv`` holds the token and latent tables and one block,
@@ -115,6 +116,11 @@ class FeatureSchema:
         self.index_base = tuple(base)
         self.n_features = offset
         self.index_dtype = np.dtype(np.int32 if offset <= 2**31 else np.int64)
+        # per field, by position: the digest of b"name=", the bucket count, the base
+        self._prefixes = np.array([fnv1a64(f"{f.name}=".encode("utf-8")) for f in fields],
+                                  dtype=np.uint64)
+        self._buckets = np.array([f.buckets for f in fields], dtype=np.uint64)
+        self._bases = np.array(base, dtype=np.int64)
 
     @property
     def n_fields(self) -> int:
@@ -128,14 +134,13 @@ class FeatureSchema:
         """FNV-1a digest of the canonical serialization; keys checkpoints."""
         return fnv1a64(self.canonical_serialization().encode("utf-8"))
 
-    def hash_tokens(self, pos: int, tokens: list[str]) -> np.ndarray:
-        """Global indices of canonical tokens of field ``pos``, in one kernel
-        pass: index_base[pos] + (fnv1a64(b"name=token") mod buckets), as
-        ``index_dtype``."""
-        spec = self.fields[pos]
-        state = fnv1a64(f"{spec.name}=".encode("utf-8"))
-        digests = fnv1a64_batch([t.encode("utf-8") for t in tokens], state)
-        index = (digests % np.uint64(spec.buckets)).astype(np.int64) + self.index_base[pos]
+    def hash_tokens(self, pos, tokens: list[str]) -> np.ndarray:
+        """Global indices of canonical tokens, in one kernel pass: token i of
+        field ``pos`` (one field position for every token, or an array of one
+        per token) is index_base + (fnv1a64(b"name=token") mod buckets) of its
+        field, as ``index_dtype``."""
+        digests = fnv1a64_batch(list(map(str.encode, tokens)), self._prefixes[pos])  # UTF-8
+        index = (digests % self._buckets[pos]).astype(np.int64) + self._bases[pos]
         return index.astype(self.index_dtype, copy=False)
 
     def cell_token(self, pos: int, cell: str) -> str:
@@ -311,18 +316,23 @@ def probability_cell(cell: str, where: str, name: str) -> float:
 
 
 def _encode_block(schema: FeatureSchema, block: list[list[str]]) -> np.ndarray:
-    """(len(block), n_fields) indices of a block of CSV rows, field by field.
+    """(len(block), n_fields) indices of a block of CSV rows.
 
-    Each field's distinct cells in the block are hashed once, in one kernel
-    call; nothing is kept once the block is encoded.
+    Each field's distinct cells in the block are hashed once, those of every
+    field together in one kernel call; nothing is kept once the block is
+    encoded.
     """
     out = np.empty((len(block), schema.n_fields), dtype=schema.index_dtype)
     columns = list(zip(*block))[1 : 1 + schema.n_fields]
-    for pos, column in enumerate(columns):
-        cells = dict.fromkeys(column)
-        tokens = [schema.cell_token(pos, cell) for cell in cells]
-        index = dict(zip(cells, schema.hash_tokens(pos, tokens).tolist()))
-        out[:, pos] = [index[cell] for cell in column]
+    distinct = [dict.fromkeys(column) for column in columns]
+    tokens = [schema.cell_token(pos, cell)
+              for pos, cells in enumerate(distinct) for cell in cells]
+    fields = np.repeat(np.arange(len(distinct)), [len(cells) for cells in distinct])
+    index = iter(schema.hash_tokens(fields, tokens).tolist())
+    for pos, (column, cells) in enumerate(zip(columns, distinct)):
+        # zip stops at the end of cells, before taking the next field's first index
+        lookup = dict(zip(cells, index))
+        out[:, pos] = list(map(lookup.__getitem__, column))
     return out
 
 

@@ -24,23 +24,27 @@ with one linear entry and one embedding row per feature, so a step's cost
 and memory follow the rows the batch touches, not the size of the table.
 Rows outside that set have zero gradient and are never materialised. The
 rows are found without a sort, by marking them in a boolean array over the
-table (``unique_rows``); in training that table is the trainer's sub-table
-of rows in use, so the mark costs what the data touches.
+table, and their positions come from an int32 lookup over it
+(``unique_rows``, ``row_lookup``); in training that table is the trainer's
+sub-table of rows in use, so the mark costs what the data touches.
 
 Held rows: ``Params.rows`` may name the sorted feature rows the linear and
 embedding tables hold, so a model version allocates only the rows its data
 touch (``held_rows`` finds them). Every other row is, by construction, the
 init draw of ``Params.init_seed``: training changes only rows it touches,
 and a version holds every row it trains or scores. ``init_params`` draws the
-tables one block of ``ROW_BLOCK`` rows at a time from the one
-``philox(seed, 100)`` stream and keeps the rows asked for; the blocks join
-into the whole-table draw bit for bit and leave the stream where it would,
-so the dense blocks drawn after the table keep their bits too.
-``hold_rows`` moves a model to other rows, drawing only the rows it does
-not hold. ``forward_batch`` maps a held-rows model's feature indices to
-table rows by a binary search of ``Params.rows`` (``table_rows``) and
-refuses a row the model does not hold. With ``rows`` None the tables are
-whole and indexed by feature.
+embedding table one block of ``ROW_BLOCK`` rows at a time from the one
+``philox(seed, 100)`` stream and copies out the rows asked for, each block's
+share found by one search of them; the blocks join into the whole-table draw
+bit for bit and leave the stream where it would, so the dense blocks drawn
+after the table keep their bits too. The linear table's init is zero, so it
+is allocated, not drawn. ``hold_rows`` moves a model to other rows, drawing
+only the rows it does not hold. ``forward_batch`` maps a held-rows model's
+feature indices to table rows by a binary search of ``Params.rows``
+(``table_rows``); ``predict_batch`` builds one int32 lookup from feature
+row to table row per pass (``row_lookup``) and maps each block through it.
+Both refuse a row the model does not hold. With ``rows`` None the tables
+are whole and indexed by feature.
 
 Scoring contract: ``predict_batch`` scores a dataset in blocks of
 ``features.ROW_BLOCK`` (1024) rows. The last block takes in the remainder,
@@ -301,30 +305,44 @@ def _glorot(shape: tuple[int, ...]) -> float:
     return np.sqrt(6.0 / (sum(shape) if len(shape) == 2 else shape[0] + 1))
 
 
-def _init_blocks(name: str, rng, shape: tuple[int, ...]):
-    """Yield (first row, block): table ``name``'s init, ``ROW_BLOCK`` rows at
-    a time. The linear table is zero; the embedding blocks are drawn from
-    ``rng`` and join into ``rng.uniform(-s, s, size=shape)`` bit for bit."""
+def _draw_blocks(rng, shape: tuple[int, ...]):
+    """Yield (first row, block): the embedding table's init, ``ROW_BLOCK``
+    rows at a time, drawn from ``rng``; the blocks join into
+    ``rng.uniform(-s, s, size=shape)`` bit for bit."""
     n = shape[0]
     s = _glorot(shape)
     for lo in range(0, n, ROW_BLOCK):
-        size = (min(ROW_BLOCK, n - lo),) + shape[1:]
-        yield lo, np.zeros(size) if name == "linear" else rng.uniform(-s, s, size=size)
+        yield lo, rng.uniform(-s, s, size=(min(ROW_BLOCK, n - lo),) + shape[1:])
 
 
 def _gather(blocks, shape: tuple[int, ...], rows: np.ndarray | None) -> np.ndarray:
     """The rows ``rows`` (sorted; all when None) of a table of ``shape`` given
-    as (first row, block) pairs in row order."""
+    as (first row, block) pairs in row order, one block per ``ROW_BLOCK``
+    rows."""
     if rows is None:
         out = np.empty(shape)
         for lo, block in blocks:
             out[lo : lo + block.shape[0]] = block
         return out
     out = np.empty((rows.size,) + shape[1:])
-    for lo, block in blocks:
-        a, b = np.searchsorted(rows, (lo, lo + block.shape[0]))
-        out[a:b] = block[rows[a:b] - lo]
+    # cuts[i]:cuts[i + 1] is the slice of rows in block i
+    edges = np.append(np.arange(0, shape[0], ROW_BLOCK), shape[0])
+    cuts = np.searchsorted(rows, edges).tolist()
+    for (lo, block), a, b in zip(blocks, cuts, cuts[1:]):
+        # every position is in the block, so "clip" never clips; unlike the
+        # default "raise", it lets take write straight into out
+        np.take(block, rows[a:b] - lo, axis=0, out=out[a:b], mode="clip")
     return out
+
+
+def _init_table(name: str, rng, shape: tuple[int, ...],
+                rows: np.ndarray | None) -> np.ndarray:
+    """The rows ``rows`` (sorted; all when None) of table ``name``'s init:
+    zero for the linear table, the embedding table's blocks drawn from
+    ``rng``."""
+    if name == "linear":
+        return np.zeros(shape if rows is None else (rows.size,) + shape[1:])
+    return _gather(_draw_blocks(rng, shape), shape, rows)
 
 
 def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
@@ -341,7 +359,7 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
 
     def make(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name in ("linear", "emb"):
-            return _gather(_init_blocks(name, rng, shape), shape, rows)
+            return _init_table(name, rng, shape, rows)
         if name.endswith(".b"):
             return np.zeros(shape)
         s = _glorot(shape)
@@ -390,8 +408,7 @@ def hold_rows(params: Params, rows: np.ndarray) -> Params:
         if missing is not None:
             shape = (params.n_features,) + a.shape[1:]
             # the embedding table is the init stream's first draw
-            draw = _init_blocks(name, philox(params.init_seed, 100), shape)
-            out[~found] = _gather(draw, shape, missing)
+            out[~found] = _init_table(name, philox(params.init_seed, 100), shape, missing)
         return out
 
     return replace(params, rows=_whole_if_every(rows, params.n_features),
@@ -407,6 +424,26 @@ def held_rows(n_features: int, arrays) -> np.ndarray:
     return np.flatnonzero(mark)
 
 
+def row_lookup(rows: np.ndarray, n_features: int) -> np.ndarray:
+    """Lookup from feature row to position in the sorted unique ``rows``:
+    ``lookup[rows[j]] == j``, and -1 for a row not in ``rows``. int32, or
+    int64 when ``rows`` has more than 2^31 entries."""
+    lookup = np.full(n_features, -1, dtype=np.int32 if rows.size <= 2**31 else np.int64)
+    lookup[rows] = np.arange(rows.size, dtype=lookup.dtype)
+    return lookup
+
+
+def _refuse_unheld(params: Params, indices: np.ndarray, found: np.ndarray) -> None:
+    """Raise DimensionError naming the first of ``indices`` off the mask
+    ``found`` (same shape), if there is one."""
+    if not found.all():
+        missing = indices.reshape(-1)[found.reshape(-1).argmin()]
+        raise DimensionError(
+            f"feature row {missing} is not among the {params.rows.size} rows this "
+            f"model holds of {params.n_features}"
+        )
+
+
 def table_rows(params: Params, indices: np.ndarray) -> np.ndarray:
     """The table rows of feature rows ``indices`` (any shape, in range): the
     indices themselves for whole tables, else their positions in
@@ -418,12 +455,7 @@ def table_rows(params: Params, indices: np.ndarray) -> np.ndarray:
     if params.rows is None:
         return indices
     at, found = _positions(params, indices)
-    if not found.all():
-        missing = indices.reshape(-1)[found.reshape(-1).argmin()]
-        raise DimensionError(
-            f"feature row {missing} is not among the {params.rows.size} rows this "
-            f"model holds of {params.n_features}"
-        )
+    _refuse_unheld(params, indices, found)
     return at
 
 
@@ -445,13 +477,11 @@ def unique_rows(indices: np.ndarray, n_features: int) -> tuple[np.ndarray, np.nd
     """The sorted unique values of ``indices`` and a lookup of their positions.
 
     A mark array over the table's rows stands in for ``np.unique``'s sort:
-    ``rows`` comes out sorted, and ``slot[rows[j]] == j``. Entries of ``slot``
-    off ``rows`` are undefined. ``indices`` must lie in [0, n_features).
+    ``rows`` comes out sorted, and ``slot`` is their ``row_lookup``, so
+    ``slot[rows[j]] == j``. ``indices`` must lie in [0, n_features).
     """
     rows = held_rows(n_features, [indices])
-    slot = np.empty(n_features, dtype=np.intp)
-    slot[rows] = np.arange(rows.size)
-    return rows, slot
+    return rows, row_lookup(rows, n_features)
 
 
 def _mlp_forward(params: Params, x0: np.ndarray, trace: Trace) -> np.ndarray:
@@ -480,7 +510,11 @@ def forward_batch(
     """
     indices = np.asarray(indices)
     check_indices(params, indices)
-    indices = table_rows(params, indices)
+    return _forward(params, table_rows(params, indices))
+
+
+def _forward(params: Params, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, Trace]:
+    """``forward_batch`` over ``indices`` already checked and mapped to table rows."""
     n = indices.shape[0]
     z = np.full(n, params.bias, dtype=np.float64)
     trace = Trace(indices=indices, z=z)
@@ -552,7 +586,8 @@ def backward_batch(params: Params, trace: Trace, dl_dz: np.ndarray) -> Grads:
         raise DimensionError("dl_dz must align with the traced batch")
     idx = trace.indices
     rows, slot = unique_rows(idx, params.n_features)
-    inv = slot[idx.ravel()]
+    # intp: the cells below, inv * k + c, can pass the int32 range
+    inv = slot[idx.ravel()].astype(np.intp)
     n_rows = rows.shape[0]
     grads = Grads(
         bias=float(dl.sum()),
@@ -631,9 +666,20 @@ def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:
 
     Rows are scored in blocks (``features.by_row_blocks``); see the scoring
     contract in the module docstring. A held-rows model maps each block's
-    indices to its rows in ``forward_batch``. An overflow is not warned about: the
-    metrics reject non-finite scores with their count, and training checks
-    for divergence.
+    indices to its table rows through one ``row_lookup`` built for the pass,
+    and raises ``table_rows``' DimensionError for a row it does not hold. An
+    overflow is not warned about: the metrics reject non-finite scores with
+    their count, and training checks for divergence.
     """
+    lookup = None if params.rows is None else row_lookup(params.rows, params.n_features)
+
+    def score(indices: np.ndarray) -> np.ndarray:
+        check_indices(params, indices)
+        if lookup is not None:
+            at = lookup[indices]
+            _refuse_unheld(params, indices, at >= 0)
+            indices = at
+        return _forward(params, indices)[1]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        return by_row_blocks(lambda rows: forward_batch(params, rows)[1], dataset.indices)
+        return by_row_blocks(score, dataset.indices)

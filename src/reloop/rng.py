@@ -3,7 +3,9 @@
 Every stochastic component (synthetic data, parameter init, epoch shuffles)
 draws from its own stream keyed by (seed, stream tags), so adding draws in
 one place never perturbs another. The one FNV-1a digest of the package
-lives here too: stream keys and feature hashing both use it.
+lives here too: stream keys and feature hashing both use it, and its batch
+kernel continues each string from its own prefix digest, so one call hashes
+the tokens of many fields.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ def _fold(state: int, data: bytes) -> int:
     return state
 
 
-def fnv1a64_batch(data: Sequence[bytes], state: int = _FNV_OFFSET) -> np.ndarray:
+def fnv1a64_batch(data: Sequence[bytes], state=_FNV_OFFSET) -> np.ndarray:
     """64-bit FNV-1a digest of each byte string in ``data``, as ``uint64``.
 
-    ``state`` is the digest of a prefix that every string shares: from
-    ``fnv1a64(prefix)``, a string hashes to ``fnv1a64(prefix + string)``.
+    ``state`` is the digest of a prefix: from ``fnv1a64(prefix)``, a string
+    hashes to ``fnv1a64(prefix + string)``. One state is shared by every
+    string; an array of ``len(data)`` states gives string i its own prefix.
     The strings are concatenated into one flat byte buffer and grouped by
     length. For the strings of one length, byte column j is gathered by
     offset and folded into their digests with the wrapping ``uint64``
@@ -46,7 +49,7 @@ def fnv1a64_batch(data: Sequence[bytes], state: int = _FNV_OFFSET) -> np.ndarray
     order = np.argsort(sizes, kind="stable")
     starts = (np.cumsum(sizes) - sizes)[order]
     flat = np.frombuffer(b"".join(data), dtype=np.uint8)
-    h = np.full(len(data), state, dtype=np.uint64)
+    h = np.broadcast_to(np.asarray(state, dtype=np.uint64), sizes.shape)[order]
     lengths, counts = np.unique(sizes, return_counts=True)
     lo = 0
     for size, count in zip(lengths.tolist(), counts.tolist()):
@@ -57,7 +60,8 @@ def fnv1a64_batch(data: Sequence[bytes], state: int = _FNV_OFFSET) -> np.ndarray
                 lane ^= flat[rows + j]
                 lane *= _FNV_PRIME
         else:
-            h[lo:hi] = [_fold(state, data[i]) for i in order[lo:hi].tolist()]
+            h[lo:hi] = [_fold(start, data[i])
+                        for i, start in zip(order[lo:hi].tolist(), h[lo:hi].tolist())]
         lo = hi
     out = np.empty_like(h)
     out[order] = h

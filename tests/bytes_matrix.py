@@ -2,9 +2,10 @@
 
     python tests/bytes_matrix.py [--tiny]
 
-prints two lines ``<n_files> <sha256>``, one for the matrix and one for the
-row-block runs: the number of output files and one sha256 over their
-relative paths and bytes, ``manifest.json`` excluded (it holds wall-clock).
+prints three lines ``<n_files> <sha256>``, one for the matrix, one for the
+row-block runs and one for the held-row runs: the number of output files
+and one sha256 over their relative paths and bytes, ``manifest.json``
+excluded (it holds wall-clock).
 A change that keeps training, inference and every writer bitwise the same
 prints the same lines before and after. Each line is followed on stderr by
 one indented ``<sha256> <path>`` line per output file, so a diff of two
@@ -27,12 +28,21 @@ A 900-row window is scored in one row block. The row-block runs reach the
 multi-block path: a continual reloop ``loop`` per kind with a perceptron
 branch (mlp, deepfm, dcn) over 3 windows x 3092 rows, which every version
 scores in blocks of 1024, 1024 and 1044 rows, at both sizes.
+
+The held-row runs reach the paths of models that hold only the table rows
+their data touch, which a 768-feature matrix run may never take: over 8 x
+16384 buckets (2^17 features), a cold fm and a warm deepfm continual reloop
+``loop`` over 3 windows of 3092 rows (300 with ``--tiny``), each followed by
+an ``eval`` of its last checkpoint on the last window, whose printed lines
+are written to ``eval.txt`` in the run's directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import sys
 import tempfile
 from pathlib import Path
@@ -50,6 +60,7 @@ _SIZES = {
 
 _MODES = (("static", False), ("continual", False), ("continual", True))
 _BLOCK_ROWS = 3092  # rows per window of the row-block runs
+_HELD_BUCKETS = 16384  # per field of the held-row runs, 8 fields
 
 
 def _gen_data(data: Path, rows: int, s: dict) -> list[str]:
@@ -104,6 +115,21 @@ def block_runs(root: Path, tiny: bool = False) -> list[list[str]]:
     ]
 
 
+def held_runs(root: Path, tiny: bool = False) -> list:
+    """The CLI argument lists of the held-row runs, gen-data first; each
+    ``eval`` is an (argument list, path) pair, the path taking what it prints."""
+    s = dict(_SIZES[tiny], fields=8, buckets=_HELD_BUCKETS)
+    runs = [_gen_data(root / "data", 300 if tiny else _BLOCK_ROWS, s)]
+    for kind, warm in (("fm", False), ("deepfm", True)):
+        loop = _run(root, s, "loop", f"{kind}-held", "continual", warm,
+                    "--model", kind, "--loss", "reloop")
+        out = Path(loop[loop.index("--out") + 1])
+        runs += [loop, (["eval", "--data", str(root / "data" / "window_002.csv"),
+                         "--checkpoint", str(out / "checkpoints" / "v003.ckpt"),
+                         "--buckets", str(_HELD_BUCKETS)], out / "eval.txt")]
+    return runs
+
+
 def tree_files(root: Path) -> list[tuple[str, str]]:
     """(relative path, sha256 of the bytes) of each output file in path
     order, manifests excluded."""
@@ -122,10 +148,17 @@ def tree_digest(root: Path) -> tuple[int, str]:
 
 
 def run_matrix(root: Path, tiny: bool = False, runs=matrix_runs) -> tuple[int, str]:
-    """Run ``runs`` (``matrix_runs`` or ``block_runs``) under ``root`` and
-    digest its outputs."""
-    for argv in runs(root, tiny):
-        code = main(argv)
+    """Run ``runs`` (``matrix_runs``, ``block_runs`` or ``held_runs``) under
+    ``root`` and digest its outputs. A run given as (argument list, path)
+    writes what it prints to the path."""
+    for run in runs(root, tiny):
+        argv, printed = run if isinstance(run, tuple) else (run, None)
+        if printed is None:
+            code = main(argv)
+        else:
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                code = main(argv)
+            printed.write_text(text.getvalue(), encoding="utf-8")
         if code != 0:
             raise RuntimeError(f"reloop {' '.join(argv)} exited {code}")
     return tree_digest(root)
@@ -136,7 +169,7 @@ def _main() -> int:
     ap.add_argument("--tiny", action="store_true", help="small data and models")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        for runs in (matrix_runs, block_runs):
+        for runs in (matrix_runs, block_runs, held_runs):
             root = Path(tmp) / runs.__name__
             n, digest = run_matrix(root, args.tiny, runs)
             print(n, digest, flush=True)

@@ -4,7 +4,7 @@ import hashlib
 import sys
 
 import bytes_matrix
-from bytes_matrix import block_runs, run_matrix, tree_digest, tree_files
+from bytes_matrix import block_runs, held_runs, run_matrix, tree_digest, tree_files
 
 
 def test_tiny_matrix_twice_same_digest(tmp_path):
@@ -19,6 +19,18 @@ def test_tiny_block_runs_twice_same_digest(tmp_path):
     second = run_matrix(tmp_path / "b", tiny=True, runs=block_runs)
     assert first[0] == 3 + 3 * 6  # 3 windows; per run a report, 3 checkpoints, 2 score logs
     assert first == second
+
+
+def test_tiny_held_runs_twice_same_digest(tmp_path):
+    first = run_matrix(tmp_path / "a", tiny=True, runs=held_runs)
+    second = run_matrix(tmp_path / "b", tiny=True, runs=held_runs)
+    # 3 windows; per run a report, 3 checkpoints, 2 score logs and eval.txt
+    assert first[0] == 3 + 2 * 7
+    assert first == second
+    evals = sorted((tmp_path / "a").rglob("eval.txt"))
+    assert len(evals) == 2
+    for path in evals:
+        assert path.read_text(encoding="utf-8").startswith("n=300\n")
 
 
 def test_tree_digest_hashes_tree_files(tmp_path):
@@ -44,7 +56,7 @@ def test_main_prints_digests_and_lists_files_on_stderr(monkeypatch, capsys):
         runs.__name__ = name
         return runs
 
-    bodies = {"matrix_runs": b"a\n", "block_runs": b"b\n"}
+    bodies = {"matrix_runs": b"a\n", "block_runs": b"b\n", "held_runs": b"c\n"}
     for name, body in bodies.items():
         monkeypatch.setattr(bytes_matrix, name, writes(name, body))
     monkeypatch.setattr(sys, "argv", ["bytes_matrix.py", "--tiny"])

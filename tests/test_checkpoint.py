@@ -181,6 +181,57 @@ class TestHeldRows:
             train_epochs(held, bad, TrainConfig(epochs=1))
         assert held.emb.tobytes() == before.emb.tobytes()
 
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_predict_over_three_blocks_equals_the_whole_tables(self, kind):
+        """At 8 x 2048 buckets, a held-rows model maps each of three row
+        blocks through its lookup and scores what the whole tables score."""
+        schema = FeatureSchema([FieldSpec(f"f{i}", buckets=2048) for i in range(8)])
+        data = held_case_data(schema, 3 * ROW_BLOCK + 100, 3)
+        whole = init_params(schema, ModelConfig(kind, **HELD_CFG), seed=6)
+        if whole.linear is not None:  # the init is zero; make each row count
+            whole.linear[:] = philox(8, 1).normal(size=whole.linear.shape)
+        rows = held_rows(schema.n_features, [data.indices])
+        held = hold_rows(whole, rows)
+        assert held.rows is not None and rows.size < schema.n_features
+        assert predict_batch(held, data).tobytes() == predict_batch(whole, data).tobytes()
+
+    def test_predict_refuses_a_row_not_held_with_table_rows_text(self):
+        """A row not held, in the second of three blocks, raises the
+        DimensionError ``table_rows`` raises for it."""
+        schema = held_schema()
+        data = held_case_data(schema, 3 * ROW_BLOCK, 4)
+        bad = data.indices.copy()
+        rows = held_rows(schema.n_features, [bad[: ROW_BLOCK + 5], bad[ROW_BLOCK + 6 :]])
+        held = init_params(schema, ModelConfig("deepfm", **HELD_CFG), seed=6, rows=rows)
+        not_held = np.setdiff1d(np.arange(schema.n_features), rows)
+        bad[ROW_BLOCK + 5] = not_held[[0, -1, 1]]
+        with pytest.raises(DimensionError) as expected:
+            table_rows(held, bad)
+        assert f"feature row {not_held[0]} is not among" in str(expected.value)
+        bad = Dataset(schema, data.labels, bad, data.row_ids)
+        with pytest.raises(DimensionError, match=rf"^{re.escape(str(expected.value))}$"):
+            predict_batch(held, bad)
+
+    @pytest.mark.parametrize("rows", [
+        [0, ROW_BLOCK - 1, ROW_BLOCK, 2084],  # block edges, the last row
+        [],
+        [2 * ROW_BLOCK + 20],  # one row, in the partial last block
+        list(range(0, 2085, 7)),
+    ])
+    def test_gather_gives_the_whole_draws_rows(self, rows):
+        """Over 2085 rows (two whole blocks and a partial third), the rows
+        gathered from the init draw's blocks are those of the whole draw."""
+        shape = (held_schema().n_features, 3)
+        whole = reloop.models._gather(
+            reloop.models._draw_blocks(philox(6, 100), shape), shape, None)
+        rows = np.array(rows, dtype=np.intp)
+        got = reloop.models._gather(reloop.models._draw_blocks(philox(6, 100), shape),
+                                    shape, rows)
+        assert got.shape == (rows.size, 3)
+        assert got.tobytes() == whole[rows].tobytes()
+        s = np.sqrt(6.0 / sum(shape))
+        assert whole.tobytes() == philox(6, 100).uniform(-s, s, size=shape).tobytes()
+
     def test_table_rows_are_the_positions_a_lookup_gives(self):
         """The binary search maps every held row to what a lookup array over
         the feature space gives, and names the first row not held in C
@@ -211,8 +262,8 @@ class TestHeldRows:
         rows = held_rows(schema.n_features, [held_case_data(schema, 40, 1).indices])
         held = init_params(schema, cfg, seed=6, rows=rows)
         draws = []
-        real = reloop.models._init_blocks
-        monkeypatch.setattr(reloop.models, "_init_blocks",
+        real = reloop.models._init_table
+        monkeypatch.setattr(reloop.models, "_init_table",
                             lambda name, *a: draws.append(name) or real(name, *a))
         tables = [name for name, _ in whole.blocks() if name in ("linear", "emb")]
         every = np.arange(schema.n_features)

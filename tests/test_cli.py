@@ -200,8 +200,8 @@ def test_cold_train_holds_one_table_and_eval_no_whole_table(tmp_path, monkeypatc
     """Over 2^17 features (8 x 16384 buckets, fm, K=16) ``train`` trains the
     table of the rows its data touch in place, with no sub-table copy (SGD
     keeps no moments and small batches little else, so a copy would be the
-    largest allocation), and ``eval`` of 3000 rows traces a peak below half
-    the whole table."""
+    largest allocation) and traces less than 2.9 MB, and ``eval`` of 3000
+    rows traces a peak below half the whole table."""
     assert run("gen-data", "--out", tmp_path / "d", "--rows", 20000, "--fields", 8,
                "--buckets", 16384, "--windows", 2, "--seed", 4) == 0
     trained = []
@@ -225,6 +225,8 @@ def test_cold_train_holds_one_table_and_eval_no_whole_table(tmp_path, monkeypatc
                "--buckets", 16384, "--out", tmp_path / "t") == 0
     peak, table = trained
     assert peak < table, (peak, table)
+    # the row-to-slot lookup over 2^17 features is int32, 0.5 MB, not a 1 MB intp array
+    assert peak < 2_900_000, peak
     whole = 8 * 16384 * 17 * 8
     assert table < whole // 4
     with open(tmp_path / "d" / "window_001.csv", encoding="utf-8") as fh:

@@ -178,6 +178,26 @@ class TestTransformNumerical:
         assert transform_numerical(float("-inf")) == 0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_BLOBS, _BLOBS), max_size=10),
+       st.lists(st.tuples(_BLOBS, st.binary(min_size=2, max_size=3)), max_size=60))
+@example([], [])
+@example([(b"f0=", b""), (b"", b"\x00"), (b"f1=", b"a\x00\x00"), (b"x" * 70, "é€".encode())],
+         [(b"f%d=" % i, b"ab") for i in range(17)])  # 17 of one length: the column fold
+@example([(b"f0=", b"")] * 17, [(b"f%d=" % i, b"\x00\x00") for i in range(16)])  # byte loop
+def test_kernel_continues_each_string_from_its_own_state(blobs, short):
+    """With one prefix state per string, string i hashes to
+    fnv1a64(prefix_i + string_i); one scalar state is the same digest for all."""
+    pairs = blobs + short
+    data = [b for _, b in pairs]
+    states = np.array([reference_fnv1a(p) for p, _ in pairs], dtype=np.uint64)
+    assert fnv1a64_batch(data, states).tolist() == [reference_fnv1a(p + b) for p, b in pairs]
+    shared = reference_fnv1a(b"f0=")
+    assert (fnv1a64_batch(data, np.full(len(data), shared, dtype=np.uint64)).tolist()
+            == fnv1a64_batch(data, shared).tolist()
+            == [reference_fnv1a(b"f0=" + b) for b in data])
+
+
 class TestIngest:
     def _write(self, path, text):
         path.write_text(text, encoding="utf-8")
@@ -287,14 +307,19 @@ class TestIngestBlocks:
                             FieldSpec("u", buckets=53)])
 
     def _rows(self):
-        """Rows whose cells repeat across blocks, with empty, unparsable and
-        non-ASCII cells and a y_last column."""
+        """Rows whose cells repeat across blocks, with empty, unparsable,
+        quoted and non-ASCII cells, one near csv's field size limit, a row
+        repeated across the first block edge and a y_last column."""
         rng = np.random.default_rng(3)
-        numbers = ["", "oops", "inf", "-2", "0", "7", "12.5", "1e400", "65535"]
-        return [[str(i % 2), "" if i % 11 == 0 else f"c{rng.integers(0, 300)}",
+        numbers = ["", "oops", "inf", "-2", "0", "7", "12.5", "1e400", "65535", "1,5"]
+        rows = [[str(i % 2), "" if i % 11 == 0 else f"c{rng.integers(0, 300)}",
                  numbers[rng.integers(0, len(numbers))], f"é{rng.integers(0, 5000)}",
                  f"{rng.random():.6f}"]
                 for i in range(self.N)]
+        rows[3][1] = 'a,b "q"'
+        rows[7][3] = "é" * (csv.field_size_limit() - 8)
+        rows[ROW_BLOCK][1:4] = rows[ROW_BLOCK - 1][1:4]
+        return rows
 
     def _write(self, path, rows):
         with path.open("w", encoding="utf-8", newline="") as fh:
