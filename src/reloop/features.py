@@ -134,7 +134,7 @@ class FeatureSchema:
         """FNV-1a digest of the canonical serialization; keys checkpoints."""
         return fnv1a64(self.canonical_serialization().encode("utf-8"))
 
-    def hash_tokens(self, pos, tokens: list[str]) -> np.ndarray:
+    def hash_tokens(self, pos: int | np.ndarray, tokens: list[str]) -> np.ndarray:
         """Global indices of canonical tokens, in one kernel pass: token i of
         field ``pos`` (one field position for every token, or an array of one
         per token) is index_base + (fnv1a64(b"name=token") mod buckets) of its

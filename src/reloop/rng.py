@@ -29,7 +29,7 @@ def _fold(state: int, data: bytes) -> int:
     return state
 
 
-def fnv1a64_batch(data: Sequence[bytes], state=_FNV_OFFSET) -> np.ndarray:
+def fnv1a64_batch(data: Sequence[bytes], state: int | np.ndarray = _FNV_OFFSET) -> np.ndarray:
     """64-bit FNV-1a digest of each byte string in ``data``, as ``uint64``.
 
     ``state`` is the digest of a prefix: from ``fnv1a64(prefix)``, a string
