@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import FeatureSchema
-from .models import ModelConfig, Params, build_params, model_layout
+from .models import ModelConfig, Params, build_params, model_layout, rows_in_order
 
 MAGIC = b"RLPCKPT1"
 FORMAT_VERSION = 2
@@ -242,8 +242,7 @@ def _read_params(r: _Reader) -> Params:
     rows = None
     if n_rows < n_features:
         rows = r.array((n_rows,), np.int64)
-        if rows.size and (rows[0] < 0 or int(rows[-1]) >= n_features
-                          or np.any(rows[1:] <= rows[:-1])):
+        if not rows_in_order(rows, n_features):
             raise CheckpointError(
                 f"checkpoint row indices are not strictly increasing in [0, {n_features})")
     try:

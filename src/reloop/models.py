@@ -39,12 +39,12 @@ share found by one search of them; the blocks join into the whole-table draw
 bit for bit and leave the stream where it would, so the dense blocks drawn
 after the table keep their bits too. The linear table's init is zero, so it
 is allocated, not drawn. ``hold_rows`` moves a model to other rows, drawing
-only the rows it does not hold. ``forward_batch`` maps a held-rows model's
-feature indices to table rows by a binary search of ``Params.rows``
-(``table_rows``); ``predict_batch`` builds one int32 lookup from feature
-row to table row per pass (``row_lookup``) and maps each block through it.
-Both refuse a row the model does not hold. With ``rows`` None the tables
-are whole and indexed by feature.
+only the rows it does not hold. One int32 lookup from feature row to table
+row (``row_lookup``) maps a held-rows model's rows. ``hold_rows`` reads it
+directly, as it draws a row not held; ``table_rows`` returns it as a map that
+refuses such a row, which ``forward_batch``, the trainer and ``predict_batch``
+(once per pass, for every block) map through. With ``rows`` None the tables
+are whole and indexed by feature, and the map is the identity.
 
 Scoring contract: ``predict_batch`` scores a dataset in blocks of
 ``features.ROW_BLOCK`` (1024) rows. The last block takes in the remainder,
@@ -370,40 +370,37 @@ def init_params(schema: FeatureSchema, cfg: ModelConfig, seed: int,
     return params
 
 
+def rows_in_order(rows: np.ndarray, n_features: int) -> bool:
+    """Whether ``rows`` is strictly increasing in [0, n_features), as held rows are."""
+    return rows.size == 0 or bool(int(rows[0]) >= 0 and int(rows[-1]) < n_features
+                                  and np.all(rows[1:] > rows[:-1]))
+
+
 def _whole_if_every(rows: np.ndarray | None, n_features: int) -> np.ndarray | None:
     """``rows``, or None when they are every feature row: tables holding every
-    row are whole, so they are indexed by feature with no search."""
+    row are whole, so they are indexed by feature with no lookup. Raises
+    ValueError unless ``rows`` is strictly increasing in [0, n_features)."""
+    if rows is not None and not rows_in_order(rows, n_features):
+        raise ValueError(f"rows are not strictly increasing in [0, {n_features})")
     return None if rows is not None and rows.size == n_features else rows
-
-
-def _positions(params: Params, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the feature rows ``rows`` (any shape) sit in ``params``' tables,
-    and a mask of those the tables hold; a position off the mask is
-    meaningless."""
-    if params.rows is None:
-        return rows, np.ones(rows.shape, dtype=bool)
-    held = params.rows
-    # transposed, a (B, F) batch is searched field by field: each field's
-    # rows lie close together among the held rows, so the search stays in cache
-    at = np.searchsorted(held, rows.T).T
-    found = at < held.size
-    found[found] = held[at[found]] == rows[found]
-    return at, found
 
 
 def hold_rows(params: Params, rows: np.ndarray) -> Params:
     """A copy of ``params`` holding the sorted feature rows ``rows``: a row it
     holds keeps its value, any other takes the init draw of ``init_seed``,
     which is made only when there is such a row. Held rows not in ``rows``
-    are dropped, so a caller keeping trained rows passes them too."""
-    at, found = _positions(params, rows)
+    are dropped, so a caller keeping trained rows passes them too. Rows not
+    strictly increasing in [0, n_features) raise ValueError."""
+    kept = _whole_if_every(rows, params.n_features)
+    at = rows if params.rows is None else row_lookup(params.rows, params.n_features)[rows]
+    found = at >= 0
     missing = None if found.all() else rows[~found]
 
     def take(name: str, a: np.ndarray) -> np.ndarray:
         if name not in ("linear", "emb"):
             return a.copy()
         out = np.empty(rows.shape + a.shape[1:])
-        if len(a):  # "clip" bounds the positions of rows not held, overwritten below
+        if len(a):  # "clip" bounds the -1 of rows not held, overwritten below
             np.take(a, at, axis=0, out=out, mode="clip")
         if missing is not None:
             shape = (params.n_features,) + a.shape[1:]
@@ -411,8 +408,7 @@ def hold_rows(params: Params, rows: np.ndarray) -> Params:
             out[~found] = _init_table(name, philox(params.init_seed, 100), shape, missing)
         return out
 
-    return replace(params, rows=_whole_if_every(rows, params.n_features),
-                   **_each_block(params, take))
+    return replace(params, rows=kept, **_each_block(params, take))
 
 
 def held_rows(n_features: int, arrays) -> np.ndarray:
@@ -433,29 +429,28 @@ def row_lookup(rows: np.ndarray, n_features: int) -> np.ndarray:
     return lookup
 
 
-def _refuse_unheld(params: Params, indices: np.ndarray, found: np.ndarray) -> None:
-    """Raise DimensionError naming the first of ``indices`` off the mask
-    ``found`` (same shape), if there is one."""
-    if not found.all():
-        missing = indices.reshape(-1)[found.reshape(-1).argmin()]
-        raise DimensionError(
-            f"feature row {missing} is not among the {params.rows.size} rows this "
-            f"model holds of {params.n_features}"
-        )
+def table_rows(params: Params):
+    """The map from feature rows (an index array of any shape, in range) to
+    ``params``' table rows: the identity for whole tables, else a lookup of
+    the positions in ``params.rows`` (``row_lookup``), built once here.
 
-
-def table_rows(params: Params, indices: np.ndarray) -> np.ndarray:
-    """The table rows of feature rows ``indices`` (any shape, in range): the
-    indices themselves for whole tables, else their positions in
-    ``params.rows``, found by binary search.
-
-    Raises:
-        DimensionError: a feature row the params do not hold, naming the first.
+    The map raises DimensionError for a feature row the params do not hold,
+    naming the first in C order.
     """
     if params.rows is None:
-        return indices
-    at, found = _positions(params, indices)
-    _refuse_unheld(params, indices, found)
+        return lambda indices: indices
+    lookup = row_lookup(params.rows, params.n_features)
+
+    def at(indices: np.ndarray) -> np.ndarray:
+        out = lookup[indices]
+        if out.size and out.min() < 0:
+            missing = indices.flat[out.argmin()]  # the first -1, in C order
+            raise DimensionError(
+                f"feature row {missing} is not among the {params.rows.size} rows this "
+                f"model holds of {params.n_features}"
+            )
+        return out
+
     return at
 
 
@@ -505,12 +500,13 @@ def forward_batch(
 
     ``indices`` is (B, n_fields) and is used as given, of any integer dtype.
     Any other dtype raises DimensionError: a float index is not floored. A
-    held-rows model maps them to table rows (``table_rows``) and raises
-    DimensionError for a row it does not hold; the trace keeps table rows.
+    held-rows model maps them to table rows through ``table_rows``' map and
+    raises its DimensionError for a row it does not hold; the trace keeps
+    table rows.
     """
     indices = np.asarray(indices)
     check_indices(params, indices)
-    return _forward(params, table_rows(params, indices))
+    return _forward(params, table_rows(params)(indices))
 
 
 def _forward(params: Params, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, Trace]:
@@ -666,20 +662,16 @@ def predict_batch(params: Params, dataset: Dataset) -> np.ndarray:
 
     Rows are scored in blocks (``features.by_row_blocks``); see the scoring
     contract in the module docstring. A held-rows model maps each block's
-    indices to its table rows through one ``row_lookup`` built for the pass,
-    and raises ``table_rows``' DimensionError for a row it does not hold. An
+    indices to its table rows through one ``table_rows`` map built for the
+    pass, and raises its DimensionError for a row it does not hold. An
     overflow is not warned about: the metrics reject non-finite scores with
     their count, and training checks for divergence.
     """
-    lookup = None if params.rows is None else row_lookup(params.rows, params.n_features)
+    at = table_rows(params)
 
     def score(indices: np.ndarray) -> np.ndarray:
         check_indices(params, indices)
-        if lookup is not None:
-            at = lookup[indices]
-            _refuse_unheld(params, indices, at >= 0)
-            indices = at
-        return _forward(params, indices)[1]
+        return _forward(params, at(indices))[1]
 
     with np.errstate(over="ignore", invalid="ignore"):
         return by_row_blocks(score, dataset.indices)

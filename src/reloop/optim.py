@@ -16,9 +16,10 @@ the fixed constants below.
 linear and embedding rows the dataset touches, in row order, with the dense
 blocks shared. So Adam's table moments have one row per row in use, not one
 per table row. Params holding exactly those rows (a cold model version; see
-``models``) are that sub-table and train in place. Otherwise the rows are
-gathered from the tables the params hold (whole, or held rows) and written
-back when training ends or diverges.
+``models``) are that sub-table and train in place. Otherwise (a warm
+version) the rows are gathered from the tables the params hold, whole or
+held rows, through ``models.table_rows``' map, and written back through it
+when training ends or diverges.
 
 Epoch shuffles come from a counter-based generator keyed by (seed, epoch).
 Each epoch gathers the columns its loss reads once, in shuffle order, and
@@ -203,9 +204,10 @@ def train_epochs(
 
     Training runs on the sub-table of feature rows the dataset touches, and
     Adam's moments are sized by those rows. When ``params`` holds exactly
-    those rows its tables are that sub-table, trained in place; otherwise the
-    rows are gathered from its tables, and written back with the bias also
-    when an error ends training. The rows keep their order, so every sum and
+    those rows its tables are that sub-table, trained in place, and no map
+    to table rows is built; otherwise the rows are gathered from its tables
+    through ``table_rows``' map, and written back with the bias also when an
+    error ends training. The rows keep their order, so every sum and
     update is bitwise what a loop over the full table gives. Rows the data
     never touches keep their bytes.
     An epoch shuffles only the columns the loss reads: indices, labels and,
@@ -235,11 +237,12 @@ def train_epochs(
     # train a sub-table of the rows the data touches; dense blocks are shared
     check_indices(params, dataset.indices)
     used, slot = unique_rows(dataset.indices, params.n_features)
-    at = table_rows(params, used)
-    # params holding only rows in use are the sub-table: no copy, no write-back
-    in_place = used.size == (params.n_features if params.rows is None else params.rows.size)
+    # params holding only rows in use are the sub-table: no map, copy or write-back
+    in_place = (used.size == params.n_features if params.rows is None
+                else np.array_equal(used, params.rows))
     sub = replace(params, n_features=used.size, rows=None)
     if not in_place:
+        at = table_rows(params)(used)
         sub.linear, sub.emb = (None if t is None else t[at] for t in _tables(params))
     state = OptimizerState.for_params(cfg, sub)
     # one epoch's rows in shuffle order, gathered once into reused buffers

@@ -31,10 +31,12 @@ scores in blocks of 1024, 1024 and 1044 rows, at both sizes.
 
 The held-row runs reach the paths of models that hold only the table rows
 their data touch, which a 768-feature matrix run may never take: over 8 x
-16384 buckets (2^17 features), a cold fm and a warm deepfm continual reloop
-``loop`` over 3 windows of 3092 rows (300 with ``--tiny``), each followed by
-an ``eval`` of its last checkpoint on the last window, whose printed lines
-are written to ``eval.txt`` in the run's directory.
+16384 buckets (2^17 features) and 3 windows of 3092 rows (300 with
+``--tiny``), a cold fm and a warm deepfm continual reloop ``loop``, each
+followed by an ``eval`` of its last checkpoint on the last window, whose
+printed lines are written to ``eval.txt`` in the run's directory; and a cold
+fm ``train`` on the first window with ``--valid`` the second, which moves
+the trained model to the validation rows to score them.
 """
 
 from __future__ import annotations
@@ -76,10 +78,14 @@ def _run(root: Path, s: dict, command, name, mode, warm, *extra) -> list[str]:
               "continual": ["--windows", str(data / "window_*.csv")]}
     out = root / "runs" / f"{command}-{name}-{mode}-{'warm' if warm else 'cold'}"
     return [command, "--mode", mode, *inputs[mode],
-            "--warm-start", str(warm).lower(), "--out", str(out),
-            "--buckets", str(s["buckets"]), "--epochs", str(s["epochs"]),
+            "--warm-start", str(warm).lower(), "--out", str(out), *_train_flags(s), *extra]
+
+
+def _train_flags(s: dict) -> list[str]:
+    """The size, training and seed flags every run of size ``s`` shares."""
+    return ["--buckets", str(s["buckets"]), "--epochs", str(s["epochs"]),
             "--batch-size", str(s["batch"]), "--embed-dim", str(s["embed"]),
-            "--mlp-widths", s["mlp"], "--seed", "3", *extra]
+            "--mlp-widths", s["mlp"], "--seed", "3"]
 
 
 def matrix_runs(root: Path, tiny: bool = False) -> list[list[str]]:
@@ -119,14 +125,19 @@ def held_runs(root: Path, tiny: bool = False) -> list:
     """The CLI argument lists of the held-row runs, gen-data first; each
     ``eval`` is an (argument list, path) pair, the path taking what it prints."""
     s = dict(_SIZES[tiny], fields=8, buckets=_HELD_BUCKETS)
-    runs = [_gen_data(root / "data", 300 if tiny else _BLOCK_ROWS, s)]
+    data = root / "data"
+    runs = [_gen_data(data, 300 if tiny else _BLOCK_ROWS, s)]
     for kind, warm in (("fm", False), ("deepfm", True)):
         loop = _run(root, s, "loop", f"{kind}-held", "continual", warm,
                     "--model", kind, "--loss", "reloop")
         out = Path(loop[loop.index("--out") + 1])
-        runs += [loop, (["eval", "--data", str(root / "data" / "window_002.csv"),
+        runs += [loop, (["eval", "--data", str(data / "window_002.csv"),
                          "--checkpoint", str(out / "checkpoints" / "v003.ckpt"),
                          "--buckets", str(_HELD_BUCKETS)], out / "eval.txt")]
+    runs.append(["train", "--data", str(data / "window_000.csv"),
+                 "--valid", str(data / "window_001.csv"),
+                 "--out", str(root / "runs" / "train-fm-held"), "--model", "fm",
+                 *_train_flags(s)])
     return runs
 
 

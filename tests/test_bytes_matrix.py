@@ -24,9 +24,13 @@ def test_tiny_block_runs_twice_same_digest(tmp_path):
 def test_tiny_held_runs_twice_same_digest(tmp_path):
     first = run_matrix(tmp_path / "a", tiny=True, runs=held_runs)
     second = run_matrix(tmp_path / "b", tiny=True, runs=held_runs)
-    # 3 windows; per run a report, 3 checkpoints, 2 score logs and eval.txt
-    assert first[0] == 3 + 2 * 7
+    # 3 windows; per loop a report, 3 checkpoints, 2 score logs and eval.txt;
+    # the train run's checkpoint and metrics.csv
+    assert first[0] == 3 + 2 * 7 + 2
     assert first == second
+    train = tmp_path / "a" / "runs" / "train-fm-held"
+    assert sorted(p.name for p in train.iterdir()) == ["manifest.json", "metrics.csv",
+                                                       "model.ckpt"]
     evals = sorted((tmp_path / "a").rglob("eval.txt"))
     assert len(evals) == 2
     for path in evals:

@@ -206,7 +206,7 @@ class TestHeldRows:
         not_held = np.setdiff1d(np.arange(schema.n_features), rows)
         bad[ROW_BLOCK + 5] = not_held[[0, -1, 1]]
         with pytest.raises(DimensionError) as expected:
-            table_rows(held, bad)
+            table_rows(held)(bad)
         assert f"feature row {not_held[0]} is not among" in str(expected.value)
         bad = Dataset(schema, data.labels, bad, data.row_ids)
         with pytest.raises(DimensionError, match=rf"^{re.escape(str(expected.value))}$"):
@@ -233,26 +233,53 @@ class TestHeldRows:
         assert whole.tobytes() == philox(6, 100).uniform(-s, s, size=shape).tobytes()
 
     def test_table_rows_are_the_positions_a_lookup_gives(self):
-        """The binary search maps every held row to what a lookup array over
-        the feature space gives, and names the first row not held in C
-        order, as the lookup did."""
+        """``table_rows``' map gives each held row what a lookup array over
+        the feature space gives, in the lookup's int32, and names the first
+        row not held in C order."""
         schema = held_schema()
         data = held_case_data(schema, 300, 2)
         rows = held_rows(schema.n_features, [data.indices])
         held = init_params(schema, ModelConfig("fm", embed_dim=3), seed=6, rows=rows)
         lookup = np.full(schema.n_features, -1, dtype=np.intp)
         lookup[rows] = np.arange(rows.size)
+        at_rows = table_rows(held)
         for idx in (data.indices, data.indices.astype(np.int64), rows[::-1]):
-            at = table_rows(held, idx)
-            assert at.dtype == np.intp and at.tobytes() == lookup[idx].tobytes()
-        assert table_rows(held, data.indices[:0]).shape == (0, 3)
+            at = at_rows(idx)
+            assert at.dtype == np.int32 and np.array_equal(at, lookup[idx])
+        assert at_rows(data.indices[:0]).shape == (0, 3)
         not_held = np.setdiff1d(np.arange(schema.n_features), rows)
         idx = data.indices[:3].copy()
         idx[1, 2], idx[2, 0] = not_held[-1], not_held[0]  # the last row after every held one
         with pytest.raises(DimensionError, match=rf"^feature row {not_held[-1]} is not among "
                                                  rf"the {rows.size} rows this model holds of "
                                                  rf"{schema.n_features}$"):
-            table_rows(held, idx)
+            at_rows(idx)
+
+    @pytest.mark.parametrize("rows", [
+        [9, 3, 3, 12],
+        [9, 3],
+        [3, 3],
+        [-1, 3],
+        [3, 2085],
+        list(range(2084, -1, -1)),  # every row, reversed
+    ])
+    def test_rows_out_of_order_are_refused(self, rows):
+        """Held rows must be strictly increasing in [0, n_features), as a
+        checkpoint stores them: anything else would save a file the loader
+        refuses, or gather the wrong draw rows."""
+        schema = held_schema()
+        cfg = ModelConfig("fm", embed_dim=3)
+        rows = np.array(rows)
+        ok = held_rows(schema.n_features, [held_case_data(schema, 40, 1).indices])
+        for params in (init_params(schema, cfg, seed=6),
+                       init_params(schema, cfg, seed=6, rows=ok)):
+            with pytest.raises(ValueError, match=r"^rows are not strictly increasing "
+                                                 r"in \[0, 2085\)$"):
+                hold_rows(params, rows)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            init_params(schema, cfg, seed=6, rows=rows)
+        for fine in (ok, ok[:0], np.arange(schema.n_features)):
+            assert init_params(schema, cfg, seed=6, rows=fine).emb.shape[0] == fine.size
 
     @pytest.mark.parametrize("kind", ["lr", "mlp", "dcn"])
     def test_hold_rows_draws_only_for_rows_not_held(self, monkeypatch, kind):

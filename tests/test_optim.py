@@ -10,6 +10,7 @@ from hashutils import feature_index
 from reloop.features import Dataset, FeatureSchema, FieldSpec
 from reloop.losses import LossConfig, LossInputError, combined_vec, grad_z_vec
 from reloop.metrics import logloss
+import reloop.optim
 from reloop.models import (
     MODEL_KINDS,
     DimensionError,
@@ -17,6 +18,8 @@ from reloop.models import (
     ModelConfig,
     backward_batch,
     forward_batch,
+    held_rows,
+    hold_rows,
     init_params,
     predict_batch,
 )
@@ -447,16 +450,35 @@ class TestSubTable:
         assert [a.shape for a in emb] == [(used, 3)] * 2
         assert p.emb.shape == (64 * 4, 3)  # the caller's table keeps its size
 
-    # sgd diverges in epoch 2, adam in epoch 1
-    @pytest.mark.parametrize("optimizer, lr", [("sgd", 1e10), ("adam", 1e155)])
-    def test_divergence_leaves_the_full_loop_state(self, sparse_dataset, optimizer, lr):
+    # sgd diverges in epoch 2, adam in epoch 1; whole tables, held rows that
+    # are the rows in use (cold, trained in place), held rows beyond them
+    # (warm, gathered and written back through the map)
+    @pytest.mark.parametrize("held, optimizer, lr", [
+        pytest.param(held, optimizer, lr, id="-".join(([held] if held else [])
+                                                      + [optimizer, str(lr)]))
+        for held in (None, "cold", "warm")
+        for optimizer, lr in (("sgd", 1e10), ("adam", 1e155))
+    ])
+    def test_divergence_leaves_the_full_loop_state(self, sparse_dataset, monkeypatch,
+                                                   held, optimizer, lr):
+        """After the DivergenceError, the params moved to every row are the
+        whole-table loop's, bit for bit."""
         p, cfg = _sub_setup(sparse_dataset, "fm", optimizer, lr=lr)
-        q = p.copy()
+        every = np.arange(p.n_features)
+        used = held_rows(p.n_features, [sparse_dataset.indices])
+        if held:
+            p = hold_rows(p, used if held == "cold" else np.union1d(used, every[::5]))
+        q = hold_rows(p, every)
+        maps = []
+        real = reloop.optim.table_rows
+        monkeypatch.setattr(reloop.optim, "table_rows",
+                            lambda params: maps.append(params) or real(params))
         with pytest.raises(DivergenceError):
             train_epochs(p, sparse_dataset, cfg)
+        assert len(maps) == (held != "cold")  # a cold version builds no map
         _, log = per_batch_train(q, sparse_dataset, cfg)
         assert not np.isfinite(log[-1])
-        assert params_to_vector(p).tobytes() == params_to_vector(q).tobytes()
+        assert params_to_vector(hold_rows(p, every)).tobytes() == params_to_vector(q).tobytes()
 
     def test_index_out_of_range_raises_before_any_step(self, sparse_dataset):
         p, cfg = _sub_setup(sparse_dataset, "fm", "adam")
